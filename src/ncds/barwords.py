@@ -8,15 +8,19 @@ the single variable z live over the two-letter alphabet instead.  The pairing
 reads leftmost bar letter against leftmost word letter.
 
 The two-variable words are the unique solutions of the dualized differential
-recursions; the y,x order is the letter swap w12 <-> w45, w23 <-> w34 of the
-x,y order.
+recursions, which only ever prepend a letter.  So any word morphism that sends
+each letter to at most one letter (a letter target) can run inside the
+recursion instead of after it: the identity target gives the x,y order, the
+swap w12 <-> w45, w23 <-> w34 gives the y,x order, and a pentagon leg's target
+(composed with the swap for y,x) gives the pullback onto x0, x1 directly,
+without forming the five-letter word.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .braid import chord_alphabet, p5_relations
+from .braid import CHORD_NAMES, chord_alphabet, p5_relations
 from .series import Series, two_letter_alphabet, _iadd
 
 # 1-form dictionary:  dx/x = w12,  dx/(1-x) = -w23,  dy/y = w45,
@@ -31,11 +35,45 @@ def _letter(name):
     return _g().index(name)
 
 
-def _prepend(combo, terms):
-    """combo: iterable of (letter index, coef); prepends one bar slot."""
-    out = {}
+# A letter target sends each chord letter (by index) to an output letter index,
+# or to None, which drops every word containing that letter.  Since the
+# recursions below only prepend letters, applying a target while they run
+# gives the same words as applying it to their result.
+IDENTITY = tuple(range(len(CHORD_NAMES)))
+_SWAPPED = {"12": "45", "45": "12", "23": "34", "34": "23"}
+OMEGA_SWAP = tuple(CHORD_NAMES.index(_SWAPPED.get(n, n)) for n in CHORD_NAMES)
+
+
+def order_target(order, then=IDENTITY):
+    """Target of l^{x,y} -> l^{order}, followed by the target `then`: the
+    y,x order is the letter swap w12 <-> w45, w23 <-> w34."""
+    order = tuple(order)
+    if order == ("x", "y"):
+        first = IDENTITY
+    elif order == ("y", "x"):
+        first = OMEGA_SWAP
+    else:
+        raise ValueError("order must be ('x','y') or ('y','x')")
+    return tuple(then[t] for t in first)
+
+
+def _codomain(target):
+    """A target whose images all lie in {x0, x1} is a pullback onto the
+    two-letter alphabet; any other keeps the chord alphabet."""
+    if any(t is not None and t > 1 for t in target):
+        return _g()
+    return two_letter_alphabet()
+
+
+def _prepend(combo, terms, target, out=None):
+    """Prepends one bar slot, combo = ((chord letter index, coef), ...), each
+    letter sent through target; accumulates into out (a new dict if None)."""
+    out = {} if out is None else out
     for li, lc in combo:
-        head = bytes((li,))
+        t = target[li]
+        if t is None:
+            continue
+        head = bytes((t,))
         for w, c in terms.items():
             _iadd(out, head + w, lc * c)
     return out
@@ -47,23 +85,26 @@ _SINGLE_PAIRS = {
 }
 
 
-def bar_single(index, variable):
+def bar_single(index, variable, target=IDENTITY):
     """l_a in one variable: the pattern (-1)^k [A^(a_k - 1)|B|...|A^(a_1-1)|B]
     with (A, B) the variable's form pair; variable "xy" uses the two-letter
-    combination A = w12 + w45, B = w24, and "z" the two-letter alphabet."""
+    combination A = w12 + w45, B = w24, and "z" the two-letter alphabet.
+    The chord letters of "x", "y" and "xy" words are sent through target."""
     if not index:
         raise ValueError("empty index")
     k = len(index)
     if variable == "z":
-        alphabet = two_letter_alphabet()
+        if target != IDENTITY:
+            raise ValueError("z words have no chord letters to send")
+        alphabet, target = two_letter_alphabet(), (0, 1)
         a_combo = ((0, 1),)
         b_combo = ((1, 1),)
     elif variable == "xy":
-        alphabet = _g()
+        alphabet = _codomain(target)
         a_combo = ((_letter("12"), 1), (_letter("45"), 1))
         b_combo = ((_letter("24"), 1),)
     elif variable in _SINGLE_PAIRS:
-        alphabet = _g()
+        alphabet = _codomain(target)
         a_name, b_name = _SINGLE_PAIRS[variable]
         a_combo = ((_letter(a_name), 1),)
         b_combo = ((_letter(b_name), 1),)
@@ -71,57 +112,50 @@ def bar_single(index, variable):
         raise ValueError("unknown variable %r" % (variable,))
     terms = {b"": 1 if k % 2 == 0 else -1}
     for a_i in index:  # a_1 block built first, ends up rightmost
-        terms = _prepend(b_combo, terms)
+        terms = _prepend(b_combo, terms, target)
         for _ in range(a_i - 1):
-            terms = _prepend(a_combo, terms)
+            terms = _prepend(a_combo, terms, target)
     return Series(alphabet, sum(index), terms, _clean=False)
 
 
-def _omega_swap(f):
-    """Swap the roles of the two variables: w12 <-> w45, w23 <-> w34."""
-    g = _g()
-    table = bytes.maketrans(
-        bytes((g.index("12"), g.index("45"), g.index("23"), g.index("34"))),
-        bytes((g.index("45"), g.index("12"), g.index("34"), g.index("23"))))
-    out = {w.translate(table): c for w, c in f.terms.items()}
-    return Series(g, f.max_weight, out, _clean=False)
-
-
 @lru_cache(maxsize=None)
-def _bar_xy(a, b):
-    """l^{x,y}_{a,b}: dualized differential recursion, both d/dx and d/dy
-    branches prepend one 1-form on the left."""
-    g = _g()
+def _bar_xy(a, b, target):
+    """Terms of l^{x,y}_{a,b} sent through the letter target: dualized
+    differential recursion, both d/dx and d/dy branches prepend one 1-form on
+    the left.  A branch whose letters the target drops is never expanded."""
     w12, w23, w34, w45 = (_letter("12"), _letter("23"), _letter("34"),
                           _letter("45"))
     out = {}
 
     def acc(combo, sub):
-        for w, c in _prepend(combo, sub.terms).items():
-            _iadd(out, w, c)
+        if any(target[li] is not None for li, _c in combo):
+            _prepend(combo, sub(), target, out)
+
+    def single(index, variable):
+        return lambda: bar_single(index, variable, target).terms
 
     # d/dy branch acts on b
     if b[-1] > 1:
-        acc(((w45, 1),), _bar_xy(a, b[:-1] + (b[-1] - 1,)))
+        acc(((w45, 1),), lambda: _bar_xy(a, b[:-1] + (b[-1] - 1,), target))
     elif len(b) > 1:
-        acc(((w34, -1),), _bar_xy(a, b[:-1]))
+        acc(((w34, -1),), lambda: _bar_xy(a, b[:-1], target))
     else:
-        acc(((w34, -1),), bar_single(a, "xy"))
+        acc(((w34, -1),), single(a, "xy"))
     # d/dx branch acts on a
     if a[-1] > 1:
-        acc(((w12, 1),), _bar_xy(a[:-1] + (a[-1] - 1,), b))
+        acc(((w12, 1),), lambda: _bar_xy(a[:-1] + (a[-1] - 1,), b, target))
     else:
         if len(a) > 1:
-            shortened = _bar_xy(a[:-1], b)
-            merged = (_bar_xy(a[:-1] + (b[0],), b[1:]) if len(b) > 1
-                      else bar_single(a[:-1] + (b[0],), "xy"))
+            shortened = lambda: _bar_xy(a[:-1], b, target)
+            merged = ((lambda: _bar_xy(a[:-1] + (b[0],), b[1:], target))
+                      if len(b) > 1 else single(a[:-1] + (b[0],), "xy"))
         else:
-            shortened = bar_single(b, "y")
-            merged = (_bar_xy((b[0],), b[1:]) if len(b) > 1
-                      else bar_single((b[0],), "xy"))
+            shortened = single(b, "y")
+            merged = ((lambda: _bar_xy((b[0],), b[1:], target)) if len(b) > 1
+                      else single((b[0],), "xy"))
         acc(((w23, -1),), shortened)
         acc(((w12, -1), (w23, 1)), merged)
-    return Series(g, sum(a) + sum(b), out, _clean=False)
+    return out
 
 
 def bar_double(a, b, order=("x", "y")):
@@ -129,16 +163,8 @@ def bar_double(a, b, order=("x", "y")):
     a, b = tuple(a), tuple(b)
     if not a or not b:
         raise ValueError("indices must be nonempty")
-    word = _bar_xy(a, b)
-    if tuple(order) == ("x", "y"):
-        return word
-    if tuple(order) == ("y", "x"):
-        return _omega_swap(word)
-    raise ValueError("order must be ('x','y') or ('y','x')")
-
-
-def bar_cache_clear():
-    _bar_xy.cache_clear()
+    return Series(_g(), sum(a) + sum(b), _bar_xy(a, b, order_target(order)),
+                  _clean=False)
 
 
 def pair(bar, elt):

@@ -307,9 +307,6 @@ class CocycleElement:
         return (isinstance(other, CocycleElement)
                 and self.tensor == other.tensor and self.module == other.module)
 
-    def tensor_series(self, alphabet=None):
-        return dict(self.tensor)
-
     def module_series(self, alphabet=None):
         x = alphabet or two_letter_alphabet()
         return Series(x, self.max_weight, dict(self.module))

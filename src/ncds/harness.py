@@ -4,7 +4,11 @@ Kashiwara-Vergne comparisons, machine-checked weight by weight.
 Pairings of bar words against coface images psi(x_ij, x_jk) are evaluated by
 pulling the bar word back through the coface's letter images, which turns
 each functional into a small two-letter series paired directly against psi;
-the chord-alphabet expansion of psi is never materialized.
+the chord-alphabet expansion of psi is never materialized.  Every pentagon
+leg is a word morphism (each chord letter goes to at most one of x0, x1, with
+coefficient 1), so the theorem checks run the bar-word recursion directly on
+the leg's letter target (`pulled_functional`) and never form a five-letter
+word; `coface_pullback` translates an arbitrary bar series the same way.
 
 Weight 2 is reported separately and never asserted: [x0, x1] satisfies the
 double-shuffle conditions but has commutator coefficient 1, so the theorem
@@ -18,9 +22,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__ as KERNEL_VERSION
-from .barwords import bar_double, bar_single, pair
+from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
+from .braid import CHORD_NAMES
 from .coaction import (_rc_residual_linear, c4_residual, frak_b_check,
                        ihara_bracket, meta_abelian, rc_space)
 from .dshuffle import (_dmr_residual_linear, dmr_space, sh_le, sigma_compose,
@@ -96,44 +102,67 @@ ALPHA_LEGS = ((1, "451"), (1, "123"), (-1, "432"), (-1, "215"), (-1, "543"))
 PHI_LEGS = ((1, "451"), (1, "123"))
 
 
+@lru_cache(maxsize=None)
+def leg_target(leg):
+    """The leg's pullback as a letter target over the chord alphabet: chord
+    letter -> x0 (0), x1 (1) or None.  Both pullback paths rely on every leg
+    being a word morphism: each letter has at most one image, with
+    coefficient 1."""
+    images = {}
+    for x_letter, image in enumerate(PENTAGON_LEGS[leg]):
+        for name, c in image.items():
+            if c != 1 or name in images:
+                raise ValueError("leg %s is not a word morphism" % (leg,))
+            images[name] = x_letter
+    return tuple(images.get(name) for name in CHORD_NAMES)
+
+
+def _signed_sum(parts, max_weight):
+    """Two-letter series sum of sign * terms over (sign, terms) parts."""
+    out = {}
+    for sign, terms in parts:
+        for w, c in terms.items():
+            _iadd(out, w, sign * c)
+    return Series(two_letter_alphabet(), max_weight, out, _clean=False)
+
+
 def coface_pullback(bar, leg):
-    """Two-letter series F with <bar, psi(images)> = <F, psi>."""
-    img0, img1 = PENTAGON_LEGS[leg]
-    g = bar.alphabet
-    x = two_letter_alphabet()
-    choice = []
-    for name in g.letters:
-        opts = []
-        c0 = img0.get(name)
-        if c0:
-            opts.append((0, c0))
-        c1 = img1.get(name)
-        if c1:
-            opts.append((1, c1))
-        choice.append(tuple(opts))
+    """Two-letter series F with <bar, psi(images)> = <F, psi>: each word is
+    translated letter by letter and dropped if a letter has no image."""
+    images = dict(zip(CHORD_NAMES, leg_target(leg)))
+    src, dst, dropped = [], [], []
+    for i, name in enumerate(bar.alphabet.letters):
+        t = images.get(name)
+        if t is None:
+            dropped.append(i)
+        else:
+            src.append(i)
+            dst.append(t)
+    table, dropped = bytes.maketrans(bytes(src), bytes(dst)), bytes(dropped)
     out = {}
     for w, c in bar.terms.items():
-        partial = [(b"", c)]
-        for li in w:
-            opts = choice[li]
-            if not opts:
-                partial = []
-                break
-            partial = [(pw + bytes((t,)), pc * oc)
-                       for pw, pc in partial for t, oc in opts]
-        for pw, pc in partial:
-            _iadd(out, pw, pc)
-    return Series(x, bar.max_weight, out, _clean=False)
+        pw = w.translate(table, dropped)
+        if len(pw) == len(w):
+            _iadd(out, pw, c)
+    return Series(two_letter_alphabet(), bar.max_weight, out, _clean=False)
 
 
 def pentagon_functional(bar, legs):
     """Sum of signed coface pullbacks of one bar word."""
-    x = two_letter_alphabet()
-    out = Series.zero(x, bar.max_weight)
-    for sign, leg in legs:
-        term = coface_pullback(bar, leg)
-        out = out + (term if sign == 1 else term.scale(sign))
-    return out
+    return _signed_sum(((sign, coface_pullback(bar, leg).terms)
+                        for sign, leg in legs), bar.max_weight)
+
+
+def pulled_functional(pairs, order, legs):
+    """Sum of s * pentagon_functional(bar_double(a, b, order), legs) over
+    (s, a, b) in pairs, built in two-letter coordinates: the bar-word
+    recursion runs on each leg's letter target, so no five-letter word is
+    formed.  All pairs share one weight."""
+    targets = [(sign, order_target(order, leg_target(leg))) for sign, leg in legs]
+    parts = [(s * sign, _bar_xy(a, b, target))
+             for s, a, b in pairs for sign, target in targets]
+    _s, a, b = pairs[0]
+    return _signed_sum(parts, sum(a) + sum(b))
 
 
 def _dot(f, s):
@@ -173,9 +202,8 @@ def shifted_pair_functionals(weight):
     for a, b in index_pairs(weight):
         if len(b) < 2 or _all_ones(a, b):
             continue
-        f1 = pentagon_functional(bar_double(a, b, ("y", "x")), PHI_LEGS)
-        f2 = pentagon_functional(bar_double(a + (b[0],), b[1:], ("y", "x")), PHI_LEGS)
-        out.append(((a, b), f1 - f2))
+        out.append(((a, b), pulled_functional(
+            ((1, a, b), (-1, a + (b[0],), b[1:])), ("y", "x"), PHI_LEGS)))
     return out
 
 
@@ -188,8 +216,7 @@ def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
             continue
         if not depth_one and _all_ones(a, b):
             continue
-        bar = bar_double(a, b, orders)
-        out.append(((a, b), pentagon_functional(bar, ALPHA_LEGS)))
+        out.append(((a, b), pulled_functional(((1, a, b),), orders, ALPHA_LEGS)))
     return out
 
 
@@ -351,7 +378,7 @@ def nonadmissible_sum_value(psi, k, l):
         (first, second), tag = sigma_compose(s, a, b)
         if tag != "y,x" or not _all_ones(first, second):
             continue
-        F = pentagon_functional(bar_double(first, second, ("y", "x")), PHI_LEGS)
+        F = pulled_functional(((1, first, second),), ("y", "x"), PHI_LEGS)
         total += _dot(F, psi)
     return total
 
@@ -593,8 +620,8 @@ def prop_sum_failures(max_weight=6):
                         - pair(bar_single(merged, "z"), psi)
                     rhs += corr_val
                     if tag == "y,x":
-                        F = pentagon_functional(bar_double(first, second, ("y", "x")),
-                                                PHI_LEGS)
+                        F = pulled_functional(((1, first, second),), ("y", "x"),
+                                              PHI_LEGS)
                         lhs += _dot(F, psi) - pair(bar_single(merged, "z"), psi)
                 if lhs != rhs:
                     failures.append((w, a, b))

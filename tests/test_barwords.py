@@ -1,7 +1,7 @@
 import pytest
 
-from ncds.barwords import (bar_double, bar_single, integrable, pair,
-                           restrict_to_letters)
+from ncds.barwords import (IDENTITY, OMEGA_SWAP, _bar_xy, bar_double,
+                           bar_single, integrable, pair, restrict_to_letters)
 from ncds.braid import chord_alphabet, insert_triple, permute_strands, TAU
 from ncds.lie import lyndon_basis
 from ncds.series import Series
@@ -99,6 +99,36 @@ class TestBarDouble:
                 word += ["45"] * (a_i - 1) + ["24"]
             sign = (-1) ** (len(a) + len(b))
             assert got == g_series({tuple(word): sign}, sum(a) + sum(b)), (a, b)
+
+
+class TestLetterTargets:
+    def test_identity_and_swap_targets(self):
+        # the identity target gives the x,y word; the swap target gives that
+        # word with w12 <-> w45 and w23 <-> w34 swapped letter by letter
+        swap = {"12": "45", "45": "12", "23": "34", "34": "23", "24": "24"}
+        table = bytes(G.index(swap[n]) for n in G.letters)
+        for w in range(2, 7):
+            for a, b in index_pairs(w):
+                xy = bar_double(a, b, ("x", "y"))
+                assert Series(G, w, _bar_xy(a, b, IDENTITY)) == xy
+                swapped = Series(G, w, {bytes(table[i] for i in word): c
+                                        for word, c in xy.terms.items()})
+                assert Series(G, w, _bar_xy(a, b, OMEGA_SWAP)) == swapped
+                assert bar_double(a, b, ("y", "x")) == swapped
+
+    def test_single_words_through_a_target(self):
+        # a target sends letters the way coface_pullback does: 12 -> x0,
+        # 23 -> x1, and words through any other letter vanish
+        target = tuple({"12": 0, "23": 1}.get(n) for n in G.letters)
+        assert bar_single((2, 1), "x", target) == x_series({"101": 1}, 3)
+        assert bar_single((2, 1), "xy", target).is_zero
+        assert bar_single((2,), "y", target).is_zero
+        with pytest.raises(ValueError):
+            bar_single((2,), "z", target)
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(ValueError):
+            bar_double((1,), (1,), ("x", "x"))
 
 
 class TestPair:

@@ -1,32 +1,85 @@
 import json
+import pathlib
 import subprocess
+import sys
 
 import pytest
 
 from ncds.cli import main as cli_main
-from ncds.harness import (conjecture_scan, coface_pullback, index_pairs,
-                          one_loop_equivalence, prop_sum_failures, space,
+from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
+                          alpha_pair_functionals, conjecture_scan,
+                          coface_pullback, index_pairs, leg_target,
+                          one_loop_equivalence, pentagon_functional,
+                          prop_sum_failures, pulled_functional,
+                          shifted_pair_functionals, space,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
                           verify_theorem_D, verify_theorem_E, _dot)
 from ncds.barwords import bar_double, pair
-from ncds.braid import insert_triple
+from ncds.braid import CHORD_NAMES, insert_triple
 from ncds.series import series_to_json
 
 from conftest import random_lie, x_series
 
 
+LEG_STRANDS = {"451": (4, 5, 1), "123": (1, 2, 3), "432": (4, 3, 2),
+               "215": (2, 1, 5), "543": (5, 4, 3)}
+ORDERS = (("x", "y"), ("y", "x"))
+
+
 class TestPullback:
     def test_matches_direct_pairing(self, rng):
-        legs = {"451": (4, 5, 1), "123": (1, 2, 3), "432": (4, 3, 2),
-                "215": (2, 1, 5), "543": (5, 4, 3)}
-        for w in (3, 4):
+        # every pullback route against pairing the bar word with the chord
+        # expansion insert_triple(psi, i, j, k), which shares no code with it
+        for w in (3, 4, 5):
             psi = random_lie(w, rng)
+            images = {leg: insert_triple(psi, *ijk) for leg, ijk in LEG_STRANDS.items()}
+
+            def direct(a, b, order, legs):
+                bar = bar_double(a, b, order)
+                return sum(sign * pair(bar, images[leg]) for sign, leg in legs)
+
             for a, b in index_pairs(w):
-                bar = bar_double(a, b, ("y", "x"))
-                for name, (i, j, k) in legs.items():
-                    direct = pair(bar, insert_triple(psi, i, j, k))
-                    via = _dot(coface_pullback(bar, name), psi)
-                    assert direct == via
+                for order in ORDERS:
+                    for leg in LEG_STRANDS:
+                        want = direct(a, b, order, ((1, leg),))
+                        assert _dot(coface_pullback(bar_double(a, b, order), leg),
+                                    psi) == want
+                        assert _dot(pulled_functional(((1, a, b),), order, ((1, leg),)),
+                                    psi) == want
+            for order, depth_one in ((("y", "x"), False), (("y", "x"), True),
+                                     (("x", "y"), True)):
+                for (a, b), F in alpha_pair_functionals(w, order, depth_one):
+                    assert _dot(F, psi) == direct(a, b, order, ALPHA_LEGS), (a, b)
+            yx = ("y", "x")
+            for (a, b), F in shifted_pair_functionals(w):
+                assert _dot(F, psi) == direct(a, b, yx, PHI_LEGS) \
+                    - direct(a + (b[0],), b[1:], yx, PHI_LEGS), (a, b)
+
+    def test_pulled_equals_pullback_of_word(self):
+        for w in range(2, 8):
+            for a, b in index_pairs(w):
+                for order in ORDERS:
+                    bar = bar_double(a, b, order)
+                    for leg in LEG_STRANDS:
+                        assert pulled_functional(((1, a, b),), order, ((1, leg),)) \
+                            == coface_pullback(bar, leg), (a, b, order, leg)
+                    assert pulled_functional(((1, a, b),), order, ALPHA_LEGS) \
+                        == pentagon_functional(bar, ALPHA_LEGS), (a, b, order)
+
+    def test_every_leg_is_a_word_morphism(self, monkeypatch):
+        # both pullback paths need each chord letter to have at most one
+        # image among x0, x1, with coefficient 1
+        assert set(PENTAGON_LEGS) == set(LEG_STRANDS)
+        for leg, (img0, img1) in PENTAGON_LEGS.items():
+            assert set(img0.values()) | set(img1.values()) == {1}, leg
+            assert not set(img0) & set(img1), leg
+            assert leg_target(leg) == tuple(
+                0 if n in img0 else 1 if n in img1 else None for n in CHORD_NAMES)
+        monkeypatch.setitem(PENTAGON_LEGS, "twice", ({"12": 1}, {"12": 1}))
+        monkeypatch.setitem(PENTAGON_LEGS, "scaled", ({"12": 2}, {"23": 1}))
+        for leg in ("twice", "scaled"):
+            with pytest.raises(ValueError):
+                leg_target(leg)
 
     def test_lemma_432_1_anchor(self):
         # pullback through 432 of l^{y,x}_{(1..1)_k,(1)} is exactly
@@ -308,6 +361,12 @@ class TestCli:
         assert json.loads(first)["basis"][0].keys() == {"a1", "a2"}
 
     def test_entry_point_installed(self):
-        proc = subprocess.run(["ncds", "--version"], capture_output=True, text=True)
+        # `python -m ncds` runs the main() that pyproject.toml declares as the
+        # `ncds` console script, so this holds without an install
+        proc = subprocess.run([sys.executable, "-m", "ncds", "--version"],
+                              capture_output=True, text=True)
         assert proc.returncode == 0
         assert "ncds" in proc.stdout
+        text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert 'ncds = "ncds.cli:main"' in scripts.splitlines()
