@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .series import (Alphabet, Series, substitute, two_letter_alphabet,
-                     _iadd)
+from .series import (Alphabet, LinearMorphism, Series, substitute,
+                     two_letter_alphabet, _iadd)
 
 CHORD_NAMES = ("12", "23", "34", "45", "24")
 PI23_NAMES = ("12", "23", "24", "34", "13")
@@ -100,20 +100,25 @@ def express_chord(i, j, base_names):
     return out
 
 
-def chord_series_in(i, j, alphabet, max_weight=1):
-    names = alphabet.letters
-    coords = express_chord(i, j, names)
-    terms = {bytes((alphabet.index(name),)): c for name, c in coords.items()}
-    return Series(alphabet, max_weight, terms, _clean=False)
+@lru_cache(maxsize=None)
+def _insertion(alphabet, x0_chords, x1_chords):
+    """The letter map x0 -> sum of x_ij over the (i, j) in x0_chords, and x1
+    likewise, written over a basis alphabet of five chords."""
+    def image(chords):
+        out = {}
+        for i, j in chords:
+            for name, c in express_chord(i, j, alphabet.letters).items():
+                _iadd(out, name, c)
+        return out
+    return LinearMorphism.by_name(two_letter_alphabet(), alphabet,
+                                  {"x0": image(x0_chords), "x1": image(x1_chords)})
 
 
 def insert_triple(psi, i, j, k):
     """psi(x_ij, x_jk) as a chord-basis element."""
     if len({i, j, k}) != 3:
         raise ValueError("strand indices must be distinct")
-    mw = psi.max_weight
-    return substitute(psi, {"x0": chord_series(i, j, mw),
-                            "x1": chord_series(j, k, mw)})
+    return substitute(psi, _insertion(chord_alphabet(), ((i, j),), ((j, k),)))
 
 
 def defect(psi, form="alpha"):
@@ -127,18 +132,16 @@ def defect(psi, form="alpha"):
     from .lie import is_lie_series
     if not is_lie_series(psi):
         raise ValueError("the pentagon defect is defined for Lie series")
-    mw = psi.max_weight
     if form == "alpha":
         out = insert_triple(psi, 4, 5, 1) + insert_triple(psi, 1, 2, 3)
         out = out - insert_triple(psi, 4, 3, 2) - insert_triple(psi, 2, 1, 5)
         return out - insert_triple(psi, 5, 4, 3)
     if form == "alpha_hat":
-        c = lambda i, j: chord_series(i, j, mw)
         def sub(u, v):
-            return substitute(psi, {"x0": u, "x1": v})
-        out = sub(c(1, 3), c(2, 3)) + sub(c(1, 4), c(2, 4) + c(3, 4))
-        out = out + sub(c(2, 4), c(3, 4)) - sub(c(1, 4) + c(2, 4), c(3, 4))
-        return out - sub(c(1, 3) + c(1, 4), c(2, 3) + c(2, 4))
+            return substitute(psi, _insertion(chord_alphabet(), u, v))
+        out = sub(((1, 3),), ((2, 3),)) + sub(((1, 4),), ((2, 4), (3, 4)))
+        out = out + sub(((2, 4),), ((3, 4),)) - sub(((1, 4), (2, 4)), ((3, 4),))
+        return out - sub(((1, 3), (1, 4)), ((2, 3), (2, 4)))
     raise ValueError("unknown defect form %r" % (form,))
 
 
@@ -170,28 +173,18 @@ def coface_images(name, flavor):
 
 def coface(psi, name, flavor="23"):
     """Coface substitution, kept over the five-letter pi presentation."""
-    alphabet = pi_alphabet(flavor)
-    img0_names, img1_names = coface_images(name, flavor)
-    mw = psi.max_weight
-
-    def combo(names):
-        out = Series.zero(alphabet, mw)
-        for n in names:
-            out = out + Series.letter(alphabet, n, mw)
-        return out
-
-    return substitute(psi, {"x0": combo(img0_names), "x1": combo(img1_names)})
+    img0, img1 = coface_images(name, flavor)
+    return substitute(psi, LinearMorphism.by_name(
+        two_letter_alphabet(), pi_alphabet(flavor),
+        {"x0": dict.fromkeys(img0, 1), "x1": dict.fromkeys(img1, 1)}))
 
 
 def permute_strands(e, perm):
     """Relabel strands by a permutation of {1..5} and rewrite into G."""
     g = chord_alphabet()
-    mw = e.max_weight
-    images = {}
-    for name in g.letters:
-        i, j = int(name[0]), int(name[1])
-        images[name] = chord_series(perm[i], perm[j], mw)
-    return substitute(e, images)
+    return substitute(e, LinearMorphism.by_name(
+        g, g, {name: rewrite_chord(perm[int(name[0])], perm[int(name[1])])
+               for name in g.letters}))
 
 
 SIGMA = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
@@ -206,12 +199,7 @@ def _perm_power(perm, n):
 
 
 # pr_2 on the chord basis; x_infinity = -x0-x1 expanded
-def _pr2_images(max_weight):
-    x = two_letter_alphabet()
-    x0 = Series.letter(x, "x0", max_weight)
-    x1 = Series.letter(x, "x1", max_weight)
-    zero = Series.zero(x, max_weight)
-    return {"12": zero, "23": zero, "24": zero, "34": x1, "45": -1 * x0 - x1}
+_PR2 = {"12": {}, "23": {}, "24": {}, "34": {"x1": 1}, "45": {"x0": -1, "x1": -1}}
 
 
 def project_strand(e, i):
@@ -224,19 +212,15 @@ def project_strand(e, i):
     if i not in (1, 2, 3, 4, 5):
         raise ValueError("strand index out of range")
     m = {2: 0, 3: 1, 4: 2, 5: 3, 1: 4}[i]
-    pr2 = _pr2_images(e.max_weight)
-    if not m:
-        return substitute(e, pr2)
     perm = _perm_power(SIGMA, 5 - m)
-    x = two_letter_alphabet()
     images = {}
-    for name in chord_alphabet().letters:
-        a, b = int(name[0]), int(name[1])
-        out = Series.zero(x, e.max_weight)
-        for gname, c in rewrite_chord(perm[a], perm[b]).items():
-            out = out + pr2[gname].scale(c)
-        images[name] = out
-    return substitute(e, images)
+    for name in CHORD_NAMES:
+        img = images[name] = {}
+        for gname, c in rewrite_chord(perm[int(name[0])], perm[int(name[1])]).items():
+            for xname, xc in _PR2[gname].items():
+                _iadd(img, xname, c * xc)
+    return substitute(e, LinearMorphism.by_name(chord_alphabet(),
+                                                two_letter_alphabet(), images))
 
 
 # -- Fox pairing and the two-cocycle algebra --------------------------------
@@ -401,18 +385,9 @@ def cyclic_defect_pi23(psi):
     """The cyclic pentagon defect expressed over the pi^{2,3} presentation
     letters (x45 and x15 are linear in them), then pushed through pi^{2,3}."""
     alphabet = pi_alphabet("23")
-    mw = psi.max_weight
-    c = lambda i, j: chord_series_in(i, j, alphabet, mw)
-    terms = [
-        substitute(psi, {"x0": c(1, 2), "x1": c(2, 3)}),
-        substitute(psi, {"x0": c(2, 3), "x1": c(3, 4)}),
-        substitute(psi, {"x0": c(3, 4), "x1": c(4, 5)}),
-        substitute(psi, {"x0": c(4, 5), "x1": c(5, 1)}),
-        substitute(psi, {"x0": c(5, 1), "x1": c(1, 2)}),
-    ]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
+    total = Series.zero(alphabet, psi.max_weight)
+    for i, j, k in ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)):
+        total = total + substitute(psi, _insertion(alphabet, ((i, j),), ((j, k),)))
     return pi_decompose(total, "23")
 
 

@@ -7,22 +7,18 @@
     ncds conjecture [--max-weight W] [--seed S] [--out FILE]
 
 Exit codes: 0 all pass, 1 a check failed or a residual is nonzero, 2 input
-error.  NCDS_THREADS sets the worker count for independent (check, weight)
-tasks; NCDS_CACHE_DIR enables the on-disk solution-space cache.
+error.  NCDS_CACHE_DIR enables the on-disk solution-space cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .harness import (DEFAULT_CEILINGS, FIRST_WEIGHT, VERIFIERS, CheckReport,
-                      conjecture_scan, space)
+from .harness import DEFAULT_CEILINGS, VERIFIERS, conjecture_scan, space
 from .lie import cached_space, SolutionSpace
 from .series import series_from_json, series_to_json
 
@@ -45,13 +41,6 @@ def _parse_rational(text):
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("NCDS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_spaces(args):
@@ -85,32 +74,12 @@ def _space_from_json(data):
 
 
 def cmd_verify(args):
-    fn = VERIFIERS[args.theorem]
     max_weight = args.max_weight or DEFAULT_CEILINGS[args.theorem]
-    report = _run_weightwise(args.theorem, fn, max_weight, args.seed)
+    report = VERIFIERS[args.theorem](max_weight, args.seed)
     _dump(report.to_json(), args.out)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _run_weightwise(theorem, fn, max_weight, seed):
-    workers = _threads()
-    lo = FIRST_WEIGHT[theorem]
-    if workers == 1 or max_weight < lo:
-        return fn(max_weight, seed)
-    # one worker per (check, weight); reassemble in weight order so the
-    # report stays byte-identical to a sequential run
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {w: pool.submit(fn, max_weight, seed, [w])
-                   for w in range(lo, max_weight + 1)}
-        entries = []
-        name = None
-        for w in range(lo, max_weight + 1):
-            rep = futures[w].result()
-            name = rep.check
-            entries.extend(rep.weights)
-    return CheckReport(name, entries, seed)
 
 
 def cmd_conjecture(args):

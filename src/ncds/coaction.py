@@ -17,8 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .lie import is_lie_series, lie_bracket, solve_space, SolutionSpace
-from .series import (Series, abelianize, fox_derivative, letter_swap,
+from .lie import (is_lie_series, lie_bracket, linear_constraint,
+                  skew_constraint, solve_space, SolutionSpace)
+from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
+                     S_AT_X1, Series, abelianize, fox_derivative,
                      one_letter_alphabet, substitute, _iadd)
 
 
@@ -44,24 +46,13 @@ def r_series(eta):
     return Series(s, max(eta.max_weight - 1, 0), out, _clean=False)
 
 
-def _eval_one_letter(f, image):
-    """Substitute the single variable of a one-letter series."""
-    if f.is_zero:
-        return Series.zero(image.alphabet, image.max_weight)
-    return substitute(f, {"s": image})
-
-
 def _rc_residual_linear(eta):
     """The residual as a plain linear operator, no precondition checks; this
     is what the solvers impose as a constraint."""
-    alphabet = eta.alphabet
-    mw = eta.max_weight
-    x0 = Series.letter(alphabet, "x0", mw)
-    x1 = Series.letter(alphabet, "x1", mw)
     r = r_series(eta)
     out = reduced_coaction(eta)
-    out = out + _eval_one_letter(r, x1)
-    out = out - _eval_one_letter(r, -1 * x0)
+    if not r.is_zero:  # r lives one weight down and would lower max_weight
+        out = out + substitute(r, S_AT_X1) - substitute(r, S_AT_MINUS_X0)
     out = out + fox_derivative(eta, "x0", "left")
     out = out + fox_derivative(eta, "x1", "right")
     return out
@@ -77,14 +68,6 @@ def rc_residual(eta):
     return _rc_residual_linear(eta)
 
 
-def _skew_constraint(s):
-    return letter_swap(s) + s
-
-
-def _linear_coeff_constraint(s):
-    return {"x0": s.coeff(b"\x00"), "x1": s.coeff(b"\x01")}
-
-
 def rc_space(weight, lam=None, chart="lyndon"):
     """Skew-symmetric solutions of the reduced coaction equation at a weight.
 
@@ -95,7 +78,7 @@ def rc_space(weight, lam=None, chart="lyndon"):
     """
     if weight < 2:
         raise ValueError("rc space starts at weight 2")
-    constraints = [_skew_constraint, _linear_coeff_constraint, _rc_residual_linear]
+    constraints = [skew_constraint, linear_constraint, _rc_residual_linear]
     if chart == "words":
         from .lie import primitivity_defect
         constraints = [primitivity_defect] + constraints
@@ -193,11 +176,7 @@ def ihara_bracket(psi1, psi2):
 
 def change_of_variable(psi):
     """psi(-x0-x1, x1)."""
-    alphabet = psi.alphabet
-    mw = psi.max_weight
-    x0 = Series.letter(alphabet, "x0", mw)
-    x1 = Series.letter(alphabet, "x1", mw)
-    return substitute(psi, {"x0": -1 * x0 - x1, "x1": x1})
+    return substitute(psi, AT_MINUS_SUM_X1)
 
 
 def c4_residual(psi):
@@ -206,11 +185,5 @@ def c4_residual(psi):
     g = d^R_1(eta)."""
     eta = change_of_variable(psi)
     g = fox_derivative(eta, "x1", "right")
-    alphabet = psi.alphabet
-    mw = psi.max_weight
-    x0 = Series.letter(alphabet, "x0", mw)
-    x1 = Series.letter(alphabet, "x1", mw)
-    zero = Series.zero(alphabet, mw)
-    g_sum = substitute(g, {"x0": x0 + x1, "x1": zero}) if not g.is_zero else zero
-    g_x1 = substitute(g, {"x0": x1, "x1": zero}) if not g.is_zero else zero
-    return reduced_coaction(eta) - g_sum + g + g_x1
+    return (reduced_coaction(eta) - substitute(g, AT_SUM_ZERO) + g
+            + substitute(g, AT_X1_ZERO))

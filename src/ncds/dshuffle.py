@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import primitivity_defect, solve_space
+from .lie import linear_constraint, primitivity_defect, solve_space
 from .series import Alphabet, Series, TensorSeries, _iadd
 
 
@@ -134,8 +134,7 @@ def dmr_space(weight, chart="lyndon"):
     primitive for the stuffle coproduct."""
     if weight < 2:
         raise ValueError("dmr space starts at weight 2")
-    lin = lambda s: {"x0": s.coeff(b"\x00"), "x1": s.coeff(b"\x01")}
-    constraints = [lin, _dmr_residual_linear]
+    constraints = [linear_constraint, _dmr_residual_linear]
     if chart == "words":
         constraints = [primitivity_defect] + constraints
     return solve_space(weight, constraints, space="dmr0", chart=chart)

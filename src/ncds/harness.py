@@ -26,16 +26,19 @@ from functools import lru_cache
 
 from . import __version__ as KERNEL_VERSION
 from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
-from .braid import CHORD_NAMES
+from .braid import CHORD_NAMES, chord_alphabet
 from .coaction import (_rc_residual_linear, c4_residual, frak_b_check,
                        ihara_bracket, meta_abelian, rc_space)
 from .dshuffle import (_dmr_residual_linear, dmr_space, sh_le, sigma_compose,
                        y_functional)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
-from .lie import (lyndon_basis, series_span_contains, series_spans_equal,
-                  series_to_json, solve_space)
-from .series import Series, letter_swap, two_letter_alphabet, _iadd
+from .lie import (linear_constraint, lyndon_basis, series_span_contains,
+                  series_spans_equal, series_to_json, skew_constraint,
+                  solve_space)
+from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
+                     LinearMorphism, Series, letter_swap, substitute,
+                     two_letter_alphabet, _iadd)
 
 
 @dataclass
@@ -126,25 +129,18 @@ def _signed_sum(parts, max_weight):
     return Series(two_letter_alphabet(), max_weight, out, _clean=False)
 
 
+@lru_cache(maxsize=None)
+def leg_morphism(leg):
+    """The leg's pullback as a word morphism from the chord alphabet onto
+    x0, x1, built from its letter target."""
+    return LinearMorphism(chord_alphabet(), two_letter_alphabet(),
+                          [() if t is None else ((t, 1),) for t in leg_target(leg)])
+
+
 def coface_pullback(bar, leg):
     """Two-letter series F with <bar, psi(images)> = <F, psi>: each word is
     translated letter by letter and dropped if a letter has no image."""
-    images = dict(zip(CHORD_NAMES, leg_target(leg)))
-    src, dst, dropped = [], [], []
-    for i, name in enumerate(bar.alphabet.letters):
-        t = images.get(name)
-        if t is None:
-            dropped.append(i)
-        else:
-            src.append(i)
-            dst.append(t)
-    table, dropped = bytes.maketrans(bytes(src), bytes(dst)), bytes(dropped)
-    out = {}
-    for w, c in bar.terms.items():
-        pw = w.translate(table, dropped)
-        if len(pw) == len(w):
-            _iadd(out, pw, c)
-    return Series(two_letter_alphabet(), bar.max_weight, out, _clean=False)
+    return substitute(bar, leg_morphism(leg))
 
 
 def pentagon_functional(bar, legs):
@@ -226,12 +222,7 @@ def _functional_constraints(functionals):
 
 # -- named spaces -------------------------------------------------------------
 
-def _skew(s):
-    return letter_swap(s) + s
-
-
-def _lin(s):
-    return {"x0": s.coeff(b"\x00"), "x1": s.coeff(b"\x01")}
+_SKEW_LIN = [skew_constraint, linear_constraint]
 
 
 def space(name, weight, lam=None):
@@ -245,9 +236,9 @@ def space(name, weight, lam=None):
     if name == "krv2":
         return krv2_space(weight)
     if name == "krv1skew":
-        return solve_space(weight, [_skew, _lin, _krv1_linear], space="krv1skew")
+        return solve_space(weight, _SKEW_LIN + [_krv1_linear], space="krv1skew")
     if name == "conj2":
-        cons = [_skew, _lin] + _functional_constraints(shifted_pair_functionals(weight))
+        cons = _SKEW_LIN + _functional_constraints(shifted_pair_functionals(weight))
         return solve_space(weight, cons, space="conj2")
     raise ValueError("unknown space %r" % (name,))
 
@@ -271,8 +262,8 @@ def verify_theorem_A(max_weight, seed=0, weights=None):
     t0 = time.time()
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
-        s1 = solve_space(w, [_skew, _lin, _dmr_residual_linear], space="dmr0skew")
-        cons = [_skew, _lin, _rc_residual_linear] \
+        s1 = solve_space(w, _SKEW_LIN + [_dmr_residual_linear], space="dmr0skew")
+        cons = _SKEW_LIN + [_rc_residual_linear] \
             + _functional_constraints(shifted_pair_functionals(w))
         s2 = solve_space(w, cons, space="rc0shifted")
         entries.append(_entry_for_equality(w, "dmr0_skew", s1, "rc0_shifted", s2,
@@ -288,7 +279,7 @@ def verify_theorem_B(max_weight, seed=0, weights=None):
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = dmr_space(w)
         funcs = alpha_pair_functionals(w)
-        cons = [_lin] + _functional_constraints(funcs)
+        cons = [linear_constraint] + _functional_constraints(funcs)
         s2 = solve_space(w, cons, space="barkernel")
         entry = _entry_for_equality(w, "dmr0", s1, "bar_kernel", s2,
                                     report_only=(w == 2))
@@ -304,12 +295,12 @@ def verify_theorem_C(max_weight, seed=0, weights=None):
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         spaces = {
-            "i_rc0": solve_space(w, [_skew, _lin, _rc_residual_linear], space="c1"),
-            "ii_yx": solve_space(w, [_skew, _lin] + _functional_constraints(
+            "i_rc0": solve_space(w, _SKEW_LIN + [_rc_residual_linear], space="c1"),
+            "ii_yx": solve_space(w, _SKEW_LIN + _functional_constraints(
                 alpha_pair_functionals(w, ("y", "x"), depth_one=True)), space="c2"),
-            "iii_xy": solve_space(w, [_skew, _lin] + _functional_constraints(
+            "iii_xy": solve_space(w, _SKEW_LIN + _functional_constraints(
                 alpha_pair_functionals(w, ("x", "y"), depth_one=True)), space="c3"),
-            "iv_mu": solve_space(w, [_skew, _lin, c4_residual], space="c4"),
+            "iv_mu": solve_space(w, _SKEW_LIN + [c4_residual], space="c4"),
         }
         dims = {k: v.dimension for k, v in spaces.items()}
         status = "report-only" if w == 2 else "pass"
@@ -390,9 +381,9 @@ def verify_theorem_E(max_weight, seed=0, weights=None):
     t0 = time.time()
     entries = []
     for w in (weights if weights is not None else range(3, max_weight + 1)):
-        s1 = solve_space(w, [_skew, _lin, _dmr_residual_linear, _krv1_linear],
+        s1 = solve_space(w, _SKEW_LIN + [_dmr_residual_linear, _krv1_linear],
                          space="dmr0skewkrv1")
-        s2 = solve_space(w, [_skew, _lin, _rc_residual_linear, _krv1_linear],
+        s2 = solve_space(w, _SKEW_LIN + [_rc_residual_linear, _krv1_linear],
                          space="rc0krv1")
         dims = {"dmr0_skew_krv1": s1.dimension, "rc0_krv1": s2.dimension}
         status = "pass"
@@ -456,8 +447,6 @@ VERIFIERS = {"A": verify_theorem_A, "B": verify_theorem_B,
 
 DEFAULT_CEILINGS = {"A": 8, "B": 7, "C": 8, "D": 8, "E": 8}
 
-FIRST_WEIGHT = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3}
-
 
 # -- seeded lemma suites ------------------------------------------------------
 
@@ -477,24 +466,19 @@ def lemma_cab23_failures(max_weight=6, samples=100, seed=0):
     """pi^{2,3} coface identities on seeded random skew Lie series."""
     from .braid import pi_coface
     from .coaction import r_series, reduced_coaction
-    from .series import fox_derivative, substitute
-    x = two_letter_alphabet()
+    from .series import fox_derivative
     rng = random.Random(seed)
     failures = []
     for w in range(2, max_weight + 1):
-        x0 = Series.letter(x, "x0", w)
-        x1 = Series.letter(x, "x1", w)
         for i in range(samples):
             psi = random_lie_series(w, rng, skew=True)
             r = r_series(psi)
-            zero = Series.zero(x, w)
             expected = {
                 "1,2,34": -1 * fox_derivative(psi, "x1", "right"),
                 "12,3,4": -1 * fox_derivative(psi, "x0", "left"),
                 "1,23,4": reduced_coaction(psi),
-                "2,3,4": substitute(r, {"s": x1}) if not r.is_zero else zero,
-                "1,2,3": (-1 * substitute(r, {"s": -1 * x0})
-                          if not r.is_zero else zero),
+                "2,3,4": substitute(r, S_AT_X1),
+                "1,2,3": -1 * substitute(r, S_AT_MINUS_X0),
             }
             for name, want in expected.items():
                 got = pi_coface(psi, name, "23").module_series()
@@ -507,23 +491,18 @@ def lemma_cabling34_failures(max_weight=6, samples=100, seed=0):
     """pi^{3,4} coface identities on seeded random Lie series."""
     from .braid import pi_coface
     from .coaction import reduced_coaction
-    from .series import fox_derivative, substitute
-    x = two_letter_alphabet()
+    from .series import fox_derivative
     rng = random.Random(seed)
     failures = []
     for w in range(1, max_weight + 1):
-        x0 = Series.letter(x, "x0", w)
-        x1 = Series.letter(x, "x1", w)
-        zero = Series.zero(x, w)
+        zero = Series.zero(two_letter_alphabet(), w)
         for i in range(samples):
             eta = random_lie_series(w, rng)
             dr1 = fox_derivative(eta, "x1", "right")
-            ev = lambda img: (substitute(dr1, {"x0": img, "x1": zero})
-                              if not dr1.is_zero else zero)
             expected = {
                 "1,2,34": reduced_coaction(eta),
-                "2,3,4": -1 * ev(x1),
-                "12,3,4": -1 * ev(x0 + x1),
+                "2,3,4": -1 * substitute(dr1, AT_X1_ZERO),
+                "12,3,4": -1 * substitute(dr1, AT_SUM_ZERO),
                 "1,2,3": zero,
                 "1,23,4": -1 * dr1,
             }
@@ -635,7 +614,7 @@ def one_loop_equivalence(max_weight=7):
     from .dshuffle import psi_star, y_functional
     out = []
     for w in range(2, max_weight + 1):
-        s1 = solve_space(w, [_lin] + _functional_constraints(
+        s1 = solve_space(w, [linear_constraint] + _functional_constraints(
             alpha_pair_functionals(w, ("y", "x"), depth_one=True)), space="oneloop1")
 
         def stuffle_constraint(s):
@@ -655,7 +634,7 @@ def one_loop_equivalence(max_weight=7):
                     vals[("ab", a, b1)] = t2
             return vals
 
-        s2 = solve_space(w, [_lin, stuffle_constraint], space="oneloop2")
+        s2 = solve_space(w, [linear_constraint, stuffle_constraint], space="oneloop2")
         equal, _ = series_spans_equal(s1.basis, s2.basis)
         out.append((w, s1.dimension, s2.dimension, equal))
     return out

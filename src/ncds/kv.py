@@ -9,15 +9,16 @@ k2 x1, which do not move the derivation.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .coaction import change_of_variable, reduced_coaction
 from .lie import (SolutionSpace, assemble_rows, is_lie_series, lie_bracket,
                   lyndon_basis, series_to_json)
 from .linalg import kernel_basis
-from .series import (CyclicSeries, Series, TensorSeries, cyclic_project,
-                     fox_derivative, substitute, symmetrize,
+from .series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, S_AT_SUM, S_AT_X0,
+                     S_AT_X1, CyclicSeries, Series, TensorSeries,
+                     cyclic_project, fox_derivative, one_letter_alphabet,
+                     shuffle_splits, substitute, symmetrize,
                      two_letter_alphabet, _canonical_rotation, _iadd)
 
 
@@ -148,22 +149,15 @@ def _krv1_linear(psi):
     x0 = Series.letter(x, "x0", mw)
     x1 = Series.letter(x, "x1", mw)
     lifted = Series(x, mw, psi.terms, _clean=False)
-    minus = -1 * x0 - x1
-    at_x1 = substitute(lifted, {"x0": minus, "x1": x1})
-    at_x0 = substitute(lifted, {"x0": minus, "x1": x0})
-    return lie_bracket(x1, at_x1) + lie_bracket(x0, at_x0)
+    return (lie_bracket(x1, substitute(lifted, AT_MINUS_SUM_X1))
+            + lie_bracket(x0, substitute(lifted, AT_MINUS_SUM_X0)))
 
 
 def tangential_pair_of(psi):
     """(psi(-x0-x1, x0), psi(-x0-x1, x1)), the canonical pair attached to a
     Lie series; krv1_residual(psi) = 0 iff this pair is special."""
-    x = psi.alphabet
-    mw = psi.max_weight
-    x0 = Series.letter(x, "x0", mw)
-    x1 = Series.letter(x, "x1", mw)
-    minus = -1 * x0 - x1
-    return TangentialDerivation(substitute(psi, {"x0": minus, "x1": x0}),
-                                substitute(psi, {"x0": minus, "x1": x1}))
+    return TangentialDerivation(substitute(psi, AT_MINUS_SUM_X0),
+                                substitute(psi, AT_MINUS_SUM_X1))
 
 
 def potential(psi):
@@ -179,9 +173,8 @@ def _potential_linear(psi):
     x0 = Series.letter(x, "x0", mw)
     x1 = Series.letter(x, "x1", mw)
     lifted = Series(x, mw, psi.terms, _clean=False)
-    minus = -1 * x0 - x1
-    return x0 * substitute(lifted, {"x0": minus, "x1": x0}) \
-        + x1 * substitute(lifted, {"x0": minus, "x1": x1})
+    return x0 * substitute(lifted, AT_MINUS_SUM_X0) \
+        + x1 * substitute(lifted, AT_MINUS_SUM_X1)
 
 
 def nc_krv2_fit(psi):
@@ -190,7 +183,6 @@ def nc_krv2_fit(psi):
 
     Returns (residual, f) where f is a one-letter Series.
     """
-    from .series import one_letter_alphabet
     h = potential(psi)
     mu_h = reduced_coaction(h)
     eta = change_of_variable(psi)
@@ -201,14 +193,8 @@ def nc_krv2_fit(psi):
         if not any(w):  # pure x0 power (possibly empty)
             _iadd(f_terms, bytes(len(w) + 1), c)
     f = Series(s_alpha, psi.max_weight + 1, f_terms, _clean=False)
-    x = psi.alphabet
-    mw = h.max_weight
-    x0 = Series.letter(x, "x0", mw)
-    x1 = Series.letter(x, "x1", mw)
-    if f.is_zero:
-        return mu_h, f
-    combo = substitute(f, {"s": x0 + x1}) - substitute(f, {"s": x0}) \
-        - substitute(f, {"s": x1})
+    combo = substitute(f, S_AT_SUM) - substitute(f, S_AT_X0) \
+        - substitute(f, S_AT_X1)
     return mu_h - combo, f
 
 
@@ -299,15 +285,6 @@ def necklace_bracket(a, b):
     return CyclicSeries(a.alphabet, mw, out, _clean=False)
 
 
-def _shuffle_splits(word):
-    n = len(word)
-    for r in range(n + 1):
-        for pos in itertools.combinations(range(n), r):
-            keep = set(pos)
-            yield (bytes(word[i] for i in pos),
-                   bytes(word[i] for i in range(n) if i not in keep))
-
-
 def necklace_cobracket(a):
     """delta(|a|) = |a' S(mu(a'')')| (x) |mu(a'')''| - flip, with the Sweedler
     sums read through the Hopf algebra's own (shuffle) coproduct.
@@ -318,12 +295,12 @@ def necklace_cobracket(a):
     """
     out = {}
     for w, c in a.terms.items():
-        for a1, a2 in _shuffle_splits(w):
+        for a1, a2 in shuffle_splits(w):
             for i in range(len(a2) - 1):
                 if a2[i] != a2[i + 1]:
                     continue
                 m_word = a2[:i + 1] + a2[i + 2:]
-                for m1, m2 in _shuffle_splits(m_word):
+                for m1, m2 in shuffle_splits(m_word):
                     sgn = -c if len(m1) % 2 else c
                     left = _canonical_rotation(a1 + m1[::-1])
                     right = _canonical_rotation(m2)

@@ -103,9 +103,19 @@ def is_lie_series(f):
     return not primitivity_defect(f)
 
 
+def skew_constraint(s):
+    """eta(x1, x0) + eta(x0, x1), zero iff s is skew."""
+    return letter_swap(s) + s
+
+
+def linear_constraint(s):
+    """The x0 and x1 coefficients, which the named spaces require to vanish."""
+    return {"x0": s.coeff(b"\x00"), "x1": s.coeff(b"\x01")}
+
+
 def is_skew(f):
     """eta(x0, x1) = -eta(x1, x0)."""
-    return (letter_swap(f) + f).is_zero
+    return skew_constraint(f).is_zero
 
 
 # -- generic homogeneous solver ---------------------------------------------

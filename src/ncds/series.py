@@ -317,6 +317,17 @@ def shuffle_mul(f, g):
     return Series(f.alphabet, mw, out, _clean=False)
 
 
+def shuffle_splits(word):
+    """(subword, complementary subword) for every subset of letter positions,
+    subsets taken by size and then in lexicographic order."""
+    n = len(word)
+    for r in range(n + 1):
+        for pos in itertools.combinations(range(n), r):
+            keep = set(pos)
+            yield (bytes(word[i] for i in pos),
+                   bytes(word[i] for i in range(n) if i not in keep))
+
+
 def shuffle_coproduct(f):
     """Deshuffle coproduct: every letter is primitive, extended multiplicatively.
 
@@ -325,13 +336,8 @@ def shuffle_coproduct(f):
     """
     out = {}
     for w, c in f.terms.items():
-        n = len(w)
-        for r in range(n + 1):
-            for pos in itertools.combinations(range(n), r):
-                left = bytes(w[i] for i in pos)
-                rest = set(pos)
-                right = bytes(w[i] for i in range(n) if i not in rest)
-                _iadd(out, (left, right), c)
+        for split in shuffle_splits(w):
+            _iadd(out, split, c)
     return TensorSeries(f.alphabet, f.max_weight, out, _clean=False)
 
 
@@ -343,17 +349,11 @@ def antipode(f):
     return Series(f.alphabet, f.max_weight, out, _clean=False)
 
 
-_SWAP01 = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
 def letter_swap(f):
     """Exchange the two letters of a two-letter alphabet in every word."""
     if len(f.alphabet) != 2:
         raise ValueError("letter_swap needs a two-letter alphabet")
-    out = {}
-    for w, c in f.terms.items():
-        _iadd(out, w.translate(_SWAP01), c)
-    return Series(f.alphabet, f.max_weight, out, _clean=False)
+    return _swap(f.alphabet).apply(f)
 
 
 def fox_derivative(f, letter, side):
@@ -375,46 +375,140 @@ def fox_derivative(f, letter, side):
     return Series(f.alphabet, f.max_weight, out, _clean=False)
 
 
-def substitute(f, images):
-    """Algebra-morphism extension of letter -> Series, truncated.
+# -- letter maps ---------------------------------------------------------------
 
-    ``images`` maps letter names of f's alphabet to Series over a common
-    target alphabet.  Every image must have zero constant term, which keeps
-    composition stable under truncation.
-    """
-    target = None
-    by_index = {}
-    for name, img in images.items():
-        if img.constant_term():
-            raise ValueError("substitution image of %s has a constant term" % name)
-        if target is None:
-            target = img.alphabet
-        elif target != img.alphabet:
-            raise ValueError("substitution images over different alphabets")
-        by_index[f.alphabet.index(name)] = img
-    if target is None:
-        raise ValueError("no images given")
-    mw = min([f.max_weight] + [img.max_weight for img in images.values()])
-    ww = target.word_weight
+def _translate_terms(terms, table, drop):
+    """Word-morphism path: one ``bytes.translate`` per word; a word that
+    loses a letter has a letter with no image and maps to 0."""
     out = {}
-    for w, c in f.terms.items():
+    for w, c in terms.items():
+        tw = w.translate(table, drop)
+        if len(tw) == len(w):
+            _iadd(out, tw, c)
+    return out
+
+
+def _expand_terms(terms, images):
+    """General path: multiply out the linear image of every letter.  Within
+    one word the expanded words are distinct, so only the sum over source
+    words needs merging."""
+    out = {}
+    for w, c in terms.items():
         partial = {EMPTY: c}
         for i in w:
-            img = by_index.get(i)
-            if img is None:
-                raise ValueError("no image for letter %r" % (f.alphabet.letters[i],))
-            nxt = {}
-            for pw, pc in partial.items():
-                base = ww(pw)
-                for iw, ic in img.terms.items():
-                    if base + ww(iw) <= mw:
-                        _iadd(nxt, pw + iw, pc * ic)
-            partial = nxt
+            partial = {pw + t: pc * tc for pw, pc in partial.items()
+                       for t, tc in images[i]}
             if not partial:
                 break
         for pw, pc in partial.items():
             _iadd(out, pw, pc)
-    return Series(target, mw, out, _clean=False)
+    return out
+
+
+class LinearMorphism:
+    """Algebra morphism sending every source letter to a linear combination
+    of weight-1 target letters.
+
+    ``images`` holds one sequence of (target letter index, coef) per source
+    letter, with distinct target letters; an empty one sends the letter to
+    0.  A word maps to words of its own length, so an image needs no
+    truncation beyond its source's.  When every image is a single letter
+    with coefficient 1 or nothing (a word morphism), words go through one
+    ``bytes.translate`` each.
+    """
+
+    __slots__ = ("source", "target", "images", "_translation")
+
+    def __init__(self, source, target, images):
+        self.source = source
+        self.target = target
+        self.images = tuple(tuple((bytes((t,)), c) for t, c in img) for img in images)
+        if len(self.images) != len(source) or any(
+                target.weights[t[0]] != 1 for img in self.images for t, _c in img):
+            raise ValueError("need one image in weight-1 letters per source letter")
+        if all(len(img) <= 1 and all(c == 1 for _t, c in img) for img in self.images):
+            src = bytes(i for i, img in enumerate(self.images) if img)
+            dst = b"".join(img[0][0] for img in self.images if img)
+            drop = bytes(i for i, img in enumerate(self.images) if not img)
+            self._translation = (bytes.maketrans(src, dst), drop)
+        else:
+            self._translation = None
+
+    @classmethod
+    def by_name(cls, source, target, images):
+        """From a dict source letter name -> {target letter name: coef};
+        letters left out go to 0."""
+        return cls(source, target,
+                   [[(target.index(t), c) for t, c in images.get(name, {}).items()]
+                    for name in source.letters])
+
+    def apply(self, f):
+        """The image of f, with f's max_weight."""
+        if f.alphabet is not self.source and f.alphabet != self.source:
+            raise ValueError("series is not over the source alphabet of the map")
+        if self._translation is not None:
+            out = _translate_terms(f.terms, *self._translation)
+        else:
+            out = _expand_terms(f.terms, self.images)
+        return Series(self.target, f.max_weight, out, _clean=False)
+
+
+@lru_cache(maxsize=None)
+def _swap(alphabet):
+    return LinearMorphism(alphabet, alphabet, (((1, 1),), ((0, 1),)))
+
+
+def substitute(f, images):
+    """Algebra-morphism extension of a linear letter map, truncated.
+
+    ``images`` is a LinearMorphism from f's alphabet, or a dict sending
+    letter names of f's alphabet to Series over a common target alphabet
+    whose terms are all weight-1 letters; the result is truncated to the
+    smallest max_weight among f and the images.
+    """
+    if isinstance(images, LinearMorphism):
+        return images.apply(f)
+    target = None
+    by_index = [()] * len(f.alphabet)
+    mw = f.max_weight
+    for name, img in images.items():
+        if target is None:
+            target = img.alphabet
+        elif target != img.alphabet:
+            raise ValueError("substitution images over different alphabets")
+        if any(len(w) != 1 or target.weights[w[0]] != 1 for w in img.terms):
+            raise ValueError("substitution image of %s is not a combination of "
+                             "weight-1 letters" % name)
+        by_index[f.alphabet.index(name)] = [(w[0], c) for w, c in img.terms.items()]
+        mw = min(mw, img.max_weight)
+    if target is None:
+        raise ValueError("no images given")
+    for i, name in enumerate(f.alphabet.letters):
+        if name not in images and any(i in w for w in f.terms):
+            raise ValueError("no image for letter %r" % (name,))
+    if mw < f.max_weight:
+        f = Series(f.alphabet, mw,
+                   {w: c for w, c in f.terms.items() if len(w) <= mw}, _clean=False)
+    return LinearMorphism(f.alphabet, target, by_index).apply(f)
+
+
+def _onto_x(source, images):
+    return LinearMorphism.by_name(source, two_letter_alphabet(), images)
+
+
+# Fixed maps onto the two-letter algebra, named by where they send (x0, x1)
+# or the one-variable letter s: psi(-x0-x1, x1), psi(-x0-x1, x0),
+# g(x0+x1, 0), g(x1, 0), and r(x1), r(-x0), f(x0), f(x0+x1).
+AT_MINUS_SUM_X1 = _onto_x(two_letter_alphabet(),
+                          {"x0": {"x0": -1, "x1": -1}, "x1": {"x1": 1}})
+AT_MINUS_SUM_X0 = _onto_x(two_letter_alphabet(),
+                          {"x0": {"x0": -1, "x1": -1}, "x1": {"x0": 1}})
+AT_SUM_ZERO = _onto_x(two_letter_alphabet(), {"x0": {"x0": 1, "x1": 1}})
+AT_X1_ZERO = _onto_x(two_letter_alphabet(), {"x0": {"x1": 1}})
+S_AT_X1 = _onto_x(one_letter_alphabet(), {"s": {"x1": 1}})
+S_AT_MINUS_X0 = _onto_x(one_letter_alphabet(), {"s": {"x0": -1}})
+S_AT_X0 = _onto_x(one_letter_alphabet(), {"s": {"x0": 1}})
+S_AT_SUM = _onto_x(one_letter_alphabet(), {"s": {"x0": 1, "x1": 1}})
 
 
 def abelianize(f):
@@ -545,13 +639,28 @@ def series_to_json(f):
 
 
 def series_from_json(data):
+    """Inverse of series_to_json; ValueError on a malformed document."""
+    if not isinstance(data, dict):
+        raise ValueError("a series must be a JSON object")
     weights = data.get("weights")
     alphabet = Alphabet(tuple(data["alphabet"]),
                         tuple(weights) if weights else None)
+    if not isinstance(data["terms"], list) or not all(
+            isinstance(t, dict) for t in data["terms"]):
+        raise ValueError("series terms must be a list of objects")
     terms = {}
+    seen = set()
     for t in data["terms"]:
         w = bytes(int(ch) for ch in t["word"])
-        c = Fraction(int(t["num"]), int(t.get("den", "1")))
+        if any(i >= len(alphabet) for i in w):
+            raise ValueError("word %r uses a letter outside the alphabet" % t["word"])
+        if w in seen:
+            raise ValueError("duplicate word %r" % t["word"])
+        seen.add(w)
+        den = int(t.get("den", "1"))
+        if not den:
+            raise ValueError("zero denominator for word %r" % t["word"])
+        c = Fraction(int(t["num"]), den)
         if c.denominator == 1:
             c = int(c)
         if c:

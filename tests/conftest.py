@@ -2,9 +2,8 @@ import random
 
 import pytest
 
+from ncds.harness import random_lie_series
 from ncds.series import Series, two_letter_alphabet
-from ncds.lie import lyndon_basis
-from ncds.series import letter_swap
 
 X = two_letter_alphabet()
 
@@ -15,18 +14,8 @@ def x_series(terms, max_weight):
     return Series(X, max_weight, data)
 
 
-def random_lie(weight, rng, skew=False, span=3, max_weight=None):
-    """Random integer combination of Lyndon bracketings; optionally the skew
-    projection (doubled to stay integral)."""
-    mw = weight if max_weight is None else max_weight
-    out = Series.zero(X, mw)
-    for _, _, elt in lyndon_basis(weight, mw).elements:
-        c = rng.randint(-span, span)
-        if c:
-            out = out + elt.scale(c)
-    if skew:
-        out = out - letter_swap(out)
-    return out
+# the seeded generator the lemma suites use, so tests draw the same series
+random_lie = random_lie_series
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ lines and timings.
 
 import itertools
 import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -28,6 +29,19 @@ from ncds.series import (CyclicSeries, Series, cyclic_project,
 from conftest import X, x_series
 
 G = chord_alphabet()
+
+# Golden reports of A-E at the default ceilings and of the conjecture scan at
+# 7, seed 0, written at the seed commit: the oracle every refactor keeps.
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden" \
+    / "ceilings.json"
+
+
+def matches_golden(name, rep):
+    """The report's JSON without `version`, byte for byte against golden."""
+    out = rep.to_json()
+    del out["version"]
+    golden = json.loads(GOLDEN.read_text())[name]
+    return json.dumps(out, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
 def report(number, description, ok, t0):
@@ -67,6 +81,7 @@ def test_criterion_03_theorem_A():
     rep = verify_theorem_A(8)
     asserted = [e for e in rep.weights if e.w >= 3]
     ok = all(e.status == "pass" for e in asserted) and len(asserted) == 6
+    ok = ok and matches_golden("A", rep)
     report(3, "theorem A subspace equality, weights 3..8", ok, t0)
 
 
@@ -75,6 +90,7 @@ def test_criterion_04_theorem_B():
     rep = verify_theorem_B(7)
     asserted = [e for e in rep.weights if e.w >= 3]
     ok = all(e.status == "pass" for e in asserted) and len(asserted) == 5
+    ok = ok and matches_golden("B", rep)
     report(4, "theorem B bar-pairing kernel equals dmr0, weights 3..7", ok, t0)
 
 
@@ -83,6 +99,7 @@ def test_criterion_05_theorem_C():
     rep = verify_theorem_C(8)
     asserted = [e for e in rep.weights if e.w >= 3]
     ok = all(e.status == "pass" for e in asserted) and len(asserted) == 6
+    ok = ok and matches_golden("C", rep)
     report(5, "theorem C four-way equality, weights 3..8", ok, t0)
 
 
@@ -92,6 +109,7 @@ def test_criterion_06_theorem_D():
     ok = rep.ok and len(rep.weights) == 6
     brackets = sum(e.dims.get("brackets", 0) for e in rep.weights)
     ok = ok and brackets >= 1  # the weight-8 {psi3, psi5} bracket is exercised
+    ok = ok and matches_golden("D", rep)
     report(6, "theorem D: even coefficients, B-membership, Ihara closure <= 8",
            ok, t0)
 
@@ -102,6 +120,7 @@ def test_criterion_07_theorem_E():
     ok = rep.ok and len(rep.weights) == 6
     ok = ok and all(e.dims.get("nonadmissible1111", True) for e in rep.weights)
     ok = ok and any("nonadmissible1111" in e.dims for e in rep.weights)
+    ok = ok and matches_golden("E", rep)
     # the k + l = 2 instance lives below the theorem range; check it directly
     import math
     from ncds.dshuffle import dmr_space
@@ -237,7 +256,7 @@ def test_criterion_11_conjecture_scan_deterministic():
     rep2 = conjecture_scan(7)
     bytes1 = json.dumps(rep1.to_json(), sort_keys=True).encode()
     bytes2 = json.dumps(rep2.to_json(), sort_keys=True).encode()
-    ok = bytes1 == bytes2
+    ok = bytes1 == bytes2 and matches_golden("conjecture", rep1)
     ok = ok and all(e.status == "report-only" for e in rep1.weights)
     ok = ok and [e.w for e in rep1.weights] == [3, 4, 5, 6, 7]
     ok = ok and all({"krv1skew", "conj2", "equal"} <= set(e.dims)

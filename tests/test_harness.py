@@ -312,6 +312,26 @@ class TestCli:
         # not a Lie series: precondition violation is an input error
         assert self.run("residual", "--check", "rc", "--in", str(f)) == 2
 
+    @pytest.mark.parametrize("data", [
+        {"alphabet": ["x0", "x1"], "maxWeight": 3,
+         "terms": [{"word": "01", "num": "1", "den": "0"}]},
+        {"alphabet": ["x0", "x1"], "maxWeight": 3,
+         "terms": [{"word": "07", "num": "1", "den": "1"}]},
+        [{"word": "01", "num": "1", "den": "1"}],
+        {"alphabet": ["x0", "x1"], "maxWeight": 3,
+         "terms": [{"word": "01", "num": "5", "den": "1"},
+                   {"word": "10", "num": "-1", "den": "1"},
+                   {"word": "01", "num": "1", "den": "1"}]},
+        {"alphabet": ["x0", "x1"], "maxWeight": 3, "terms": [1]},
+    ], ids=["zero_den", "digit_outside_alphabet", "top_level_array",
+            "duplicate_word", "term_not_object"])
+    def test_malformed_series_is_input_error(self, tmp_path, capsys, data):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        assert self.run("residual", "--check", "rc", "--in", str(f)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncds: ") and "Traceback" not in err
+
     def test_missing_file_is_input_error(self, capsys):
         assert self.run("residual", "--check", "rc", "--in", "/nonexistent") == 2
 
@@ -331,14 +351,6 @@ class TestCli:
         self.run("verify", "--theorem", "A", "--max-weight", "4", "--out", str(c))
         self.run("verify", "--theorem", "A", "--max-weight", "4", "--out", str(d))
         assert c.read_bytes() == d.read_bytes()
-
-    def test_threads_env_same_report(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        self.run("verify", "--theorem", "B", "--max-weight", "4", "--out", str(a))
-        monkeypatch.setenv("NCDS_THREADS", "3")
-        self.run("verify", "--theorem", "B", "--max-weight", "4", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
 
     def test_cache_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path / "cache"))

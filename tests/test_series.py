@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.series import (Alphabet, Series, abelianize, antipode,
-                         cyclic_project, fox_derivative, letter_swap,
-                         series_from_json, series_to_json, shuffle_coproduct,
-                         shuffle_mul, substitute, symmetrize)
+from ncds.series import (Alphabet, LinearMorphism, Series, abelianize,
+                         antipode, conc_mul, cyclic_project, fox_derivative,
+                         letter_swap, series_from_json, series_to_json,
+                         shuffle_coproduct, shuffle_mul, substitute,
+                         symmetrize, _expand_terms, _translate_terms)
 
 from conftest import X, x_series
 
@@ -200,6 +201,44 @@ class TestSubstitute:
         x0, x1 = letters()
         with pytest.raises(ValueError):
             substitute(x0, {"x0": Series.unit(X, 6), "x1": x1})
+
+    def test_rejects_weight_two_term(self):
+        x0, x1 = letters()
+        with pytest.raises(ValueError):
+            substitute(x0, {"x0": x0 + x0 * x1, "x1": x1})
+
+    def test_matches_product_of_images(self, rng):
+        # independent route: sum over words w of c_w times the concatenation
+        # product of the images of w's letters, truncated by conc_mul
+        for _ in range(30):
+            f = random_series(rng, 6)
+            x0, x1 = letters(5)
+            images = [rng.randint(-2, 2) * x0 + rng.randint(-2, 2) * x1
+                      for _ in range(2)]
+            expected = Series.zero(X, 6)
+            for w, c in f.terms.items():
+                prod = Series.unit(X, 6)
+                for i in w:
+                    prod = conc_mul(prod, images[i])
+                expected = expected + prod.scale(c)
+            got = substitute(f, {"x0": images[0], "x1": images[1]})
+            assert got == expected and got.max_weight == 5
+
+    def test_word_morphism_paths_agree(self, rng):
+        # a word morphism takes the translate path; the general expansion
+        # over the same images must give the same series
+        from ncds.barwords import bar_double
+        from ncds.harness import PENTAGON_LEGS, leg_morphism
+        swap = LinearMorphism(X, X, (((1, 1),), ((0, 1),)))
+        cases = [(swap, random_series(rng, 6)) for _ in range(5)]
+        bar = bar_double((1, 2), (2,), ("y", "x"))
+        cases += [(leg_morphism(leg), bar) for leg in PENTAGON_LEGS]
+        for m, f in cases:
+            assert m._translation is not None
+            general = Series(m.target, f.max_weight, _expand_terms(f.terms, m.images))
+            assert m.apply(f) == general
+            assert _translate_terms(f.terms, *m._translation) == general.terms
+        assert letter_swap(cases[0][1]) == swap.apply(cases[0][1])
 
 
 class TestAbelianize:
