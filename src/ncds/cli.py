@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import __version__
 from .harness import DEFAULT_CEILINGS, VERIFIERS, conjecture_scan, space
 from .lie import cached_space, SolutionSpace
-from .series import series_from_json, series_to_json
+from .series import series_from_json, series_to_json, two_letter_alphabet
 
 
 class InputError(Exception):
@@ -91,6 +91,10 @@ def cmd_conjecture(args):
 def cmd_residual(args):
     with open(args.infile) as fh:
         psi = series_from_json(json.load(fh))
+    if psi.alphabet != two_letter_alphabet():
+        raise InputError("residual needs the alphabet ['x0', 'x1'] with weights"
+                         " [1, 1], got %s with weights %s"
+                         % (list(psi.alphabet.letters), list(psi.alphabet.weights)))
     from .coaction import rc_residual
     from .dshuffle import dmr_residual
     from .kv import krv1_residual, nc_krv2_fit

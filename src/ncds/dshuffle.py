@@ -104,14 +104,6 @@ def stuffle_coproduct(f):
     return TensorSeries(f.alphabet, f.max_weight, out, _clean=False)
 
 
-def _primitivity_defect_y(f):
-    terms = dict(stuffle_coproduct(f).terms)
-    for w, c in f.terms.items():
-        _iadd(terms, (w, b""), -c)
-        _iadd(terms, (b"", w), -c)
-    return terms
-
-
 def dmr_residual(psi):
     """Delta_*(psi_*) - psi_* (x) 1 - 1 (x) psi_*; zero iff psi is in dmr_0
     (given the Lie and vanishing-linear-term preconditions)."""
@@ -126,7 +118,7 @@ def dmr_residual(psi):
 def _dmr_residual_linear(psi):
     star = psi_star(psi)
     return TensorSeries(star.alphabet, star.max_weight,
-                        _primitivity_defect_y(star), _clean=False)
+                        primitivity_defect(star, stuffle_coproduct), _clean=False)
 
 
 def dmr_space(weight, chart="lyndon"):

@@ -9,12 +9,11 @@ k2 x1, which do not move the derivation.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .coaction import change_of_variable, reduced_coaction
-from .lie import (SolutionSpace, assemble_rows, is_lie_series, lie_bracket,
-                  lyndon_basis, series_to_json)
-from .linalg import kernel_basis
+from .lie import is_lie_series, lie_bracket, series_to_json, solve_space
 from .series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, S_AT_SUM, S_AT_X0,
                      S_AT_X1, CyclicSeries, Series, TensorSeries,
                      cyclic_project, fox_derivative, one_letter_alphabet,
@@ -43,6 +42,24 @@ class TangentialDerivation:
         self.a1 = a1
         self.a2 = a2
 
+    @classmethod
+    def from_terms(cls, alphabet, max_weight, terms):
+        """Inverse of terms: key (0, word) is in a1, (1, word) in a2."""
+        parts = ({}, {})
+        for (slot, w), c in terms.items():
+            parts[slot][w] = c
+        return cls(Series(alphabet, max_weight, parts[0], _clean=False),
+                   Series(alphabet, max_weight, parts[1], _clean=False),
+                   normalize=False)
+
+    @property
+    def alphabet(self):
+        return self.a1.alphabet
+
+    @property
+    def max_weight(self):
+        return max(self.a1.max_weight, self.a2.max_weight)
+
     @property
     def is_zero(self):
         return self.a1.is_zero and self.a2.is_zero
@@ -69,19 +86,20 @@ class TangentialDerivation:
     def __repr__(self):
         return "TangentialDerivation(%r, %r)" % (self.a1, self.a2)
 
-    def coordinate_items(self):
-        for w, c in self.a1.terms.items():
-            yield (0, w), c
-        for w, c in self.a2.terms.items():
-            yield (1, w), c
+    @property
+    def terms(self):
+        """Coordinates of the pair: (0, word) in a1 and (1, word) in a2."""
+        out = {(0, w): c for w, c in self.a1.terms.items()}
+        out.update(((1, w), c) for w, c in self.a2.terms.items())
+        return out
 
     def to_json(self):
         return {"a1": series_to_json(self.a1), "a2": series_to_json(self.a2)}
 
     def generator_images(self):
         """(u(x0), u(x1)); equality of these is equality of derivations."""
-        x = self.a1.alphabet
-        mw = max(self.a1.max_weight, self.a2.max_weight) + 1
+        x = self.alphabet
+        mw = self.max_weight + 1
         x0 = Series.letter(x, "x0", mw)
         x1 = Series.letter(x, "x1", mw)
         a1 = Series(x, mw, self.a1.terms, _clean=False)
@@ -111,10 +129,15 @@ def tder_bracket(u, v):
     return TangentialDerivation(c1, c2)
 
 
+def _sder_constraint(u):
+    """u(x0) + u(x1), zero iff u is special."""
+    img0, img1 = u.generator_images()
+    return img0 + img1
+
+
 def is_sder(u):
     """Special: u(x0 + x1) = 0."""
-    img0, img1 = u.generator_images()
-    return (img0 + img1).is_zero
+    return _sder_constraint(u).is_zero
 
 
 def same_derivation(u, v):
@@ -125,8 +148,8 @@ def same_derivation(u, v):
 
 def divergence(u):
     """u = (a0, a1) -> |x0 d^R_0(a0) + x1 d^R_1(a1)| on the canonical pair."""
-    x = u.a1.alphabet
-    mw = max(u.a1.max_weight, u.a2.max_weight)
+    x = u.alphabet
+    mw = u.max_weight
     x0 = Series.letter(x, "x0", mw)
     x1 = Series.letter(x, "x1", mw)
     a1 = Series(x, mw, u.a1.terms, _clean=False)
@@ -234,8 +257,8 @@ def hamiltonian(c):
 def hamiltonian_inverse(u):
     """|x0 a1 + x1 a2| with each weight-m homogeneous piece divided by m,
     so that hamiltonian_inverse(hamiltonian(|a|)) = |a|."""
-    x = u.a1.alphabet
-    mw = max(u.a1.max_weight, u.a2.max_weight) + 1
+    x = u.alphabet
+    mw = u.max_weight + 1
     x0 = Series.letter(x, "x0", mw)
     x1 = Series.letter(x, "x1", mw)
     a1 = Series(x, mw, u.a1.terms, _clean=False)
@@ -311,81 +334,31 @@ def necklace_cobracket(a):
 
 # -- krv2 solution space ------------------------------------------------------
 
+def _pair_linear_constraint(u):
+    """The canonical pair has no x0 in a1 and no x1 in a2."""
+    return {"a1": u.a1.coeff(b"\x00"), "a2": u.a2.coeff(b"\x01")}
+
+
 def krv2_space(weight):
     """Basis of tangential derivations (a1, a2) of the given weight with
-    u(x0+x1) = 0 and div(u) = f_w |(x0+x1)^w - x0^w - x1^w|.
+    u(x0+x1) = 0 and div(u) in k |(x0+x1)^w - x0^w - x1^w|.
 
-    The single f coefficient per weight is eliminated: it enters the linear
-    system as one extra column (a rank-1 allowance), and solutions are
-    projected back to (a1, a2) pairs.
+    The one-dimensional allowance is a linear constraint on u: with T the
+    target, k0 a fixed key of T and t0 = T[k0], div(u) lies in k T iff
+    t0 div(u) - div(u)[k0] T = 0.
     """
     if weight < 1:
         raise ValueError("weight must be >= 1")
-    x = two_letter_alphabet()
-    basis = lyndon_basis(weight, weight + 1).series()
-    n = len(basis)
-    x0 = Series.letter(x, "x0", weight + 1)
-    x1 = Series.letter(x, "x1", weight + 1)
-    # ambient columns: a1 coordinates, a2 coordinates, f
-    values = []
-    for comp in (0, 1):
-        for elt in basis:
-            u = TangentialDerivation(elt if comp == 0 else Series.zero(x, weight),
-                                     elt if comp == 1 else Series.zero(x, weight),
-                                     normalize=False)
-            items = []
-            img0, img1 = u.generator_images()
-            sder = img0 + img1
-            items.extend((("s", k), v) for k, v in sder.terms.items())
-            items.extend((("d", k), v) for k, v in divergence(u).terms.items())
-            # normalization: no linear x0 in a1, no linear x1 in a2
-            items.append((("n", comp),
-                          elt.coeff(b"\x00") if comp == 0 else elt.coeff(b"\x01")))
-            values.append(items)
-    # f column: -( |(x0+x1)^w| - |x0^w| - |x1^w| ) on the divergence keys
-    power = Series.unit(x, weight)
-    for _ in range(weight):
-        power = power * (x0 + x1)
-    f_target = cyclic_project(power
-                              - Series(x, weight, {b"\x00" * weight: 1}, _clean=False)
-                              - Series(x, weight, {b"\x01" * weight: 1}, _clean=False))
-    values.append([(("d", k), -v) for k, v in f_target.terms.items()])
-    rows = assemble_rows(values, 2 * n + 1)
-    combos = kernel_basis(rows) if rows else kernel_basis([[0] * (2 * n + 1)])
-    pairs = []
-    for vec in combos:
-        a1 = Series.zero(x, weight)
-        a2 = Series.zero(x, weight)
-        for c, elt in zip(vec[:n], basis):
-            if c:
-                a1 = a1 + elt.scale(c)
-        for c, elt in zip(vec[n:2 * n], basis):
-            if c:
-                a2 = a2 + elt.scale(c)
-        if not (a1.is_zero and a2.is_zero):
-            pairs.append(TangentialDerivation(a1, a2))
-    return SolutionSpace("krv2", weight, canonical_pair_basis(pairs))
+    target = CyclicSeries(two_letter_alphabet(), weight,
+                          {bytes(w): 1 for w in itertools.product((0, 1), repeat=weight)
+                           if 0 < sum(w) < weight})
+    # at weight 1, T = 0 and the constraint is div(u) itself
+    k0, t0 = min(target.terms.items(), default=(b"", 1))
 
+    def div_in_target_line(u):
+        div = divergence(u)
+        return div.scale(t0) - target.scale(div.coeff(k0))
 
-def canonical_pair_basis(pairs):
-    """Reduced echelon basis of a span of tangential pairs."""
-    from .lie import _coordinate_keys, _coordinate_rows
-    from .linalg import rref
-    pairs = [p for p in pairs if not p.is_zero]
-    if not pairs:
-        return []
-    x = pairs[0].a1.alphabet
-    mw = max(max(p.a1.max_weight, p.a2.max_weight) for p in pairs)
-    keys = _coordinate_keys(pairs)
-    ech, _ = rref(_coordinate_rows(pairs, keys))
-    out = []
-    for row in ech:
-        t1, t2 = {}, {}
-        for k, c in zip(keys, row):
-            if c:
-                coef = int(c) if c.denominator == 1 else c
-                (t1 if k[0] == 0 else t2)[k[1]] = coef
-        out.append(TangentialDerivation(Series(x, mw, t1, _clean=False),
-                                        Series(x, mw, t2, _clean=False),
-                                        normalize=False))
-    return out
+    return solve_space(weight, [_sder_constraint, div_in_target_line,
+                                _pair_linear_constraint],
+                       space="krv2", chart="pairs")

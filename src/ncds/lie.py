@@ -8,13 +8,13 @@ about act on word coefficients.
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import __version__ as KERNEL_VERSION
 from .linalg import kernel_basis, rref, span_contains
 from .series import (Series, TensorSeries, CyclicSeries, conc_mul,
                      shuffle_coproduct, letter_swap, two_letter_alphabet,
@@ -89,9 +89,15 @@ def lyndon_basis(weight, max_weight=None):
     return LyndonBasis(weight, tuple(elems))
 
 
-def primitivity_defect(f):
-    """Delta(f) - f (x) 1 - 1 (x) f as a raw dict; empty iff f is a Lie series."""
-    terms = dict(shuffle_coproduct(f).terms)
+def primitivity_defect(f, coproduct=None):
+    """Delta(f) - f (x) 1 - 1 (x) f as a raw dict.
+
+    Delta defaults to the shuffle coproduct, for which the defect is empty
+    iff f is a Lie series; the dmr residual passes the stuffle coproduct.
+    The default is looked up at call time, so a wrapped module-level
+    ``shuffle_coproduct`` (the benchmark's tracer) sees every call.
+    """
+    terms = dict((coproduct or shuffle_coproduct)(f).terms)
     for w, c in f.terms.items():
         _iadd(terms, (w, b""), -c)
         _iadd(terms, (b"", w), -c)
@@ -124,9 +130,9 @@ def is_skew(f):
 class SolutionSpace:
     """Weight-graded basis of a linear subspace, reduced over rationals.
 
-    Basis entries are Series (or, for the KV layer, objects exposing
-    ``coordinate_items()``).  ``offset`` carries the particular solution of an
-    affine (nonzero lambda) problem and is None in the homogeneous case.
+    Basis entries are Series or, for krv2, tangential derivations.
+    ``offset`` carries the particular solution of an affine (nonzero lambda)
+    problem and is None in the homogeneous case.
     """
 
     space: str
@@ -184,9 +190,11 @@ def solve_space(weight, constraints, space="anon", chart="lyndon",
 
     chart "lyndon" solves over the free Lie algebra in Lyndon coordinates;
     chart "words" solves over raw word coefficients (used as the independent
-    brute-force route, with primitivity supplied as an explicit constraint).
-    Each constraint maps a Series to a Series/TensorSeries/CyclicSeries/dict
-    whose entries must all vanish.
+    brute-force route, with primitivity supplied as an explicit constraint);
+    chart "pairs" solves over tangential derivations (a1, a2), the Lyndon
+    basis placed in a1 and then in a2.  Each constraint maps an ambient
+    element to a Series/TensorSeries/CyclicSeries/dict whose entries must
+    all vanish.
     """
     alphabet = two_letter_alphabet()
     mw = weight if max_weight is None else max_weight
@@ -195,8 +203,15 @@ def solve_space(weight, constraints, space="anon", chart="lyndon",
     elif chart == "words":
         ambient = [Series(alphabet, mw, {bytes(w): 1})
                    for w in _all_words(weight)]
+    elif chart == "pairs":
+        from .kv import TangentialDerivation
+        zero = Series.zero(alphabet, mw)
+        lyndon = lyndon_basis(weight, mw).series()
+        ambient = ([TangentialDerivation(s, zero, normalize=False) for s in lyndon]
+                   + [TangentialDerivation(zero, s, normalize=False) for s in lyndon])
     else:
         raise ValueError("unknown chart %r" % (chart,))
+    kind = type(ambient[0])
     values = []
     for elt in ambient:
         items = []
@@ -207,11 +222,12 @@ def solve_space(weight, constraints, space="anon", chart="lyndon",
     combos = kernel_basis(rows) if rows else kernel_basis([[0] * len(ambient)])
     sols = []
     for vec in combos:
-        s = Series.zero(alphabet, mw)
+        coords = {}
         for c, elt in zip(vec, ambient):
             if c:
-                s = s + elt.scale(c)
-        sols.append(s)
+                for k, v in elt.terms.items():
+                    _iadd(coords, k, c * v)
+        sols.append(kind.from_terms(alphabet, mw, coords))
     return SolutionSpace(space, weight, canonical_series_basis(sols))
 
 
@@ -222,16 +238,14 @@ def _all_words(weight):
     return [bytes(w) for w in words]
 
 
-# -- canonical bases and span comparisons over word coordinates -------------
+# -- canonical bases and span comparisons over coordinates ------------------
+#
+# Series and tangential derivations expose their coordinates the same way:
+# a ``terms`` map key -> coefficient and the class method
+# ``from_terms(alphabet, max_weight, terms)``.
 
 def _coordinate_keys(objs):
-    keys = set()
-    for o in objs:
-        if hasattr(o, "coordinate_items"):
-            keys.update(k for k, _ in o.coordinate_items())
-        else:
-            keys.update(o.terms)
-    return sorted(keys)
+    return sorted({k for o in objs for k in o.terms})
 
 
 def _coordinate_rows(objs, keys):
@@ -239,44 +253,35 @@ def _coordinate_rows(objs, keys):
     rows = []
     for o in objs:
         row = [0] * len(keys)
-        items = o.coordinate_items() if hasattr(o, "coordinate_items") else o.terms.items()
-        for k, c in items:
+        for k, c in o.terms.items():
             row[index[k]] = c
         rows.append(row)
     return rows
 
 
 def canonical_series_basis(sols):
-    """Reduced echelon basis of the span of the given Series, as Series."""
+    """Reduced echelon basis of the span of the given Series (or tangential
+    derivations), as objects of the same kind."""
     sols = [s for s in sols if not s.is_zero]
     if not sols:
         return []
-    alphabet = sols[0].alphabet
+    kind, alphabet = type(sols[0]), sols[0].alphabet
     mw = min(s.max_weight for s in sols)
     keys = _coordinate_keys(sols)
     ech, _ = rref(_coordinate_rows(sols, keys))
-    out = []
-    for row in ech:
-        terms = {k: (int(c) if c.denominator == 1 else c)
-                 for k, c in zip(keys, row) if c}
-        out.append(Series(alphabet, mw, terms, _clean=False))
-    return out
-
-
-def series_span_data(basis):
-    basis = [s for s in basis if not (hasattr(s, "is_zero") and s.is_zero)]
-    keys = _coordinate_keys(basis) if basis else []
-    ech, piv = rref(_coordinate_rows(basis, keys)) if basis else ([], [])
-    return keys, ech, piv
+    return [kind.from_terms(
+                alphabet, mw, {k: (int(c) if c.denominator == 1 else c)
+                               for k, c in zip(keys, row) if c})
+            for row in ech]
 
 
 def series_span_contains(basis, candidate):
-    keys, ech, piv = series_span_data(basis)
-    items = list(candidate.coordinate_items() if hasattr(candidate, "coordinate_items")
-                 else candidate.terms.items())
+    basis = [s for s in basis if not s.is_zero]
+    keys = _coordinate_keys(basis)
+    ech, piv = rref(_coordinate_rows(basis, keys))
     index = {k: i for i, k in enumerate(keys)}
     vec = [0] * len(keys)
-    for k, c in items:
+    for k, c in candidate.terms.items():
         if k not in index:
             if c:
                 return False
@@ -295,8 +300,8 @@ def series_spans_equal(basis_a, basis_b):
     keys = _coordinate_keys(pool)
     rows_a = _coordinate_rows(basis_a, keys)
     rows_b = _coordinate_rows(basis_b, keys)
-    ech_a, piv_a = rref(rows_a) if rows_a else ([], [])
-    ech_b, piv_b = rref(rows_b) if rows_b else ([], [])
+    ech_a, piv_a = rref(rows_a)
+    ech_b, piv_b = rref(rows_b)
     for row, obj in zip(rows_b, basis_b):
         if not span_contains(ech_a, piv_a, row):
             return False, obj
@@ -312,16 +317,54 @@ def cache_dir():
     return os.environ.get("NCDS_CACHE_DIR") or None
 
 
+@lru_cache(maxsize=None)
+def source_hash():
+    """CRC-32 of the package's *.py sources, so that a kernel change never
+    serves a space cached by other code.  (hashlib would load OpenSSL, about
+    3 MB of resident memory in every `ncds` process.)"""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    crc = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                crc = binascii.crc32(name.encode() + b"\0" + fh.read() + b"\0", crc)
+    return "%08x" % crc
+
+
+def _cached_entry(path, space_id, weight, from_json):
+    """The space stored at path, or None unless the file holds a JSON object
+    for this space and weight whose dimension counts its basis and which
+    parses through from_json."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (FileNotFoundError, ValueError):  # missing, or not JSON
+        return None
+    if not (isinstance(data, dict) and data.get("space") == space_id
+            and data.get("weight") == weight
+            and isinstance(data.get("basis"), list)
+            and data.get("dimension") == len(data["basis"])):
+        return None
+    try:
+        return from_json(data)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def cached_space(space_id, weight, compute, from_json, to_json):
-    """Disk cache keyed by (space id, weight, kernel version); atomic writes."""
+    """Disk cache keyed by (space id, weight, source hash).
+
+    An entry that is not valid for (space id, weight) is recomputed and
+    rewritten; writes are atomic.
+    """
     d = cache_dir()
     if not d:
         return compute()
     os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, "%s-w%d-v%s.json" % (space_id, weight, KERNEL_VERSION))
-    if os.path.exists(path):
-        with open(path) as fh:
-            return from_json(json.load(fh))
+    path = os.path.join(d, "%s-w%d-%s.json" % (space_id, weight, source_hash()))
+    value = _cached_entry(path, space_id, weight, from_json)
+    if value is not None:
+        return value
     value = compute()
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     with os.fdopen(fd, "w") as fh:

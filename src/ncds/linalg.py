@@ -11,43 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 
-class RationalMatrix:
-    """Sparse exact-rational matrix: entries maps (row, col) -> coefficient."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < self.rows and 0 <= c < self.cols):
-                    raise ValueError("entry out of range")
-                if v:
-                    self.entries[(r, c)] = v
-
-    @classmethod
-    def from_rows(cls, rows, cols=None):
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != cols:
-                raise ValueError("inconsistent row length")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(rows), cols, entries)
-
-    def dense_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-
 def _integer_rows(rows):
     """Scale each row by the lcm of its denominators and divide by the gcd."""
     out = []
@@ -100,22 +63,16 @@ def _bareiss_echelon(rows, cols):
     return m[:r], pivots
 
 
-def kernel_basis(mat):
-    """Reduced basis of the right kernel of a RationalMatrix (or row list).
+def kernel_basis(rows):
+    """Reduced basis of the right kernel of a matrix given as a row list.
 
     The basis is the standard free-column parametrization: one vector per
     free column, with entry 1 there and 0 at the other free columns; vectors
     are returned in free-column order as tuples of Fractions.
     """
-    if isinstance(mat, RationalMatrix):
-        rows = mat.dense_rows()
-        cols = mat.cols
-    else:
-        rows = [list(r) for r in mat]
-        cols = len(rows[0]) if rows else 0
-    if not rows or cols == 0:
-        return [tuple(Fraction(int(i == j)) for j in range(cols))
-                for i in range(cols)]
+    cols = len(rows[0]) if rows else 0
+    if not cols:
+        return []
     ech, pivots = _bareiss_echelon(_integer_rows(rows), cols)
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
@@ -179,20 +136,3 @@ def reduce_vector(echelon, pivots, vec):
 
 def span_contains(echelon, pivots, vec):
     return not any(reduce_vector(echelon, pivots, vec))
-
-
-def spans_equal(rows_a, rows_b):
-    """Mutual containment of two row spans; returns (equal, witness row).
-
-    The witness is a row of one span that the other fails to contain, or
-    None when the spans agree.
-    """
-    ech_a, piv_a = rref(rows_a)
-    ech_b, piv_b = rref(rows_b)
-    for row in ech_b:
-        if not span_contains(ech_a, piv_a, row):
-            return False, row
-    for row in ech_a:
-        if not span_contains(ech_b, piv_b, row):
-            return False, row
-    return True, None

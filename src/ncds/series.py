@@ -123,6 +123,11 @@ class Series:
         w = bytes(alphabet.index(n) for n in letters)
         return cls(alphabet, max_weight, {w: coef})
 
+    @classmethod
+    def from_terms(cls, alphabet, max_weight, terms):
+        """The series with the given word -> nonzero coefficient map."""
+        return cls(alphabet, max_weight, terms, _clean=False)
+
     # -- basic queries -----------------------------------------------------
 
     def coeff(self, word):
@@ -167,14 +172,14 @@ class Series:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             _iadd(terms, w, c)
-        return Series(self.alphabet, mw, terms).truncated(mw)
+        return Series(self.alphabet, mw, terms)
 
     def __sub__(self, other):
         mw = self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
             _iadd(terms, w, -c)
-        return Series(self.alphabet, mw, terms).truncated(mw)
+        return Series(self.alphabet, mw, terms)
 
     def __neg__(self):
         return Series(self.alphabet, self.max_weight,

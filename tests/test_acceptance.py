@@ -14,9 +14,9 @@ from fractions import Fraction
 from ncds.barwords import bar_double, bar_single, integrable, pair
 from ncds.braid import chord_alphabet, insert_triple
 from ncds.coaction import rc_residual, rc_space
-from ncds.harness import (conjecture_scan, lemma_cab23_failures,
+from ncds.harness import (_compositions, conjecture_scan, lemma_cab23_failures,
                           lemma_cabling34_failures, lemma_dihedral_failures,
-                          lemma_polylogs_failures, random_lie_series,
+                          lemma_polylogs_failures, random_lie_series, space,
                           stuffle_identity_failures, verify_theorem_A,
                           verify_theorem_B, verify_theorem_C, verify_theorem_D,
                           verify_theorem_E)
@@ -34,6 +34,8 @@ G = chord_alphabet()
 # 7, seed 0, written at the seed commit: the oracle every refactor keeps.
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden" \
     / "ceilings.json"
+# The `ncds spaces` output of every named space the benchmark requests.
+SPACES_GOLDEN = GOLDEN.parent / "spaces_cli.json"
 
 
 def matches_golden(name, rep):
@@ -142,15 +144,6 @@ def test_criterion_08_lemma_suites():
     failures += stuffle_identity_failures(max_weight=6, samples=2, seed=20240905)
     report(8, "cab_23 / cabling34 / dihedral / polylog compilation / stuffle",
            not failures, t0)
-
-
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
 
 
 def test_criterion_09_bar_words():
@@ -262,3 +255,13 @@ def test_criterion_11_conjecture_scan_deterministic():
     ok = ok and all({"krv1skew", "conj2", "equal"} <= set(e.dims)
                     for e in rep1.weights)
     report(11, "conjecture scan 3..7 report-only, byte-identical reruns", ok, t0)
+
+
+def test_named_spaces_match_golden():
+    # rc0, dmr0, krv2, krv1skew and conj2 at weights 3..8, byte for byte
+    golden = json.loads(SPACES_GOLDEN.read_text())
+    assert len(golden) == 30
+    for key, want in golden.items():
+        name, weight = key.rsplit("-", 1)
+        got = space(name, int(weight)).to_json()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), key

@@ -3,6 +3,7 @@ import pytest
 from ncds.barwords import (IDENTITY, OMEGA_SWAP, _bar_xy, bar_double,
                            bar_single, integrable, pair, restrict_to_letters)
 from ncds.braid import chord_alphabet, insert_triple, permute_strands, TAU
+from ncds.harness import _compositions as compositions, index_pairs
 from ncds.lie import lyndon_basis
 from ncds.series import Series
 
@@ -19,22 +20,6 @@ def g_series(terms, mw):
 def psi3():
     b = lyndon_basis(3).series()
     return b[0] - b[1]
-
-
-def compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
-
-
-def index_pairs(weight):
-    for wa in range(1, weight):
-        for a in compositions(wa):
-            for b in compositions(weight - wa):
-                yield a, b
 
 
 class TestBarSingle:

@@ -8,6 +8,7 @@ from ncds.dshuffle import (dmr_residual, dmr_space, index_depth, index_weight,
                            sigma_compose, stuffle_coproduct,
                            stuffle_product_words, y_alphabet, y_functional,
                            y_word)
+from ncds.harness import _compositions as compositions
 from ncds.lie import lyndon_basis, series_spans_equal
 from ncds.series import Series
 
@@ -22,15 +23,6 @@ def psi3():
 def y_series(terms, mw):
     ys = y_alphabet(mw)
     return Series(ys, mw, {bytes(n - 1 for n in word): c for word, c in terms.items()})
-
-
-def compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
 
 
 class TestIndex:

@@ -332,6 +332,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ncds: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("check", ["rc", "dmr", "krv1", "nckrv2"])
+    def test_residual_wrong_alphabet_is_input_error(self, tmp_path, capsys, check):
+        # 001 - 2*010 + 100 is Lie, but over a and b instead of x0 and x1
+        f = tmp_path / "ab.json"
+        f.write_text(json.dumps({"alphabet": ["a", "b"], "maxWeight": 3, "terms": [
+            {"word": "001", "num": "1", "den": "1"},
+            {"word": "010", "num": "-2", "den": "1"},
+            {"word": "100", "num": "1", "den": "1"}]}))
+        assert self.run("residual", "--check", check, "--in", str(f)) == 2
+        err = capsys.readouterr().err
+        assert "['x0', 'x1']" in err and "['a', 'b']" in err
+
     def test_missing_file_is_input_error(self, capsys):
         assert self.run("residual", "--check", "rc", "--in", "/nonexistent") == 2
 
@@ -361,6 +373,27 @@ class TestCli:
         assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_cache_key_is_source_hash(self, tmp_path, monkeypatch, capsys):
+        from ncds.lie import source_hash
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
+        assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["dmr0-w3-%s.json" % source_hash()]
+
+    @pytest.mark.parametrize("entry", [
+        {"space": "dmr0", "weight": 5, "dimension": 0, "basis": []},
+        [],
+    ], ids=["claims_weight5_dimension0", "top_level_array"])
+    def test_bad_cache_entry_is_recomputed(self, tmp_path, monkeypatch, capsys, entry):
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
+        assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
+        good = capsys.readouterr().out
+        (path,) = tmp_path.iterdir()
+        path.write_text(json.dumps(entry))
+        assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
+        out = capsys.readouterr().out
+        assert out == good and json.loads(out)["dimension"] == 1
+        assert json.loads(path.read_text()) == json.loads(good)
 
     def test_cache_round_trip_pair_basis(self, tmp_path, monkeypatch, capsys):
         # krv2 bases serialize as tangential pairs and reload identically

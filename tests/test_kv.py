@@ -201,8 +201,8 @@ class TestHamiltonian:
                 assert is_sder(u)
                 images.append(u)
             # injective on raw pairs: images of distinct classes independent
-            from ncds.kv import canonical_pair_basis
-            assert len(canonical_pair_basis(images)) == len(words)
+            from ncds.lie import canonical_series_basis
+            assert len(canonical_series_basis(images)) == len(words)
 
     def test_rejects_low_weight(self):
         with pytest.raises(ValueError):
@@ -390,5 +390,5 @@ def _dense_krv2_dim(w):
         a2 = Series(X, w, {word: c for word, c in zip(words, vec[len(words):2 * len(words)]) if c})
         if not (a1.is_zero and a2.is_zero):
             pairs.append(TangentialDerivation(a1, a2, normalize=False))
-    from ncds.kv import canonical_pair_basis
-    return len(canonical_pair_basis(pairs))
+    from ncds.lie import canonical_series_basis
+    return len(canonical_series_basis(pairs))

@@ -4,7 +4,7 @@ from ncds.lie import (canonical_series_basis, is_lie_series,
                       is_skew, kernel_basis, lie_bracket, lyndon_basis,
                       lyndon_words, series_span_contains, series_spans_equal,
                       solve_space)
-from ncds.linalg import RationalMatrix, rref, spans_equal
+from ncds.linalg import rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
 from conftest import X, random_lie, x_series
@@ -94,16 +94,13 @@ class TestIsSkew:
 
 class TestKernelBasis:
     def test_identity(self):
-        m = RationalMatrix.from_rows([[1, 0], [0, 1]])
-        assert kernel_basis(m) == []
+        assert kernel_basis([[1, 0], [0, 1]]) == []
 
     def test_zero_matrix(self):
-        m = RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
-        assert len(kernel_basis(m)) == 3
+        assert len(kernel_basis([[0, 0, 0], [0, 0, 0]])) == 3
 
     def test_hand_elimination(self):
-        m = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-        basis = kernel_basis(m)
+        basis = kernel_basis([[1, 1, 0], [0, 1, 1]])
         assert len(basis) == 1
         v = basis[0]
         assert [x / v[2] for x in v] == [1, -1, 1]
@@ -111,7 +108,7 @@ class TestKernelBasis:
     def test_annihilation_and_idempotence(self, rng):
         for _ in range(5):
             rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
-            basis = kernel_basis(RationalMatrix.from_rows(rows))
+            basis = kernel_basis(rows)
             for v in basis:
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, v)) == 0
@@ -119,7 +116,7 @@ class TestKernelBasis:
             _, pivots = rref(rows)
             assert len(basis) == 6 - len(pivots)
             # re-solving the same span is stable
-            again = kernel_basis(RationalMatrix.from_rows(rows + rows))
+            again = kernel_basis(rows + rows)
             assert again == basis
 
 
@@ -170,9 +167,3 @@ class TestSpanHelpers:
         a = canonical_series_basis([basis[0] + basis[1], basis[0] - basis[1]])
         b = canonical_series_basis([basis[0].scale(3), basis[1].scale(Fraction(1, 2))])
         assert a == b
-
-    def test_spans_equal_vectors(self):
-        eq, _ = spans_equal([[1, 1], [0, 1]], [[1, 0], [0, 1]])
-        assert eq
-        eq, witness = spans_equal([[1, 0]], [[0, 1]])
-        assert not eq and witness is not None
