@@ -235,7 +235,6 @@ def rho_kks(a, b):
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     mw = min(a.max_weight, b.max_weight)
-    ww = a.alphabet.word_weight
     out = {}
     for u, cu in a.terms.items():
         if not u:
@@ -243,7 +242,7 @@ def rho_kks(a, b):
         for v, cv in b.terms.items():
             if v and u[-1] == v[0]:
                 w = u + v[1:]
-                if ww(w) <= mw:
+                if len(w) <= mw:
                     _iadd(out, w, cu * cv)
     return Series(a.alphabet, mw, out, _clean=False)
 
@@ -451,8 +450,7 @@ def in_relation_ideal(f, max_check_weight=5):
     algebra.  Exponential in the weight; intended for small regression checks.
     """
     from .lie import series_span_contains
-    ww = f.alphabet.word_weight
-    for w in sorted({ww(word) for word in f.terms}):
+    for w in f.weights():
         if w > max_check_weight:
             raise ValueError("ideal membership check capped at weight %d"
                              % max_check_weight)

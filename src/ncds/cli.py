@@ -7,7 +7,8 @@
     ncds conjecture [--max-weight W] [--seed S] [--out FILE]
 
 Exit codes: 0 all pass, 1 a check failed or a residual is nonzero, 2 input
-error.  NCDS_CACHE_DIR enables the on-disk solution-space cache.
+error, 3 an internal error (a traceback is printed).  NCDS_CACHE_DIR enables
+the on-disk solution-space cache.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .harness import DEFAULT_CEILINGS, VERIFIERS, conjecture_scan, space
 from .lie import cached_space, SolutionSpace
 from .series import series_from_json, series_to_json, two_letter_alphabet
 
@@ -39,6 +39,8 @@ def _dump(data, path):
 def _parse_rational(text):
     if "/" in text:
         num, den = text.split("/", 1)
+        if not int(den):
+            raise InputError("--lambda %s has a zero denominator" % text)
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -48,6 +50,7 @@ def cmd_spaces(args):
     if args.set != "rc" and lam is not None:
         raise InputError("--lambda only applies to the rc space")
     def compute():
+        from .harness import space
         return space(args.set, args.weight, lam)
     if lam is None:
         sol = cached_space(args.set, args.weight, compute,
@@ -74,6 +77,7 @@ def _space_from_json(data):
 
 
 def cmd_verify(args):
+    from .harness import DEFAULT_CEILINGS, VERIFIERS
     max_weight = args.max_weight or DEFAULT_CEILINGS[args.theorem]
     report = VERIFIERS[args.theorem](max_weight, args.seed)
     _dump(report.to_json(), args.out)
@@ -83,6 +87,7 @@ def cmd_verify(args):
 
 
 def cmd_conjecture(args):
+    from .harness import conjecture_scan
     report = conjecture_scan(args.max_weight, args.seed)
     _dump(report.to_json(), args.out)
     return 0
@@ -92,9 +97,8 @@ def cmd_residual(args):
     with open(args.infile) as fh:
         psi = series_from_json(json.load(fh))
     if psi.alphabet != two_letter_alphabet():
-        raise InputError("residual needs the alphabet ['x0', 'x1'] with weights"
-                         " [1, 1], got %s with weights %s"
-                         % (list(psi.alphabet.letters), list(psi.alphabet.weights)))
+        raise InputError("residual needs the alphabet ['x0', 'x1'], got %s"
+                         % (list(psi.alphabet.letters),))
     from .coaction import rc_residual
     from .dshuffle import dmr_residual
     from .kv import krv1_residual, nc_krv2_fit
@@ -165,12 +169,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print("ncds: %s" % exc, file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print("ncds: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception:
+        import traceback  # only a crash pays for loading it
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

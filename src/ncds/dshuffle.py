@@ -32,9 +32,13 @@ def is_admissible(a):
 
 @lru_cache(maxsize=None)
 def y_alphabet(max_weight):
-    """Letters y1..yW with weight(y_n) = n; y_n for n > W is never needed."""
-    return Alphabet(tuple("y%d" % n for n in range(1, max_weight + 1)),
-                    tuple(range(1, max_weight + 1)))
+    """Letters y1..yW; y_n for n > W is never needed.
+
+    Racinet's y_n has weight n, but here every letter weighs 1.  No term is
+    lost: every y-series is built from an x-series of weight <= W, and a
+    y-word's length never exceeds its y-weight.
+    """
+    return Alphabet(tuple("y%d" % n for n in range(1, max_weight + 1)))
 
 
 def y_word(alphabet, index):
@@ -141,9 +145,6 @@ class StuffleSurjection:
     l: int
     n: int
     values: tuple
-
-    def preimage(self, v):
-        return tuple(i + 1 for i, x in enumerate(self.values) if x == v)
 
 
 @lru_cache(maxsize=None)

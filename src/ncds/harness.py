@@ -33,9 +33,9 @@ from .dshuffle import (_dmr_residual_linear, dmr_space, sh_le, sigma_compose,
                        y_functional)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
-from .lie import (linear_constraint, lyndon_basis, series_span_contains,
-                  series_spans_equal, series_to_json, skew_constraint,
-                  solve_space)
+from .lie import (is_skew, linear_constraint, lyndon_basis,
+                  series_span_contains, series_spans_equal, series_to_json,
+                  skew_constraint, solve_space)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
@@ -350,7 +350,6 @@ def verify_theorem_D(max_weight, seed=0, weights=None):
                     brackets += 1
                     if br.is_zero:
                         continue
-                    from .lie import is_skew
                     if not (is_skew(br) and _rc_residual_linear(br).is_zero
                             and not br.coeff(b"\x00") and not br.coeff(b"\x01")):
                         status = "fail"

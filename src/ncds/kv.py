@@ -245,8 +245,7 @@ def is_cyclic_invariant(h):
 def hamiltonian(c):
     """H: |a| -> (d^R_0 N(|a|), d^R_1 N(|a|)), landing in special
     derivations; weight-one and constant components are excluded."""
-    ww = c.alphabet.word_weight
-    if any(ww(w) < 2 for w in c.terms):
+    if any(len(w) < 2 for w in c.terms):
         raise ValueError("hamiltonian needs homogeneous weight >= 2 input")
     n = symmetrize(c)
     return TangentialDerivation(fox_derivative(n, "x0", "right"),
@@ -265,10 +264,8 @@ def hamiltonian_inverse(u):
     a2 = Series(x, mw, u.a2.terms, _clean=False)
     body = x0 * a1 + x1 * a2
     out = {}
-    ww = x.word_weight
     for w, c in body.terms.items():
-        m = ww(w)
-        v = Fraction(c, m)
+        v = Fraction(c, len(w))
         _iadd(out, w, int(v) if v.denominator == 1 else v)
     return CyclicSeries(x, mw, out)
 

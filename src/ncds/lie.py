@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import kernel_basis, rref, span_contains
-from .series import (Series, TensorSeries, CyclicSeries, conc_mul,
-                     shuffle_coproduct, letter_swap, two_letter_alphabet,
-                     series_to_json, _iadd)
+from .series import (Series, SparseSeries, conc_mul, shuffle_coproduct,
+                     letter_swap, two_letter_alphabet, series_to_json, _iadd)
 
 
 def lie_bracket(f, g):
@@ -161,7 +160,7 @@ def _basis_entry_json(entry):
 
 def _constraint_items(value):
     """Normalize a constraint evaluation to an iterable of (key, coeff)."""
-    if isinstance(value, (Series, TensorSeries, CyclicSeries)):
+    if isinstance(value, SparseSeries):
         return value.terms.items()
     if isinstance(value, dict):
         return value.items()
@@ -331,16 +330,23 @@ def source_hash():
     return "%08x" % crc
 
 
+def _entry_crc(entry):
+    """CRC-32 of an entry's canonical JSON, stored in the file as "crc32"."""
+    text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    return "%08x" % binascii.crc32(text.encode())
+
+
 def _cached_entry(path, space_id, weight, from_json):
     """The space stored at path, or None unless the file holds a JSON object
-    for this space and weight whose dimension counts its basis and which
-    parses through from_json."""
+    whose CRC matches, for this space and weight, whose dimension counts its
+    basis and which parses through from_json."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (FileNotFoundError, ValueError):  # missing, or not JSON
         return None
-    if not (isinstance(data, dict) and data.get("space") == space_id
+    if not (isinstance(data, dict) and data.pop("crc32", None) == _entry_crc(data)
+            and data.get("space") == space_id
             and data.get("weight") == weight
             and isinstance(data.get("basis"), list)
             and data.get("dimension") == len(data["basis"])):
@@ -354,8 +360,9 @@ def _cached_entry(path, space_id, weight, from_json):
 def cached_space(space_id, weight, compute, from_json, to_json):
     """Disk cache keyed by (space id, weight, source hash).
 
-    An entry that is not valid for (space id, weight) is recomputed and
-    rewritten; writes are atomic.
+    An entry that is not valid for (space id, weight), or whose stored CRC
+    does not match its content, is recomputed and rewritten; writes are
+    atomic.
     """
     d = cache_dir()
     if not d:
@@ -366,8 +373,9 @@ def cached_space(space_id, weight, compute, from_json, to_json):
     if value is not None:
         return value
     value = compute()
+    entry = to_json(value)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
-        json.dump(to_json(value), fh, sort_keys=True)
+        json.dump(dict(entry, crc32=_entry_crc(entry)), fh, sort_keys=True)
     os.replace(tmp, path)
     return value

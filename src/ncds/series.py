@@ -1,10 +1,10 @@
-"""Exact-rational noncommutative formal series over finite weighted alphabets.
+"""Exact-rational noncommutative formal series over finite alphabets.
 
 Words are packed byte strings (one byte per letter index) keyed in plain
 dicts; coefficients are Python ints or ``fractions.Fraction`` and are never
-floats.  Every binary operation truncates its result to the smaller of the
-two operands' ``max_weight``.  All values are treated as immutable after
-construction.
+floats.  A word's weight is its length.  Every binary operation truncates
+its result to the smaller of the two operands' ``max_weight``.  All values
+are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,46 +17,32 @@ EMPTY = b""
 
 
 class Alphabet:
-    """Ordered list of letter names with positive integer weights."""
+    """Ordered list of letter names; every letter weighs 1, so a word's
+    weight is its length."""
 
-    __slots__ = ("letters", "weights", "_index")
+    __slots__ = ("letters", "_index")
 
-    def __init__(self, letters, weights=None):
+    def __init__(self, letters):
         letters = tuple(letters)
         if len(set(letters)) != len(letters):
             raise ValueError("letter names must be unique")
-        if weights is None:
-            weights = (1,) * len(letters)
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != len(letters) or any(w < 1 for w in weights):
-            raise ValueError("need one weight >= 1 per letter")
         self.letters = letters
-        self.weights = weights
         self._index = {name: i for i, name in enumerate(letters)}
 
     def __len__(self):
         return len(self.letters)
 
     def __eq__(self, other):
-        return (isinstance(other, Alphabet)
-                and self.letters == other.letters
-                and self.weights == other.weights)
+        return isinstance(other, Alphabet) and self.letters == other.letters
 
     def __hash__(self):
-        return hash((self.letters, self.weights))
+        return hash(self.letters)
 
     def __repr__(self):
         return "Alphabet(%r)" % (self.letters,)
 
     def index(self, name):
         return self._index[name]
-
-    def word_weight(self, word):
-        w = self.weights
-        return sum(w[i] for i in word)
-
-    def word_name(self, word, sep="."):
-        return sep.join(self.letters[i] for i in word)
 
 
 @lru_cache(maxsize=None)
@@ -84,10 +70,14 @@ def _iadd(terms, word, coef):
             del terms[word]
 
 
-class Series:
-    """Sparse map word -> nonzero exact rational, truncated by total weight."""
+class SparseSeries:
+    """The truncating arithmetic shared by the sparse classes: a map key ->
+    nonzero exact rational that keeps only keys of weight <= max_weight.
+    A subclass says how heavy a key is (``key_weight``)."""
 
     __slots__ = ("alphabet", "max_weight", "terms")
+
+    key_weight = staticmethod(len)
 
     def __init__(self, alphabet, max_weight, terms=None, _clean=True):
         self.alphabet = alphabet
@@ -97,11 +87,57 @@ class Series:
         if terms is None:
             self.terms = {}
         elif _clean:
-            ww = alphabet.word_weight
-            self.terms = {w: c for w, c in terms.items()
-                          if c and ww(w) <= self.max_weight}
+            self.terms = self._cleaned(terms)
         else:
             self.terms = terms
+
+    def _cleaned(self, terms):
+        """Drop zero coefficients and keys heavier than max_weight."""
+        kw, mw = self.key_weight, self.max_weight
+        return {k: c for k, c in terms.items() if c and kw(k) <= mw}
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if self.alphabet != other.alphabet:
+            raise ValueError("alphabet mismatch")
+        return min(self.max_weight, other.max_weight)
+
+    def _merged(self, other, items):
+        """self plus the given (key, coef) items of other, truncated to the
+        smaller max_weight."""
+        mw = self._check(other)
+        terms = dict(self.terms)
+        for k, c in items:
+            _iadd(terms, k, c)
+        kw = self.key_weight
+        return type(self)(self.alphabet, mw,
+                          {k: c for k, c in terms.items() if kw(k) <= mw}, _clean=False)
+
+    def __add__(self, other):
+        return self._merged(other, other.terms.items())
+
+    def __sub__(self, other):
+        return self._merged(other, ((k, -c) for k, c in other.terms.items()))
+
+    def scale(self, c):
+        if not c:
+            return type(self)(self.alphabet, self.max_weight)
+        return type(self)(self.alphabet, self.max_weight,
+                          {k: c * v for k, v in self.terms.items()}, _clean=False)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.alphabet == other.alphabet
+                and self.terms == other.terms)
+
+
+class Series(SparseSeries):
+    """Sparse map word -> nonzero exact rational, truncated by word length."""
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -133,63 +169,27 @@ class Series:
     def coeff(self, word):
         return self.terms.get(word, 0)
 
-    def coeff_names(self, names):
-        word = bytes(self.alphabet.index(n) for n in names)
-        return self.terms.get(word, 0)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def constant_term(self):
         return self.terms.get(EMPTY, 0)
 
     def weights(self):
-        ww = self.alphabet.word_weight
-        return sorted({ww(w) for w in self.terms})
+        return sorted({len(w) for w in self.terms})
 
     def homogeneous_part(self, weight):
-        ww = self.alphabet.word_weight
         return Series(self.alphabet, self.max_weight,
-                      {w: c for w, c in self.terms.items() if ww(w) == weight},
+                      {w: c for w, c in self.terms.items() if len(w) == weight},
                       _clean=False)
 
     def truncated(self, max_weight):
-        ww = self.alphabet.word_weight
         return Series(self.alphabet, max_weight,
-                      {w: c for w, c in self.terms.items() if ww(w) <= max_weight},
+                      {w: c for w, c in self.terms.items() if len(w) <= max_weight},
                       _clean=False)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        return min(self.max_weight, other.max_weight)
-
-    def __add__(self, other):
-        mw = self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _iadd(terms, w, c)
-        return Series(self.alphabet, mw, terms)
-
-    def __sub__(self, other):
-        mw = self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _iadd(terms, w, -c)
-        return Series(self.alphabet, mw, terms)
-
     def __neg__(self):
         return Series(self.alphabet, self.max_weight,
                       {w: -c for w, c in self.terms.items()}, _clean=False)
-
-    def scale(self, c):
-        if not c:
-            return Series.zero(self.alphabet, self.max_weight)
-        return Series(self.alphabet, self.max_weight,
-                      {w: c * v for w, v in self.terms.items()}, _clean=False)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -201,11 +201,6 @@ class Series:
             return self.scale(other)
         return conc_mul(self, other)
 
-    def __eq__(self, other):
-        return (isinstance(other, Series)
-                and self.alphabet == other.alphabet
-                and self.terms == other.terms)
-
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
 
@@ -214,59 +209,24 @@ class Series:
             return "<0>"
         names = self.alphabet.letters
         bits = []
-        for w in sorted(self.terms, key=lambda w: (self.alphabet.word_weight(w), w)):
+        for w in sorted(self.terms, key=lambda w: (len(w), w)):
             c = self.terms[w]
             mono = ".".join(names[i] for i in w) if w else "1"
             bits.append("%s*%s" % (c, mono))
         return "<" + " + ".join(bits) + ">"
 
 
-class TensorSeries:
+class TensorSeries(SparseSeries):
     """Element of the two-fold tensor square: sparse map (word, word) -> rational."""
 
-    __slots__ = ("alphabet", "max_weight", "terms")
+    __slots__ = ()
 
-    def __init__(self, alphabet, max_weight, terms=None, _clean=True):
-        self.alphabet = alphabet
-        self.max_weight = int(max_weight)
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            ww = alphabet.word_weight
-            self.terms = {k: c for k, c in terms.items()
-                          if c and ww(k[0]) + ww(k[1]) <= self.max_weight}
-        else:
-            self.terms = terms
-
-    @property
-    def is_zero(self):
-        return not self.terms
+    @staticmethod
+    def key_weight(key):
+        return len(key[0]) + len(key[1])
 
     def coeff(self, left, right):
         return self.terms.get((left, right), 0)
-
-    def __add__(self, other):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _iadd(terms, k, c)
-        return TensorSeries(self.alphabet, min(self.max_weight, other.max_weight),
-                            terms, _clean=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not c:
-            return TensorSeries(self.alphabet, self.max_weight)
-        return TensorSeries(self.alphabet, self.max_weight,
-                            {k: c * v for k, v in self.terms.items()}, _clean=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSeries)
-                and self.alphabet == other.alphabet
-                and self.terms == other.terms)
 
     def __repr__(self):
         return "TensorSeries(%d terms)" % len(self.terms)
@@ -277,14 +237,13 @@ class TensorSeries:
 def conc_mul(f, g):
     """Concatenation product, truncated to the smaller max_weight."""
     mw = f._check(g)
-    ww = f.alphabet.word_weight
     out = {}
     for wf, cf in f.terms.items():
-        wwf = ww(wf)
-        if wwf > mw:
+        room = mw - len(wf)
+        if room < 0:
             continue
         for wg, cg in g.terms.items():
-            if wwf + ww(wg) <= mw:
+            if len(wg) <= room:
                 _iadd(out, wf + wg, cf * cg)
     return Series(f.alphabet, mw, out, _clean=False)
 
@@ -307,14 +266,13 @@ def _shuffle_words(u, v):
 def shuffle_mul(f, g):
     """Shuffle product: sum over riffle shuffles of word pairs."""
     mw = f._check(g)
-    ww = f.alphabet.word_weight
     out = {}
     for wf, cf in f.terms.items():
-        wwf = ww(wf)
-        if wwf > mw:
+        room = mw - len(wf)
+        if room < 0:
             continue
         for wg, cg in g.terms.items():
-            if wwf + ww(wg) > mw:
+            if len(wg) > room:
                 continue
             c = cf * cg
             for w, m in _shuffle_words(wf, wg).items():
@@ -412,7 +370,7 @@ def _expand_terms(terms, images):
 
 class LinearMorphism:
     """Algebra morphism sending every source letter to a linear combination
-    of weight-1 target letters.
+    of target letters.
 
     ``images`` holds one sequence of (target letter index, coef) per source
     letter, with distinct target letters; an empty one sends the letter to
@@ -428,9 +386,8 @@ class LinearMorphism:
         self.source = source
         self.target = target
         self.images = tuple(tuple((bytes((t,)), c) for t, c in img) for img in images)
-        if len(self.images) != len(source) or any(
-                target.weights[t[0]] != 1 for img in self.images for t, _c in img):
-            raise ValueError("need one image in weight-1 letters per source letter")
+        if len(self.images) != len(source):
+            raise ValueError("need one image per source letter")
         if all(len(img) <= 1 and all(c == 1 for _t, c in img) for img in self.images):
             src = bytes(i for i, img in enumerate(self.images) if img)
             dst = b"".join(img[0][0] for img in self.images if img)
@@ -468,7 +425,7 @@ def substitute(f, images):
 
     ``images`` is a LinearMorphism from f's alphabet, or a dict sending
     letter names of f's alphabet to Series over a common target alphabet
-    whose terms are all weight-1 letters; the result is truncated to the
+    whose terms are all single letters; the result is truncated to the
     smallest max_weight among f and the images.
     """
     if isinstance(images, LinearMorphism):
@@ -481,9 +438,9 @@ def substitute(f, images):
             target = img.alphabet
         elif target != img.alphabet:
             raise ValueError("substitution images over different alphabets")
-        if any(len(w) != 1 or target.weights[w[0]] != 1 for w in img.terms):
+        if any(len(w) != 1 for w in img.terms):
             raise ValueError("substitution image of %s is not a combination of "
-                             "weight-1 letters" % name)
+                             "letters" % name)
         by_index[f.alphabet.index(name)] = [(w[0], c) for w, c in img.terms.items()]
         mw = min(mw, img.max_weight)
     if target is None:
@@ -541,56 +498,20 @@ def _canonical_rotation(w):
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 
-class CyclicSeries:
+class CyclicSeries(SparseSeries):
     """Series with words identified up to rotation; the stored representative
     is the lexicographically least rotation."""
 
-    __slots__ = ("alphabet", "max_weight", "terms")
+    __slots__ = ()
 
-    def __init__(self, alphabet, max_weight, terms=None, _clean=True):
-        self.alphabet = alphabet
-        self.max_weight = int(max_weight)
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            ww = alphabet.word_weight
-            out = {}
-            for w, c in terms.items():
-                if c and ww(w) <= self.max_weight:
-                    _iadd(out, _canonical_rotation(w), c)
-            self.terms = out
-        else:
-            self.terms = terms
-
-    @property
-    def is_zero(self):
-        return not self.terms
+    def _cleaned(self, terms):
+        out = {}
+        for w, c in super()._cleaned(terms).items():
+            _iadd(out, _canonical_rotation(w), c)
+        return out
 
     def coeff(self, word):
         return self.terms.get(_canonical_rotation(word), 0)
-
-    def __add__(self, other):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _iadd(terms, w, c)
-        return CyclicSeries(self.alphabet, min(self.max_weight, other.max_weight),
-                            terms, _clean=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not c:
-            return CyclicSeries(self.alphabet, self.max_weight)
-        return CyclicSeries(self.alphabet, self.max_weight,
-                            {w: c * v for w, v in self.terms.items()}, _clean=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicSeries)
-                and self.alphabet == other.alphabet
-                and self.terms == other.terms)
 
     def __repr__(self):
         names = self.alphabet.letters
@@ -627,47 +548,68 @@ def _coef_num_den(c):
 def series_to_json(f):
     """Schema: {"alphabet": [...], "maxWeight": N,
     "terms": [{"word": "001", "num": "1", "den": "3"}]} with terms sorted by
-    (weight, word).  Letter indices are single decimal digits."""
+    (weight, word), a word's weight being its length.  Letter indices are
+    single decimal digits."""
     if len(f.alphabet) > 10:
         raise ValueError("JSON word encoding supports at most 10 letters")
-    ww = f.alphabet.word_weight
     terms = []
-    for w in sorted(f.terms, key=lambda w: (ww(w), w)):
+    for w in sorted(f.terms, key=lambda w: (len(w), w)):
         num, den = _coef_num_den(f.terms[w])
         terms.append({"word": "".join(str(i) for i in w), "num": num, "den": den})
-    out = {"alphabet": list(f.alphabet.letters),
-           "maxWeight": f.max_weight,
-           "terms": terms}
-    if any(w != 1 for w in f.alphabet.weights):
-        out["weights"] = list(f.alphabet.weights)
-    return out
+    return {"alphabet": list(f.alphabet.letters),
+            "maxWeight": f.max_weight,
+            "terms": terms}
+
+
+def _field(obj, name):
+    if name not in obj:
+        raise ValueError("series JSON lacks the field %r" % name)
+    return obj[name]
+
+
+def _integer(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("series JSON field %r must be an integer or a string, "
+                         "got %r" % (name, value))
+    return int(value)
 
 
 def series_from_json(data):
-    """Inverse of series_to_json; ValueError on a malformed document."""
+    """Inverse of series_to_json; ValueError on a malformed document.
+
+    A "weights" list is accepted only when it gives every letter weight 1.
+    """
     if not isinstance(data, dict):
         raise ValueError("a series must be a JSON object")
+    letters = _field(data, "alphabet")
+    if not isinstance(letters, list) or not all(isinstance(n, str) for n in letters):
+        raise ValueError("series alphabet must be a list of letter names")
     weights = data.get("weights")
-    alphabet = Alphabet(tuple(data["alphabet"]),
-                        tuple(weights) if weights else None)
-    if not isinstance(data["terms"], list) or not all(
-            isinstance(t, dict) for t in data["terms"]):
+    if weights is not None and weights != [1] * len(letters):
+        raise ValueError("every letter weighs 1, got weights %r" % (weights,))
+    alphabet = Alphabet(letters)
+    max_weight = _integer(_field(data, "maxWeight"), "maxWeight")
+    raw = _field(data, "terms")
+    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
         raise ValueError("series terms must be a list of objects")
     terms = {}
     seen = set()
-    for t in data["terms"]:
-        w = bytes(int(ch) for ch in t["word"])
+    for t in raw:
+        word = _field(t, "word")
+        if not isinstance(word, str):
+            raise ValueError("word %r is not a string" % (word,))
+        w = bytes(int(ch) for ch in word)
         if any(i >= len(alphabet) for i in w):
-            raise ValueError("word %r uses a letter outside the alphabet" % t["word"])
+            raise ValueError("word %r uses a letter outside the alphabet" % word)
         if w in seen:
-            raise ValueError("duplicate word %r" % t["word"])
+            raise ValueError("duplicate word %r" % word)
         seen.add(w)
-        den = int(t.get("den", "1"))
+        den = _integer(t.get("den", "1"), "den")
         if not den:
-            raise ValueError("zero denominator for word %r" % t["word"])
-        c = Fraction(int(t["num"]), den)
+            raise ValueError("zero denominator for word %r" % word)
+        c = Fraction(_integer(_field(t, "num"), "num"), den)
         if c.denominator == 1:
             c = int(c)
         if c:
             terms[w] = c
-    return Series(alphabet, int(data["maxWeight"]), terms)
+    return Series(alphabet, max_weight, terms)

@@ -261,7 +261,14 @@ def test_named_spaces_match_golden():
     # rc0, dmr0, krv2, krv1skew and conj2 at weights 3..8, byte for byte
     golden = json.loads(SPACES_GOLDEN.read_text())
     assert len(golden) == 30
+    dims = {}
     for key, want in golden.items():
         name, weight = key.rsplit("-", 1)
         got = space(name, int(weight)).to_json()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), key
+        dims[key] = got["dimension"]
+    # Brown: the free Lie algebra on sigma_3, sigma_5, ... embeds in grt, and
+    # Furusho: grt embeds in dmr0; a lower bound that shares no code with the
+    # solver (weight 8 holds [sigma_3, sigma_5])
+    for w, low in zip(range(3, 9), (1, 0, 1, 0, 1, 1)):
+        assert dims["dmr0-%d" % w] >= low, w

@@ -89,10 +89,14 @@ class TestRcSpace:
         assert eq
 
     def test_weight3_brute_force_words_chart(self):
-        brute = rc_space(3, 0, chart="words")
-        eq, _ = series_spans_equal(brute.basis, rc_space(3, 0).basis)
-        assert eq
-        assert brute.dimension == 1
+        # weights 3..7; weight 8 alone would take several times longer
+        dims = []
+        for w in range(3, 8):
+            brute = rc_space(w, 0, chart="words")
+            eq, _ = series_spans_equal(brute.basis, rc_space(w, 0).basis)
+            assert eq, w
+            dims.append(brute.dimension)
+        assert dims == [1, 0, 1, 0, 1]
 
     def test_lambda_affine(self):
         space = rc_space(2, Fraction(5, 2))

@@ -269,6 +269,33 @@ class TestCli:
         assert self.run("spaces", "--set", "rc", "--weight", "3",
                         "--lambda", "1") == 2
 
+    def test_spaces_lambda_zero_denominator(self, capsys):
+        assert self.run("spaces", "--set", "rc", "--weight", "3",
+                        "--lambda", "1/0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncds: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [KeyError, RuntimeError])
+    def test_internal_error_exits_3(self, monkeypatch, capsys, exc):
+        from ncds import harness
+
+        def broken(max_weight, seed=0):
+            raise exc("broken verifier")
+        monkeypatch.setitem(harness.VERIFIERS, "A", broken)
+        assert self.run("verify", "--theorem", "A", "--max-weight", "3") == 3
+        assert "Traceback" in capsys.readouterr().err
+
+    def test_import_loads_no_computing_module(self):
+        # a warm `ncds spaces` request only needs the cache and the JSON code
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import ncds.cli, sys; print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert "ncds.cli" in loaded
+        for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
+            assert "ncds." + name not in loaded
+
     def test_verify_pass_exit_code(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
         assert self.run("verify", "--theorem", "C", "--max-weight", "4",
@@ -323,8 +350,12 @@ class TestCli:
                    {"word": "10", "num": "-1", "den": "1"},
                    {"word": "01", "num": "1", "den": "1"}]},
         {"alphabet": ["x0", "x1"], "maxWeight": 3, "terms": [1]},
+        {"alphabet": ["x0", "x1"], "maxWeight": 3},
+        {"alphabet": ["x0", "x1"], "weights": [1, 2], "maxWeight": 3,
+         "terms": [{"word": "01", "num": "1", "den": "1"}]},
     ], ids=["zero_den", "digit_outside_alphabet", "top_level_array",
-            "duplicate_word", "term_not_object"])
+            "duplicate_word", "term_not_object", "missing_terms",
+            "non_unit_weights"])
     def test_malformed_series_is_input_error(self, tmp_path, capsys, data):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(data))
@@ -383,7 +414,8 @@ class TestCli:
     @pytest.mark.parametrize("entry", [
         {"space": "dmr0", "weight": 5, "dimension": 0, "basis": []},
         [],
-    ], ids=["claims_weight5_dimension0", "top_level_array"])
+        {"space": "dmr0", "weight": 3, "dimension": 0, "basis": []},
+    ], ids=["claims_weight5_dimension0", "top_level_array", "self_consistent_edit"])
     def test_bad_cache_entry_is_recomputed(self, tmp_path, monkeypatch, capsys, entry):
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
         assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
@@ -393,7 +425,9 @@ class TestCli:
         assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
         out = capsys.readouterr().out
         assert out == good and json.loads(out)["dimension"] == 1
-        assert json.loads(path.read_text()) == json.loads(good)
+        stored = json.loads(path.read_text())
+        stored.pop("crc32")
+        assert stored == json.loads(good)
 
     def test_cache_round_trip_pair_basis(self, tmp_path, monkeypatch, capsys):
         # krv2 bases serialize as tangential pairs and reload identically

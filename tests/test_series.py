@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.series import (Alphabet, LinearMorphism, Series, abelianize,
+from ncds.series import (LinearMorphism, Series, TensorSeries, abelianize,
                          antipode, conc_mul, cyclic_project, fox_derivative,
                          letter_swap, series_from_json, series_to_json,
                          shuffle_coproduct, shuffle_mul, substitute,
@@ -99,8 +99,7 @@ class TestShuffleCoproduct:
                 for (a2, b2), c2 in dg.terms.items():
                     _iadd(rhs, (a1 + a2, b1 + b2), c1 * c2)
             mw = lhs.max_weight
-            ww = X.word_weight
-            rhs = {k: c for k, c in rhs.items() if ww(k[0]) + ww(k[1]) <= mw}
+            rhs = {k: c for k, c in rhs.items() if len(k[0]) + len(k[1]) <= mw}
             assert lhs.terms == rhs
 
     def test_not_a_morphism_for_shuffle(self):
@@ -279,6 +278,22 @@ class TestCyclicAndSymmetrize:
             assert cyclic_project(symmetrize(c)) == c.scale(w)
 
 
+class TestTruncatingAddition:
+    def test_tensor_sum_truncates_to_smaller_max_weight(self):
+        low = TensorSeries(X, 2, {(b"\x00", b"\x01"): 1})
+        high = TensorSeries(X, 4, {(b"\x00", b"\x01"): 2, (b"\x00", b"\x01\x01"): 1})
+        for s in (low + high, high + low, low - high, high - low):
+            assert s.max_weight == 2 and list(s.terms) == [(b"\x00", b"\x01")]
+        assert (low + high).terms == {(b"\x00", b"\x01"): 3}
+
+    def test_cyclic_sum_truncates_to_smaller_max_weight(self):
+        low = cyclic_project(x_series({"01": 1}, 2))
+        high = cyclic_project(x_series({"10": 2, "011": 1}, 4))
+        for s in (low + high, high + low, low - high, high - low):
+            assert s.max_weight == 2 and list(s.terms) == [b"\x00\x01"]
+        assert (low + high).terms == {b"\x00\x01": 3}
+
+
 class TestJson:
     def test_round_trip_and_sorting(self):
         f = Series(X, 5, {b"\x00\x00\x01": Fraction(1, 3), b"\x01": 2,
@@ -294,7 +309,9 @@ class TestJson:
         b = json.dumps(series_to_json(series_from_json(series_to_json(f))), sort_keys=True)
         assert a == b
 
-    def test_weighted_alphabet_round_trip(self):
-        ys = Alphabet(("y1", "y2"), (1, 2))
-        f = Series(ys, 5, {b"\x01\x00": Fraction(1, 2)})
-        assert series_from_json(series_to_json(f)) == f
+    @pytest.mark.parametrize("field", ["alphabet", "maxWeight", "terms"])
+    def test_missing_field_is_named(self, field):
+        data = series_to_json(x_series({"01": 1}, 3))
+        del data[field]
+        with pytest.raises(ValueError, match="lacks the field '%s'" % field):
+            series_from_json(data)
