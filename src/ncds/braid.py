@@ -11,10 +11,10 @@ or the pi maps, which are well defined on the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from .linalg import rref
 from .series import (Alphabet, LinearMorphism, Series, substitute,
                      two_letter_alphabet, _iadd)
 
@@ -70,31 +70,17 @@ def chord_series(i, j, max_weight=1):
 
 @lru_cache(maxsize=None)
 def express_chord(i, j, base_names):
-    """Coordinates of x_ij over an alternative basis of five chords."""
-    g = chord_alphabet()
-    cols = []
-    for name in base_names:
-        vec = [0] * 5
-        for gname, c in _REWRITE[name].items():
-            vec[g.index(gname)] = c
-        cols.append(vec)
-    target = [0] * 5
-    for gname, c in _REWRITE[_chord_name(i, j)].items():
-        target[g.index(gname)] = c
-    # solve the 5x5 system by Gaussian elimination over Fractions
-    m = [[Fraction(cols[c][r]) for c in range(5)] + [Fraction(target[r])]
-         for r in range(5)]
-    for col in range(5):
-        piv = next(r for r in range(col, 5) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        m[col] = [v / m[col][col] for v in m[col]]
-        for r in range(5):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    """Coordinates of x_ij over an alternative basis of five chords;
+    ValueError unless the chords are independent and span x_ij."""
+    columns = [_REWRITE[name] for name in base_names] + [_REWRITE[_chord_name(i, j)]]
+    red, pivots = rref([[col.get(g, 0) for col in columns] for g in CHORD_NAMES])
+    n = len(base_names)
+    if pivots != list(range(n)):
+        raise ValueError("x%d%d has no unique coordinates over the chords %r"
+                         % (i, j, base_names))
     out = {}
-    for c in range(5):
-        v = m[c][5]
+    for c in range(n):
+        v = red[c][n]
         if v:
             out[base_names[c]] = int(v) if v.denominator == 1 else v
     return out

@@ -20,11 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .lie import cached_space, SolutionSpace
-from .series import series_from_json, series_to_json, two_letter_alphabet
-
-
-class InputError(Exception):
-    pass
+from .series import InputError, series_from_json, series_to_json, two_letter_alphabet
 
 
 def _dump(data, path):
@@ -37,12 +33,14 @@ def _dump(data, path):
 
 
 def _parse_rational(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if not int(den):
-            raise InputError("--lambda %s has a zero denominator" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), (int(den) if slash else 1)
+    except ValueError:
+        raise InputError("--lambda %s is not a rational p/q" % text) from None
+    if not den:
+        raise InputError("--lambda %s has a zero denominator" % text)
+    return Fraction(num, den)
 
 
 def cmd_spaces(args):
@@ -54,26 +52,11 @@ def cmd_spaces(args):
         return space(args.set, args.weight, lam)
     if lam is None:
         sol = cached_space(args.set, args.weight, compute,
-                           _space_from_json, lambda s: s.to_json())
+                           SolutionSpace.from_json, SolutionSpace.to_json)
     else:
         sol = compute()
     _dump(sol.to_json(), args.out)
     return 0
-
-
-def _basis_entry_from_json(data):
-    if "a1" in data:
-        from .kv import TangentialDerivation
-        return TangentialDerivation(series_from_json(data["a1"]),
-                                    series_from_json(data["a2"]),
-                                    normalize=False)
-    return series_from_json(data)
-
-
-def _space_from_json(data):
-    basis = [_basis_entry_from_json(b) for b in data["basis"]]
-    offset = _basis_entry_from_json(data["offset"]) if "offset" in data else None
-    return SolutionSpace(data["space"], data["weight"], basis, offset=offset)
 
 
 def cmd_verify(args):
@@ -95,7 +78,11 @@ def cmd_conjecture(args):
 
 def cmd_residual(args):
     with open(args.infile) as fh:
-        psi = series_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise InputError("%s is not JSON: %s" % (args.infile, exc)) from None
+    psi = series_from_json(data)
     if psi.alphabet != two_letter_alphabet():
         raise InputError("residual needs the alphabet ['x0', 'x1'], got %s"
                          % (list(psi.alphabet.letters),))
@@ -169,7 +156,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (InputError, OSError) as exc:
         print("ncds: %s" % exc, file=sys.stderr)
         return 2
     except Exception:

@@ -21,7 +21,8 @@ from .lie import (is_lie_series, lie_bracket, linear_constraint,
                   skew_constraint, solve_space, SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
-                     one_letter_alphabet, substitute, _iadd)
+                     InputError, one_letter_alphabet, substitute,
+                     _iadd)
 
 
 def reduced_coaction(f):
@@ -62,9 +63,9 @@ def rc_residual(eta):
     """mu(eta) + r_eta(x1) - r_eta(-x0) + (eta)_x0 + x1_(eta); zero iff the
     reduced coaction equation holds."""
     if eta.coeff(b"\x00") or eta.coeff(b"\x01"):
-        raise ValueError("rc residual needs c_x0(eta) = c_x1(eta) = 0")
+        raise InputError("rc residual needs c_x0(eta) = c_x1(eta) = 0")
     if not is_lie_series(eta):
-        raise ValueError("rc residual is defined for Lie series")
+        raise InputError("rc residual is defined for Lie series")
     return _rc_residual_linear(eta)
 
 
@@ -77,7 +78,7 @@ def rc_space(weight, lam=None, chart="lyndon"):
     affine set returned as offset + homogeneous basis.
     """
     if weight < 2:
-        raise ValueError("rc space starts at weight 2")
+        raise InputError("rc space starts at weight 2")
     constraints = [skew_constraint, linear_constraint, _rc_residual_linear]
     if chart == "words":
         from .lie import primitivity_defect
@@ -95,7 +96,7 @@ def rc_space(weight, lam=None, chart="lyndon"):
             particular = b.scale(Fraction(lam, 1) / v)
             break
     if particular is None:
-        raise ValueError("no solution with the requested commutator coefficient")
+        raise InputError("no solution with the requested commutator coefficient")
     return SolutionSpace("rc_lambda", weight, rc_space(weight, 0, chart=chart).basis,
                          offset=particular)
 

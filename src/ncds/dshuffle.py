@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lie import linear_constraint, primitivity_defect, solve_space
-from .series import Alphabet, Series, TensorSeries, _iadd
+from .series import Alphabet, InputError, Series, TensorSeries, _iadd
 
 
 def index_weight(a):
@@ -113,9 +113,9 @@ def dmr_residual(psi):
     (given the Lie and vanishing-linear-term preconditions)."""
     from .lie import is_lie_series
     if psi.coeff(b"\x00") or psi.coeff(b"\x01"):
-        raise ValueError("dmr residual needs c_x0(psi) = c_x1(psi) = 0")
+        raise InputError("dmr residual needs c_x0(psi) = c_x1(psi) = 0")
     if not is_lie_series(psi):
-        raise ValueError("dmr residual is defined for Lie series")
+        raise InputError("dmr residual is defined for Lie series")
     return _dmr_residual_linear(psi)
 
 
@@ -129,7 +129,7 @@ def dmr_space(weight, chart="lyndon"):
     """Lie series with vanishing linear terms whose corrected image is
     primitive for the stuffle coproduct."""
     if weight < 2:
-        raise ValueError("dmr space starts at weight 2")
+        raise InputError("dmr space starts at weight 2")
     constraints = [linear_constraint, _dmr_residual_linear]
     if chart == "words":
         constraints = [primitivity_defect] + constraints

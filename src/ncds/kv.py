@@ -2,9 +2,8 @@
 the krv equations, the potential and its noncommutative krv2 equation, the
 necklace Lie bialgebra on cyclic words, and the krv_2 solution spaces.
 
-A tangential derivation is stored as the pair (a1, a2) with u(x0) = [x0, a1]
-and u(x1) = [x1, a2]; the canonical pair strips the linear terms k1 x0 and
-k2 x1, which do not move the derivation.
+``TangentialDerivation`` lives in ``lie``, whose "pairs" chart solves over
+it, so that reading a cached krv2 space needs no part of this module.
 """
 
 from __future__ import annotations
@@ -13,98 +12,12 @@ import itertools
 from fractions import Fraction
 
 from .coaction import change_of_variable, reduced_coaction
-from .lie import is_lie_series, lie_bracket, series_to_json, solve_space
+from .lie import TangentialDerivation, is_lie_series, lie_bracket, solve_space
 from .series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, S_AT_SUM, S_AT_X0,
-                     S_AT_X1, CyclicSeries, Series, TensorSeries,
+                     S_AT_X1, CyclicSeries, InputError, Series, TensorSeries,
                      cyclic_project, fox_derivative, one_letter_alphabet,
                      shuffle_splits, substitute, symmetrize,
                      two_letter_alphabet, _canonical_rotation, _iadd)
-
-
-def _strip_linear(a, letter_index):
-    w = bytes((letter_index,))
-    if w in a.terms:
-        terms = dict(a.terms)
-        del terms[w]
-        return Series(a.alphabet, a.max_weight, terms, _clean=False)
-    return a
-
-
-class TangentialDerivation:
-    __slots__ = ("a1", "a2")
-
-    def __init__(self, a1, a2, normalize=True):
-        if a1.alphabet != a2.alphabet:
-            raise ValueError("alphabet mismatch")
-        if normalize:
-            a1 = _strip_linear(a1, 0)
-            a2 = _strip_linear(a2, 1)
-        self.a1 = a1
-        self.a2 = a2
-
-    @classmethod
-    def from_terms(cls, alphabet, max_weight, terms):
-        """Inverse of terms: key (0, word) is in a1, (1, word) in a2."""
-        parts = ({}, {})
-        for (slot, w), c in terms.items():
-            parts[slot][w] = c
-        return cls(Series(alphabet, max_weight, parts[0], _clean=False),
-                   Series(alphabet, max_weight, parts[1], _clean=False),
-                   normalize=False)
-
-    @property
-    def alphabet(self):
-        return self.a1.alphabet
-
-    @property
-    def max_weight(self):
-        return max(self.a1.max_weight, self.a2.max_weight)
-
-    @property
-    def is_zero(self):
-        return self.a1.is_zero and self.a2.is_zero
-
-    def normalized(self):
-        return TangentialDerivation(self.a1, self.a2, normalize=True)
-
-    def __add__(self, other):
-        return TangentialDerivation(self.a1 + other.a1, self.a2 + other.a2,
-                                    normalize=False)
-
-    def __sub__(self, other):
-        return TangentialDerivation(self.a1 - other.a1, self.a2 - other.a2,
-                                    normalize=False)
-
-    def scale(self, c):
-        return TangentialDerivation(self.a1.scale(c), self.a2.scale(c),
-                                    normalize=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, TangentialDerivation)
-                and self.a1 == other.a1 and self.a2 == other.a2)
-
-    def __repr__(self):
-        return "TangentialDerivation(%r, %r)" % (self.a1, self.a2)
-
-    @property
-    def terms(self):
-        """Coordinates of the pair: (0, word) in a1 and (1, word) in a2."""
-        out = {(0, w): c for w, c in self.a1.terms.items()}
-        out.update(((1, w), c) for w, c in self.a2.terms.items())
-        return out
-
-    def to_json(self):
-        return {"a1": series_to_json(self.a1), "a2": series_to_json(self.a2)}
-
-    def generator_images(self):
-        """(u(x0), u(x1)); equality of these is equality of derivations."""
-        x = self.alphabet
-        mw = self.max_weight + 1
-        x0 = Series.letter(x, "x0", mw)
-        x1 = Series.letter(x, "x1", mw)
-        a1 = Series(x, mw, self.a1.terms, _clean=False)
-        a2 = Series(x, mw, self.a2.terms, _clean=False)
-        return (x0 * a1 - a1 * x0, x1 * a2 - a2 * x1)
 
 
 def tder_apply(u, f):
@@ -162,7 +75,7 @@ def divergence(u):
 def krv1_residual(psi):
     """[x1, psi(-x0-x1, x1)] + [x0, psi(-x0-x1, x0)]."""
     if not is_lie_series(psi):
-        raise ValueError("krv1 residual is defined for Lie series")
+        raise InputError("krv1 residual is defined for Lie series")
     return _krv1_linear(psi)
 
 
@@ -186,7 +99,7 @@ def tangential_pair_of(psi):
 def potential(psi):
     """h_psi = x0 psi(-x0-x1, x0) + x1 psi(-x0-x1, x1), one weight up."""
     if not is_lie_series(psi):
-        raise ValueError("the potential is defined for Lie series")
+        raise InputError("the potential is defined for Lie series")
     return _potential_linear(psi)
 
 
@@ -345,7 +258,7 @@ def krv2_space(weight):
     t0 div(u) - div(u)[k0] T = 0.
     """
     if weight < 1:
-        raise ValueError("weight must be >= 1")
+        raise InputError("krv2 space starts at weight 1")
     target = CyclicSeries(two_letter_alphabet(), weight,
                           {bytes(w): 1 for w in itertools.product((0, 1), repeat=weight)
                            if 0 < sum(w) < weight})

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import kernel_basis, rref, span_contains
-from .series import (Series, SparseSeries, conc_mul, shuffle_coproduct,
-                     letter_swap, two_letter_alphabet, series_to_json, _iadd)
+from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
+                     letter_swap, two_letter_alphabet, series_from_json,
+                     series_to_json, _iadd)
 
 
 def lie_bracket(f, g):
@@ -27,7 +28,7 @@ def lie_bracket(f, g):
 def lyndon_words(weight, n_letters=2):
     """All Lyndon words of the given length via Duval's algorithm."""
     if weight < 1:
-        raise ValueError("weight must be >= 1")
+        raise InputError("weight must be >= 1")
     out = []
     w = [-1]
     while w:
@@ -123,6 +124,98 @@ def is_skew(f):
     return skew_constraint(f).is_zero
 
 
+# -- tangential derivations, the element type of the "pairs" chart -----------
+
+def _strip_linear(a, letter_index):
+    w = bytes((letter_index,))
+    if w in a.terms:
+        terms = dict(a.terms)
+        del terms[w]
+        return Series(a.alphabet, a.max_weight, terms, _clean=False)
+    return a
+
+
+class TangentialDerivation:
+    """The pair (a1, a2) with u(x0) = [x0, a1] and u(x1) = [x1, a2]; the
+    canonical pair strips the linear terms k1 x0 and k2 x1, which do not move
+    the derivation."""
+
+    __slots__ = ("a1", "a2")
+
+    def __init__(self, a1, a2, normalize=True):
+        if a1.alphabet != a2.alphabet:
+            raise ValueError("alphabet mismatch")
+        if normalize:
+            a1 = _strip_linear(a1, 0)
+            a2 = _strip_linear(a2, 1)
+        self.a1 = a1
+        self.a2 = a2
+
+    @classmethod
+    def from_terms(cls, alphabet, max_weight, terms):
+        """Inverse of terms: key (0, word) is in a1, (1, word) in a2."""
+        parts = ({}, {})
+        for (slot, w), c in terms.items():
+            parts[slot][w] = c
+        return cls(Series(alphabet, max_weight, parts[0], _clean=False),
+                   Series(alphabet, max_weight, parts[1], _clean=False),
+                   normalize=False)
+
+    @property
+    def alphabet(self):
+        return self.a1.alphabet
+
+    @property
+    def max_weight(self):
+        return max(self.a1.max_weight, self.a2.max_weight)
+
+    @property
+    def is_zero(self):
+        return self.a1.is_zero and self.a2.is_zero
+
+    def normalized(self):
+        return TangentialDerivation(self.a1, self.a2, normalize=True)
+
+    def __add__(self, other):
+        return TangentialDerivation(self.a1 + other.a1, self.a2 + other.a2,
+                                    normalize=False)
+
+    def __sub__(self, other):
+        return TangentialDerivation(self.a1 - other.a1, self.a2 - other.a2,
+                                    normalize=False)
+
+    def scale(self, c):
+        return TangentialDerivation(self.a1.scale(c), self.a2.scale(c),
+                                    normalize=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, TangentialDerivation)
+                and self.a1 == other.a1 and self.a2 == other.a2)
+
+    def __repr__(self):
+        return "TangentialDerivation(%r, %r)" % (self.a1, self.a2)
+
+    @property
+    def terms(self):
+        """Coordinates of the pair: (0, word) in a1 and (1, word) in a2."""
+        out = {(0, w): c for w, c in self.a1.terms.items()}
+        out.update(((1, w), c) for w, c in self.a2.terms.items())
+        return out
+
+    def to_json(self):
+        return {"a1": series_to_json(self.a1), "a2": series_to_json(self.a2)}
+
+    def generator_images(self):
+        """(u(x0), u(x1)); equality of these is equality of derivations."""
+        x = self.alphabet
+        mw = self.max_weight + 1
+        x0 = Series.letter(x, "x0", mw)
+        x1 = Series.letter(x, "x1", mw)
+        a1 = Series(x, mw, self.a1.terms, _clean=False)
+        a2 = Series(x, mw, self.a2.terms, _clean=False)
+        return (x0 * a1 - a1 * x0, x1 * a2 - a2 * x1)
+
+
 # -- generic homogeneous solver ---------------------------------------------
 
 @dataclass
@@ -151,11 +244,27 @@ class SolutionSpace:
             out["offset"] = _basis_entry_json(self.offset)
         return out
 
+    @classmethod
+    def from_json(cls, data):
+        """Inverse of to_json; ValueError, KeyError or TypeError on a
+        malformed document."""
+        basis = [_basis_entry_from_json(b) for b in data["basis"]]
+        offset = _basis_entry_from_json(data["offset"]) if "offset" in data else None
+        return cls(data["space"], data["weight"], basis, offset=offset)
+
 
 def _basis_entry_json(entry):
     if isinstance(entry, Series):
         return series_to_json(entry)
     return entry.to_json()
+
+
+def _basis_entry_from_json(data):
+    if "a1" in data:
+        return TangentialDerivation(series_from_json(data["a1"]),
+                                    series_from_json(data["a2"]),
+                                    normalize=False)
+    return series_from_json(data)
 
 
 def _constraint_items(value):
@@ -203,7 +312,6 @@ def solve_space(weight, constraints, space="anon", chart="lyndon",
         ambient = [Series(alphabet, mw, {bytes(w): 1})
                    for w in _all_words(weight)]
     elif chart == "pairs":
-        from .kv import TangentialDerivation
         zero = Series.zero(alphabet, mw)
         lyndon = lyndon_basis(weight, mw).series()
         ambient = ([TangentialDerivation(s, zero, normalize=False) for s in lyndon]
@@ -274,40 +382,28 @@ def canonical_series_basis(sols):
             for row in ech]
 
 
-def series_span_contains(basis, candidate):
-    basis = [s for s in basis if not s.is_zero]
-    keys = _coordinate_keys(basis)
+def _outside_span(basis, objs, keys):
+    """The first of objs outside the span of basis, or None; keys must cover
+    every coordinate of both."""
     ech, piv = rref(_coordinate_rows(basis, keys))
-    index = {k: i for i, k in enumerate(keys)}
-    vec = [0] * len(keys)
-    for k, c in candidate.terms.items():
-        if k not in index:
-            if c:
-                return False
-            continue
-        vec[index[k]] = c
-    return span_contains(ech, piv, vec)
+    for row, obj in zip(_coordinate_rows(objs, keys), objs):
+        if not span_contains(ech, piv, row):
+            return obj
+    return None
+
+
+def series_span_contains(basis, candidate):
+    keys = _coordinate_keys(list(basis) + [candidate])
+    return _outside_span(basis, [candidate], keys) is None
 
 
 def series_spans_equal(basis_a, basis_b):
     """Mutual containment; returns (equal, witness object or None)."""
-    basis_a = [s for s in basis_a if not s.is_zero]
-    basis_b = [s for s in basis_b if not s.is_zero]
-    if not basis_a and not basis_b:
-        return True, None
-    pool = basis_a + basis_b
-    keys = _coordinate_keys(pool)
-    rows_a = _coordinate_rows(basis_a, keys)
-    rows_b = _coordinate_rows(basis_b, keys)
-    ech_a, piv_a = rref(rows_a)
-    ech_b, piv_b = rref(rows_b)
-    for row, obj in zip(rows_b, basis_b):
-        if not span_contains(ech_a, piv_a, row):
-            return False, obj
-    for row, obj in zip(rows_a, basis_a):
-        if not span_contains(ech_b, piv_b, row):
-            return False, obj
-    return True, None
+    keys = _coordinate_keys(list(basis_a) + list(basis_b))
+    witness = _outside_span(basis_a, basis_b, keys)
+    if witness is None:
+        witness = _outside_span(basis_b, basis_a, keys)
+    return witness is None, witness
 
 
 # -- optional on-disk cache --------------------------------------------------

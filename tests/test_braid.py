@@ -69,6 +69,11 @@ class TestRewrite:
                     via = via + chord_series(k, l).scale(c)
                 assert via == chord_series(i, j)
 
+    def test_express_chord_rejects_non_basis(self):
+        # x13 = -x12 - x23 + x45, so these five chords span only four dimensions
+        with pytest.raises(ValueError, match="no unique coordinates"):
+            express_chord(1, 4, ("12", "23", "34", "45", "13"))
+
 
 class TestInsertTriple:
     def test_canonical_chords(self):

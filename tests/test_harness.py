@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -275,7 +276,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ncds: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("exc", [KeyError, RuntimeError])
+    # a ValueError from inside the program is a crash, not bad input
+    @pytest.mark.parametrize("exc", [KeyError, RuntimeError, ValueError])
     def test_internal_error_exits_3(self, monkeypatch, capsys, exc):
         from ncds import harness
 
@@ -353,9 +355,18 @@ class TestCli:
         {"alphabet": ["x0", "x1"], "maxWeight": 3},
         {"alphabet": ["x0", "x1"], "weights": [1, 2], "maxWeight": 3,
          "terms": [{"word": "01", "num": "1", "den": "1"}]},
+        {"alphabet": ["x0", "x1"], "maxWeight": -1, "terms": []},
+        {"alphabet": ["x0", "x1"], "maxWeight": 3,
+         "terms": [{"word": "0a", "num": "1", "den": "1"}]},
+        {"alphabet": ["x0", "x1"], "maxWeight": 3,
+         "terms": [{"word": "01", "num": "1.5", "den": "1"}]},
+        {"alphabet": ["x0", "x0"], "maxWeight": 3, "terms": []},
+        {"alphabet": ["x0", "x1"], "maxWeight": 1,
+         "terms": [{"word": "01", "num": "1", "den": "1"}]},
     ], ids=["zero_den", "digit_outside_alphabet", "top_level_array",
             "duplicate_word", "term_not_object", "missing_terms",
-            "non_unit_weights"])
+            "non_unit_weights", "negative_max_weight", "word_not_digits",
+            "num_not_integer", "duplicate_letter", "word_above_max_weight"])
     def test_malformed_series_is_input_error(self, tmp_path, capsys, data):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(data))
@@ -377,6 +388,38 @@ class TestCli:
 
     def test_missing_file_is_input_error(self, capsys):
         assert self.run("residual", "--check", "rc", "--in", "/nonexistent") == 2
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"],
+                             ids=["not_json", "not_utf8"])
+    def test_unreadable_json_is_input_error(self, tmp_path, capsys, content):
+        f = tmp_path / "bad.json"
+        f.write_bytes(content)
+        assert self.run("residual", "--check", "rc", "--in", str(f)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check,terms", [
+        ("dmr", {"01": 1}), ("krv1", {"01": 1}), ("nckrv2", {"01": 1}),
+        ("rc", {"0": 1}), ("dmr", {"1": 1}),
+    ], ids=["dmr_not_lie", "krv1_not_lie", "nckrv2_not_lie",
+            "rc_linear_term", "dmr_linear_term"])
+    def test_residual_precondition_is_input_error(self, tmp_path, capsys,
+                                                  check, terms):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(series_to_json(x_series(terms, 2))))
+        assert self.run("residual", "--check", check, "--in", str(f)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,weight", [
+        ("rc0", 1), ("dmr0", 1), ("krv2", 0), ("krv1skew", 0), ("conj2", -1)])
+    def test_weight_below_minimum_is_input_error(self, capsys, name, weight):
+        assert self.run("spaces", "--set", name, "--weight", str(weight)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["abc", "3/", "1/2/3"])
+    def test_spaces_lambda_not_rational(self, capsys, text):
+        assert self.run("spaces", "--set", "rc", "--weight", "2",
+                        "--lambda", text) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_conjecture(self, capsys):
         assert self.run("conjecture", "--max-weight", "3") == 0
@@ -439,6 +482,23 @@ class TestCli:
         assert first == second
         assert json.loads(first)["basis"][0].keys() == {"a1", "a2"}
 
+    def test_warm_krv2_loads_no_computing_module(self, tmp_path, monkeypatch, capsys):
+        # reading a cached krv2 space rebuilds tangential pairs without kv
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path / "cache"))
+        assert self.run("spaces", "--set", "krv2", "--weight", "3") == 0
+        cold = capsys.readouterr().out
+        out = tmp_path / "warm.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ncds.cli import main; "
+             "code = main(['spaces', '--set', 'krv2', '--weight', '3', '--out', %r]); "
+             "print(code, ' '.join(sorted(sys.modules)))" % str(out)],
+            capture_output=True, text=True, check=True)
+        code, *loaded = proc.stdout.split()
+        assert code == "0" and out.read_text() == cold
+        for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
+            assert "ncds." + name not in loaded
+
     def test_entry_point_installed(self):
         # `python -m ncds` runs the main() that pyproject.toml declares as the
         # `ncds` console script, so this holds without an install
@@ -449,3 +509,19 @@ class TestCli:
         text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
         assert 'ncds = "ncds.cli:main"' in scripts.splitlines()
+
+
+def test_tracer_names_exist():
+    # perfbench/tracer.py wraps ncds functions by name; a rename must fail here
+    # rather than crash a traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for span, funcs, _ in tracer.SPANS:
+        module = importlib.import_module("ncds." + span.split(".")[0])
+        for fname in funcs:
+            assert callable(getattr(module, fname, None)), (span, fname)
+    for _, module, fname in tracer.LRU_CACHES:
+        fn = getattr(importlib.import_module("ncds." + module), fname, None)
+        assert hasattr(fn, "cache_info"), (module, fname)

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from ncds.lie import (canonical_series_basis, is_lie_series,
                       is_skew, kernel_basis, lie_bracket, lyndon_basis,
                       lyndon_words, series_span_contains, series_spans_equal,
@@ -118,6 +120,80 @@ class TestKernelBasis:
             # re-solving the same span is stable
             again = kernel_basis(rows + rows)
             assert again == basis
+
+
+def reference_rref(rows):
+    """Textbook Gauss-Jordan over Fractions, sharing no code with linalg."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def reference_kernel(rows, cols):
+    """Free-column kernel basis solved one free column at a time: x_fc = 1,
+    the other free columns 0, and each pivot variable from its reference
+    rref row."""
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * cols
+        x[fc] = Fraction(1)
+        for row, p in zip(red, pivots):
+            x[p] = -sum(row[j] * x[j] for j in range(cols) if j != p)
+        basis.append(tuple(x))
+    return basis
+
+
+def random_matrix(rng, n_rows, cols, rank, entries):
+    """rank independent random rows and n_rows - rank random combinations of
+    them in random order, then a zero row and a copy of the first row."""
+    def entry():
+        if entries == "int":
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    base = []
+    while len(reference_rref(base)[1]) < rank:
+        base = [[entry() for _ in range(cols)] for _ in range(rank)]
+    rows = list(base)
+    for _ in range(n_rows - rank):
+        coefs = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coefs, base)), 0)
+                     for j in range(cols)])
+    rng.shuffle(rows)
+    return rows + [[0] * cols, list(rows[0])]
+
+
+class TestEliminationAgainstReference:
+    @pytest.mark.parametrize("entries", ["int", "fraction"])
+    @pytest.mark.parametrize("shape", [(9, 4), (2, 7), (5, 5)],
+                             ids=["tall", "wide", "square"])
+    def test_rref_and_kernel_match_gauss_jordan(self, rng, shape, entries):
+        n_rows, cols = shape
+        for rank in range(min(n_rows, cols) + 1):
+            for _ in range(3):
+                rows = random_matrix(rng, n_rows, cols, rank, entries)
+                ref, ref_pivots = reference_rref(rows)
+                assert len(ref_pivots) == rank
+                assert rref(rows) == (ref, ref_pivots)
+                assert kernel_basis(rows) == reference_kernel(rows, cols)
+
+    def test_no_rows(self):
+        assert rref([]) == ([], [])
+        assert kernel_basis([]) == []
 
 
 class TestSolveSpace:
