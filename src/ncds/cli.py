@@ -59,20 +59,25 @@ def cmd_spaces(args):
     return 0
 
 
+def _report(report, path):
+    """The report JSON to path or stdout, its summary (timing last) to stderr."""
+    _dump(report.to_json(), path)
+    for line in report.summary_lines():
+        print(line, file=sys.stderr)
+
+
 def cmd_verify(args):
     from .harness import DEFAULT_CEILINGS, VERIFIERS
     max_weight = args.max_weight or DEFAULT_CEILINGS[args.theorem]
     report = VERIFIERS[args.theorem](max_weight, args.seed)
-    _dump(report.to_json(), args.out)
-    for line in report.summary_lines():
-        print(line, file=sys.stderr)
+    _report(report, args.out)
     return 0 if report.ok else 1
 
 
 def cmd_conjecture(args):
     from .harness import conjecture_scan
     report = conjecture_scan(args.max_weight, args.seed)
-    _dump(report.to_json(), args.out)
+    _report(report, args.out)
     return 0
 
 

@@ -78,6 +78,7 @@ class CheckReport:
         for e in self.weights:
             dims = " ".join("%s=%s" % (k, e.dims[k]) for k in sorted(e.dims))
             yield "%s w=%d %s %s" % (self.check, e.w, e.status, dims)
+        yield "%s elapsed %.3f s" % (self.check, self.elapsed)
 
 
 def _witness_json(obj):
@@ -259,7 +260,7 @@ def _entry_for_equality(w, name_a, space_a, name_b, space_b, report_only=False):
 def verify_theorem_A(max_weight, seed=0, weights=None):
     """dmr_0 with skew symmetry equals rc_0 cut by the shifted-pair bar
     functionals, weight by weight."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = solve_space(w, _SKEW_LIN + [_dmr_residual_linear], space="dmr0skew")
@@ -268,13 +269,13 @@ def verify_theorem_A(max_weight, seed=0, weights=None):
         s2 = solve_space(w, cons, space="rc0shifted")
         entries.append(_entry_for_equality(w, "dmr0_skew", s1, "rc0_shifted", s2,
                                            report_only=(w == 2)))
-    return CheckReport("theorem_A", entries, seed, elapsed=time.time() - t0)
+    return CheckReport("theorem_A", entries, seed, elapsed=time.perf_counter() - t0)
 
 
 def verify_theorem_B(max_weight, seed=0, weights=None):
     """dmr_0 equals the kernel of the bar pairings against the pentagon
     defect over non-all-ones index pairs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = dmr_space(w)
@@ -285,13 +286,13 @@ def verify_theorem_B(max_weight, seed=0, weights=None):
                                     report_only=(w == 2))
         entry.dims["constraints"] = len(funcs)
         entries.append(entry)
-    return CheckReport("theorem_B", entries, seed, elapsed=time.time() - t0)
+    return CheckReport("theorem_B", entries, seed, elapsed=time.perf_counter() - t0)
 
 
 def verify_theorem_C(max_weight, seed=0, weights=None):
     """Four descriptions of rc_0 coincide: the residual equation, the y,x and
     x,y depth-one bar kernels, and the change-of-variable equation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         spaces = {
@@ -314,14 +315,14 @@ def verify_theorem_C(max_weight, seed=0, weights=None):
                     witness = _witness_json(bad)
                     break
         entries.append(WeightEntry(w, status, dims, witness=witness))
-    return CheckReport("theorem_C", entries, seed, elapsed=time.time() - t0)
+    return CheckReport("theorem_C", entries, seed, elapsed=time.perf_counter() - t0)
 
 
 def verify_theorem_D(max_weight, seed=0, weights=None):
     """rc_0 basis elements have vanishing even depth-one coefficients, their
     meta-abelian quotients come from a gamma cocycle, and the Ihara brackets
     of basis elements stay in rc_0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bases = {w: rc_space(w, 0).basis for w in range(2, max_weight + 1)}
     entries = []
     for w in (weights if weights is not None else range(3, max_weight + 1)):
@@ -356,7 +357,7 @@ def verify_theorem_D(max_weight, seed=0, weights=None):
                         witness = _witness_json(br)
         dims["brackets"] = brackets
         entries.append(WeightEntry(w, status, dims, witness=witness))
-    return CheckReport("theorem_D", entries, seed, elapsed=time.time() - t0)
+    return CheckReport("theorem_D", entries, seed, elapsed=time.perf_counter() - t0)
 
 
 def nonadmissible_sum_value(psi, k, l):
@@ -377,7 +378,7 @@ def verify_theorem_E(max_weight, seed=0, weights=None):
     """Pipeline: dmr_0 + skew + krv1 sits inside rc_0 + krv1, and the
     tangential pair of every member lands in krv_2; plus the all-ones
     quasi-shuffle coefficient formula on dmr_0 bases for k+l <= 6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     entries = []
     for w in (weights if weights is not None else range(3, max_weight + 1)):
         s1 = solve_space(w, _SKEW_LIN + [_dmr_residual_linear, _krv1_linear],
@@ -423,13 +424,13 @@ def verify_theorem_E(max_weight, seed=0, weights=None):
             if not ok:
                 status = "fail"
         entries.append(WeightEntry(w, status, dims, witness=witness))
-    return CheckReport("theorem_E", entries, seed, elapsed=time.time() - t0)
+    return CheckReport("theorem_E", entries, seed, elapsed=time.perf_counter() - t0)
 
 
 def conjecture_scan(max_weight, seed=0):
     """Dimension pairs of the krv1 cut versus the shifted-pair cut of the
     skew Lie space; reported, never asserted."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     entries = []
     for w in range(3, max_weight + 1):
         d1 = space("krv1skew", w).dimension
@@ -437,7 +438,7 @@ def conjecture_scan(max_weight, seed=0):
         entries.append(WeightEntry(w, "report-only",
                                    {"krv1skew": d1, "conj2": d2,
                                     "equal": d1 == d2}))
-    return CheckReport("conjecture", entries, seed, elapsed=time.time() - t0)
+    return CheckReport("conjecture", entries, seed, elapsed=time.perf_counter() - t0)
 
 
 VERIFIERS = {"A": verify_theorem_A, "B": verify_theorem_B,

@@ -272,3 +272,31 @@ def test_named_spaces_match_golden():
     # solver (weight 8 holds [sigma_3, sigma_5])
     for w, low in zip(range(3, 9), (1, 0, 1, 0, 1, 1)):
         assert dims["dmr0-%d" % w] >= low, w
+
+
+def test_golden_space_kernels_match_full_elimination(monkeypatch):
+    # every matrix the solver hands to kernel_basis (a row selection and an
+    # exact check) while it builds the 30 golden spaces, solved again by
+    # eliminating all of its rows at once
+    import ncds.lie
+    from ncds.linalg import kernel_basis, rref
+    captured = []
+    def capture(rows):
+        captured.append(rows)
+        return kernel_basis(rows)
+    monkeypatch.setattr(ncds.lie, "kernel_basis", capture)
+    for key in json.loads(SPACES_GOLDEN.read_text()):
+        name, weight = key.rsplit("-", 1)
+        space(name, int(weight))
+    assert len(captured) == 30
+    for rows in captured:
+        cols = len(rows[0])
+        red, pivots = rref(rows)
+        full = []
+        for fc in sorted(set(range(cols)) - set(pivots)):
+            vec = [Fraction(0)] * cols
+            vec[fc] = Fraction(1)
+            for row, p in zip(red, pivots):
+                vec[p] = -row[fc]
+            full.append(tuple(vec))
+        assert kernel_basis(rows) == full

@@ -89,14 +89,14 @@ class TestRcSpace:
         assert eq
 
     def test_weight3_brute_force_words_chart(self):
-        # weights 3..7; weight 8 alone would take several times longer
+        # weights 3..8; weight 8 is a 2179 x 256 words chart
         dims = []
-        for w in range(3, 8):
+        for w in range(3, 9):
             brute = rc_space(w, 0, chart="words")
             eq, _ = series_spans_equal(brute.basis, rc_space(w, 0).basis)
             assert eq, w
             dims.append(brute.dimension)
-        assert dims == [1, 0, 1, 0, 1]
+        assert dims == [1, 0, 1, 0, 1, 1]
 
     def test_lambda_affine(self):
         space = rc_space(2, Fraction(5, 2))

@@ -174,7 +174,7 @@ class TestDmrSpace:
         assert dmr_space(4).dimension == 0
 
     def test_words_chart_agrees(self):
-        for w in range(3, 8):
+        for w in range(3, 9):
             eq, _ = series_spans_equal(dmr_space(w).basis,
                                        dmr_space(w, chart="words").basis)
             assert eq

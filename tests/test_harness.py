@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -425,6 +426,24 @@ class TestCli:
         assert self.run("conjecture", "--max-weight", "3") == 0
         data = json.loads(capsys.readouterr().out)
         assert data["weights"][0]["status"] == "report-only"
+
+    @pytest.mark.parametrize("argv", [("verify", "--theorem", "A"), ("conjecture",)],
+                             ids=["verify", "conjecture"])
+    def test_elapsed_goes_to_stderr_only(self, capsys, argv):
+        # stdout is the byte-stable report; the timing is one stderr line
+        outs = []
+        for _ in range(2):
+            self.run(*argv, "--max-weight", "4")
+            out, err = capsys.readouterr()
+            outs.append(out)
+            check = json.loads(out)["check"]
+            timing = [l for l in err.splitlines() if "elapsed" in l]
+            assert len(timing) == 1
+            assert re.fullmatch(r"%s elapsed \d+\.\d{3} s" % check, timing[0])
+            assert err.splitlines()[-1] == timing[0]
+        report = (verify_theorem_A if argv[0] == "verify" else conjecture_scan)(4)
+        assert outs[0] == outs[1] == json.dumps(report.to_json(), sort_keys=True,
+                                                indent=2) + "\n"
 
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"

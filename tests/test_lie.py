@@ -6,6 +6,7 @@ from ncds.lie import (canonical_series_basis, is_lie_series,
                       is_skew, kernel_basis, lie_bracket, lyndon_basis,
                       lyndon_words, series_span_contains, series_spans_equal,
                       solve_space)
+from ncds import linalg
 from ncds.linalg import rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
@@ -178,9 +179,11 @@ def random_matrix(rng, n_rows, cols, rank, entries):
 
 
 class TestEliminationAgainstReference:
+    # kernel_basis eliminates a row selection once a matrix has more than
+    # cols + 8 distinct rows: the 60 x 5 and 80 x 8 shapes reach that path
     @pytest.mark.parametrize("entries", ["int", "fraction"])
-    @pytest.mark.parametrize("shape", [(9, 4), (2, 7), (5, 5)],
-                             ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("shape", [(9, 4), (2, 7), (5, 5), (60, 5), (80, 8)],
+                             ids=["tall", "wide", "square", "tall60x5", "tall80x8"])
     def test_rref_and_kernel_match_gauss_jordan(self, rng, shape, entries):
         n_rows, cols = shape
         for rank in range(min(n_rows, cols) + 1):
@@ -194,6 +197,22 @@ class TestEliminationAgainstReference:
     def test_no_rows(self):
         assert rref([]) == ([], [])
         assert kernel_basis([]) == []
+        assert kernel_basis([[0] * 5] * 40) == reference_kernel([[0] * 5], 5)
+
+    def test_rank_off_the_selection_is_repaired(self, monkeypatch):
+        # 52 distinct rows over 5 columns select every 4th row (52 // 13);
+        # those span only e1, e2, while the rows between them add e3, e4,
+        # so the first kernel fails the check and a repair round must run
+        rows = [[1, i, 0, 0, 0] if i % 4 == 0 else [0, 0, 1, i, 0]
+                for i in range(52)]
+        rows += [[0] * 5, [-v for v in rows[5]], list(rows[8])]
+        calls = []
+        def counted(selected):
+            calls.append(len(selected))
+            return rref(selected)
+        monkeypatch.setattr(linalg, "rref", counted)
+        assert kernel_basis(rows) == reference_kernel(rows, 5)
+        assert len(calls) >= 2 and calls[0] == 13
 
 
 class TestSolveSpace:
