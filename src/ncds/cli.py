@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .lie import cached_space, SolutionSpace
+from .lie import cached_space, is_lie_series, SolutionSpace
 from .series import InputError, series_from_json, series_to_json, two_letter_alphabet
 
 
@@ -109,6 +109,8 @@ def cmd_residual(args):
         res = krv1_residual(psi)
         payload = {"residual": series_to_json(res), "zero": res.is_zero}
     elif args.check == "nckrv2":
+        if not is_lie_series(psi):
+            raise InputError("the nc krv2 fit is defined for Lie series")
         res, f = nc_krv2_fit(psi)
         payload = {"residual": series_to_json(res), "f": series_to_json(f),
                    "zero": res.is_zero}

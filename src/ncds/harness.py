@@ -162,16 +162,6 @@ def pulled_functional(pairs, order, legs):
     return _signed_sum(parts, sum(a) + sum(b))
 
 
-def _dot(f, s):
-    total = 0
-    small, big = (f.terms, s.terms) if len(f.terms) <= len(s.terms) else (s.terms, f.terms)
-    for w, c in small.items():
-        oc = big.get(w)
-        if oc:
-            total += c * oc
-    return total
-
-
 def _compositions(total):
     if total == 0:
         yield ()
@@ -217,8 +207,22 @@ def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
     return out
 
 
-def _functional_constraints(functionals):
-    return [(lambda s, F=F: {"v": _dot(F, s)}) for _key, F in functionals]
+def _functional_constraint(functionals):
+    """The family of (key, F) functionals as one linear constraint
+    s -> {i: <F_i, s>}, keyed by the functional's position i; the words of
+    s are looked up once in an index word -> [(i, F_i[word])]."""
+    by_word = {}
+    for i, (_key, F) in enumerate(functionals):
+        for w, c in F.terms.items():
+            by_word.setdefault(w, []).append((i, c))
+
+    def constraint(s):
+        out = {}
+        for w, c in s.terms.items():
+            for i, f in by_word.get(w, ()):
+                _iadd(out, i, f * c)
+        return out
+    return constraint
 
 
 # -- named spaces -------------------------------------------------------------
@@ -239,7 +243,7 @@ def space(name, weight, lam=None):
     if name == "krv1skew":
         return solve_space(weight, _SKEW_LIN + [_krv1_linear], space="krv1skew")
     if name == "conj2":
-        cons = _SKEW_LIN + _functional_constraints(shifted_pair_functionals(weight))
+        cons = _SKEW_LIN + [_functional_constraint(shifted_pair_functionals(weight))]
         return solve_space(weight, cons, space="conj2")
     raise ValueError("unknown space %r" % (name,))
 
@@ -264,8 +268,8 @@ def verify_theorem_A(max_weight, seed=0, weights=None):
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = solve_space(w, _SKEW_LIN + [_dmr_residual_linear], space="dmr0skew")
-        cons = _SKEW_LIN + [_rc_residual_linear] \
-            + _functional_constraints(shifted_pair_functionals(w))
+        cons = _SKEW_LIN + [_rc_residual_linear,
+                            _functional_constraint(shifted_pair_functionals(w))]
         s2 = solve_space(w, cons, space="rc0shifted")
         entries.append(_entry_for_equality(w, "dmr0_skew", s1, "rc0_shifted", s2,
                                            report_only=(w == 2)))
@@ -280,7 +284,7 @@ def verify_theorem_B(max_weight, seed=0, weights=None):
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = dmr_space(w)
         funcs = alpha_pair_functionals(w)
-        cons = [linear_constraint] + _functional_constraints(funcs)
+        cons = [linear_constraint, _functional_constraint(funcs)]
         s2 = solve_space(w, cons, space="barkernel")
         entry = _entry_for_equality(w, "dmr0", s1, "bar_kernel", s2,
                                     report_only=(w == 2))
@@ -297,10 +301,10 @@ def verify_theorem_C(max_weight, seed=0, weights=None):
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         spaces = {
             "i_rc0": solve_space(w, _SKEW_LIN + [_rc_residual_linear], space="c1"),
-            "ii_yx": solve_space(w, _SKEW_LIN + _functional_constraints(
-                alpha_pair_functionals(w, ("y", "x"), depth_one=True)), space="c2"),
-            "iii_xy": solve_space(w, _SKEW_LIN + _functional_constraints(
-                alpha_pair_functionals(w, ("x", "y"), depth_one=True)), space="c3"),
+            "ii_yx": solve_space(w, _SKEW_LIN + [_functional_constraint(
+                alpha_pair_functionals(w, ("y", "x"), depth_one=True))], space="c2"),
+            "iii_xy": solve_space(w, _SKEW_LIN + [_functional_constraint(
+                alpha_pair_functionals(w, ("x", "y"), depth_one=True))], space="c3"),
             "iv_mu": solve_space(w, _SKEW_LIN + [c4_residual], space="c4"),
         }
         dims = {k: v.dimension for k, v in spaces.items()}
@@ -370,7 +374,7 @@ def nonadmissible_sum_value(psi, k, l):
         if tag != "y,x" or not _all_ones(first, second):
             continue
         F = pulled_functional(((1, first, second),), ("y", "x"), PHI_LEGS)
-        total += _dot(F, psi)
+        total += pair(F, psi)
     return total
 
 
@@ -539,19 +543,19 @@ def lemma_polylogs_failures(max_weight=6, samples=2, seed=0):
             psi = random_lie_series(w, rng)
             for a, b in index_pairs(w):
                 byx = bar_double(a, b, ("y", "x"))
-                if _dot(pentagon_functional(byx, ((1, "543"),)), psi):
+                if pair(pentagon_functional(byx, ((1, "543"),)), psi):
                     failures.append(("543", w, i, a, b))
                 l_ab = pair(bar_single(a + b, "z"), psi)
-                if _dot(pentagon_functional(byx, ((1, "215"),)), psi) != l_ab:
+                if pair(pentagon_functional(byx, ((1, "215"),)), psi) != l_ab:
                     failures.append(("215", w, i, a, b))
                 if not _all_ones(a, b):
-                    if _dot(pentagon_functional(byx, ((1, "432"),)), psi):
+                    if pair(pentagon_functional(byx, ((1, "432"),)), psi):
                         failures.append(("432", w, i, a, b))
                 bxy = bar_double(a, b, ("x", "y"))
-                if _dot(pentagon_functional(bxy, PHI_LEGS), psi) != l_ab:
+                if pair(pentagon_functional(bxy, PHI_LEGS), psi) != l_ab:
                     failures.append(("451+123 double", w, i, a, b))
             for a in _compositions(w):
-                got = _dot(pentagon_functional(bar_single(a, "xy"), PHI_LEGS), psi)
+                got = pair(pentagon_functional(bar_single(a, "xy"), PHI_LEGS), psi)
                 if got != pair(bar_single(a, "z"), psi):
                     failures.append(("451+123 single", w, i, a))
     return failures
@@ -575,7 +579,7 @@ def stuffle_identity_failures(max_weight=6, samples=2, seed=0):
                         bar = bar_double(first, second, ("x", "y"))
                     else:
                         bar = bar_double(first, second, ("y", "x"))
-                    total += _dot(pentagon_functional(bar, PHI_LEGS), psi)
+                    total += pair(pentagon_functional(bar, PHI_LEGS), psi)
                 if total:
                     failures.append((w, i, a, b))
     return failures
@@ -601,7 +605,7 @@ def prop_sum_failures(max_weight=6):
                     if tag == "y,x":
                         F = pulled_functional(((1, first, second),), ("y", "x"),
                                               PHI_LEGS)
-                        lhs += _dot(F, psi) - pair(bar_single(merged, "z"), psi)
+                        lhs += pair(F, psi) - pair(bar_single(merged, "z"), psi)
                 if lhs != rhs:
                     failures.append((w, a, b))
     return failures
@@ -614,8 +618,8 @@ def one_loop_equivalence(max_weight=7):
     from .dshuffle import psi_star, y_functional
     out = []
     for w in range(2, max_weight + 1):
-        s1 = solve_space(w, [linear_constraint] + _functional_constraints(
-            alpha_pair_functionals(w, ("y", "x"), depth_one=True)), space="oneloop1")
+        s1 = solve_space(w, [linear_constraint, _functional_constraint(
+            alpha_pair_functionals(w, ("y", "x"), depth_one=True))], space="oneloop1")
 
         def stuffle_constraint(s):
             star = psi_star(s)

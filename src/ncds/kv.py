@@ -97,13 +97,8 @@ def tangential_pair_of(psi):
 
 
 def potential(psi):
-    """h_psi = x0 psi(-x0-x1, x0) + x1 psi(-x0-x1, x1), one weight up."""
-    if not is_lie_series(psi):
-        raise InputError("the potential is defined for Lie series")
-    return _potential_linear(psi)
-
-
-def _potential_linear(psi):
+    """h_psi = x0 psi(-x0-x1, x0) + x1 psi(-x0-x1, x1), one weight up; psi
+    is not checked to be a Lie series."""
     x = psi.alphabet
     mw = psi.max_weight + 1
     x0 = Series.letter(x, "x0", mw)
@@ -117,7 +112,8 @@ def nc_krv2_fit(psi):
     """mu(h_psi) against f(x0+x1) - f(x0) - f(x1) with the explicit
     candidate f = x0 d^R_1(psi(-x0-x1, x1))(x0, 0).
 
-    Returns (residual, f) where f is a one-letter Series.
+    Returns (residual, f) where f is a one-letter Series; psi is not
+    checked to be a Lie series.
     """
     h = potential(psi)
     mu_h = reduced_coaction(h)

@@ -14,6 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .linalg import kernel_basis, rref, span_contains
 from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
@@ -276,73 +277,60 @@ def _constraint_items(value):
     raise TypeError("constraint must return a Series-like or a dict")
 
 
-def assemble_rows(basis_values, n_cols):
-    """Turn per-basis-element constraint values into matrix rows.
-
-    basis_values[j] is the list of (key, coeff) items for column j; one row
-    is produced per distinct (constraint, key) pair.
-    """
-    rows = {}
-    for j, items in enumerate(basis_values):
-        for key, c in items:
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0] * n_cols
-            row[j] = c
-    return [rows[k] for k in sorted(rows)]
-
-
-def solve_space(weight, constraints, space="anon", chart="lyndon",
-                max_weight=None):
+def solve_space(weight, constraints, space="anon", chart="lyndon"):
     """Joint kernel of linear constraints on homogeneous weight-w elements.
 
     chart "lyndon" solves over the free Lie algebra in Lyndon coordinates;
     chart "words" solves over raw word coefficients (used as the independent
     brute-force route, with primitivity supplied as an explicit constraint);
     chart "pairs" solves over tangential derivations (a1, a2), the Lyndon
-    basis placed in a1 and then in a2.  Each constraint maps an ambient
-    element to a Series/TensorSeries/CyclicSeries/dict whose entries must
-    all vanish.
+    basis placed in a1 and then in a2.  A chart is only a change of basis:
+    column j is an ambient element given by its coordinates (a word, or
+    (slot, word) for pairs).  Each constraint maps an ambient element to a
+    Series/TensorSeries/CyclicSeries/dict whose entries must all vanish.
+
+    Constraints are evaluated once per coordinate, on that coordinate's unit
+    element, and the value is carried to every column through the chart.  So
+    every constraint must be linear on the whole ambient algebra and must
+    check no precondition: a unit word is not a Lie series.  Rows are keyed
+    (constraint index, output key) and sorted by key.
     """
     alphabet = two_letter_alphabet()
-    mw = weight if max_weight is None else max_weight
     if chart == "lyndon":
-        ambient = lyndon_basis(weight, mw).series()
+        kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
     elif chart == "words":
-        ambient = [Series(alphabet, mw, {bytes(w): 1})
-                   for w in _all_words(weight)]
+        kind, columns = Series, [{bytes(w): 1} for w in product((0, 1), repeat=weight)]
     elif chart == "pairs":
-        zero = Series.zero(alphabet, mw)
-        lyndon = lyndon_basis(weight, mw).series()
-        ambient = ([TangentialDerivation(s, zero, normalize=False) for s in lyndon]
-                   + [TangentialDerivation(zero, s, normalize=False) for s in lyndon])
+        lyndon = lyndon_basis(weight).series()
+        kind = TangentialDerivation
+        columns = [{(slot, w): c for w, c in s.terms.items()}
+                   for slot in (0, 1) for s in lyndon]
     else:
         raise ValueError("unknown chart %r" % (chart,))
-    kind = type(ambient[0])
-    values = []
-    for elt in ambient:
-        items = []
+    chart_index = {}  # coordinate key -> [(column, coefficient)]
+    for j, terms in enumerate(columns):
+        for key, c in terms.items():
+            chart_index.setdefault(key, []).append((j, c))
+    rows = {}
+    for key, cols in chart_index.items():
+        unit = kind.from_terms(alphabet, weight, {key: 1})
         for ci, con in enumerate(constraints):
-            items.extend(((ci, key), c) for key, c in _constraint_items(con(elt)))
-        values.append(items)
-    rows = assemble_rows(values, len(ambient))
-    combos = kernel_basis(rows) if rows else kernel_basis([[0] * len(ambient)])
+            for out_key, v in _constraint_items(con(unit)):
+                row = rows.get((ci, out_key))
+                if row is None:
+                    row = rows[ci, out_key] = [0] * len(columns)
+                for j, c in cols:
+                    row[j] += c * v
+    combos = kernel_basis([rows[k] for k in sorted(rows)] or [[0] * len(columns)])
     sols = []
     for vec in combos:
         coords = {}
-        for c, elt in zip(vec, ambient):
+        for c, terms in zip(vec, columns):
             if c:
-                for k, v in elt.terms.items():
+                for k, v in terms.items():
                     _iadd(coords, k, c * v)
-        sols.append(kind.from_terms(alphabet, mw, coords))
+        sols.append(kind.from_terms(alphabet, weight, coords))
     return SolutionSpace(space, weight, canonical_series_basis(sols))
-
-
-def _all_words(weight):
-    words = [[]]
-    for _ in range(weight):
-        words = [w + [i] for w in words for i in (0, 1)]
-    return [bytes(w) for w in words]
 
 
 # -- canonical bases and span comparisons over coordinates ------------------

@@ -26,7 +26,7 @@ from ncds.lie import lyndon_basis, series_spans_equal
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
-from conftest import X, x_series
+from conftest import X, assemble_rows, x_series
 
 G = chord_alphabet()
 
@@ -300,3 +300,54 @@ def test_golden_space_kernels_match_full_elimination(monkeypatch):
                 vec[p] = -row[fc]
             full.append(tuple(vec))
         assert kernel_basis(rows) == full
+
+
+def _per_element_rows(weight, constraints, chart):
+    # the rows built the direct way, without the solver's coordinate index:
+    # every constraint called on every chart element, then assembled
+    lyndon = lyndon_basis(weight).series()
+    if chart == "lyndon":
+        ambient = lyndon
+    else:
+        assert chart == "pairs", chart
+        zero = Series.zero(X, weight)
+        ambient = ([TangentialDerivation(s, zero, normalize=False) for s in lyndon]
+                   + [TangentialDerivation(zero, s, normalize=False) for s in lyndon])
+    values = []
+    for elt in ambient:
+        items = []
+        for ci, con in enumerate(constraints):
+            value = con(elt)
+            value = value if isinstance(value, dict) else value.terms
+            items.extend(((ci, key), c) for key, c in value.items())
+        values.append(items)
+    return assemble_rows(values, len(ambient)) or [[0] * len(ambient)]
+
+
+def test_solver_rows_match_per_element_reference(monkeypatch):
+    # every matrix solve_space hands to kernel_basis while it builds the 30
+    # golden spaces and theorem B to weight 7 (a bar-functional family per
+    # weight) equals, up to zero rows and repeats, the per-element rows
+    import ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv, ncds.lie
+    from ncds.linalg import _distinct_rows, kernel_basis
+    solve_space = ncds.lie.solve_space
+    calls = []
+
+    def record(weight, constraints, space="anon", chart="lyndon"):
+        calls.append([weight, constraints, chart, None])
+        return solve_space(weight, constraints, space, chart)
+
+    def capture(rows):
+        calls[-1][3] = rows
+        return kernel_basis(rows)
+    for module in (ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv):
+        monkeypatch.setattr(module, "solve_space", record)
+    monkeypatch.setattr(ncds.lie, "kernel_basis", capture)
+    for key in json.loads(SPACES_GOLDEN.read_text()):
+        name, weight = key.rsplit("-", 1)
+        space(name, int(weight))
+    verify_theorem_B(7)
+    assert len(calls) == 30 + 2 * 6
+    for weight, constraints, chart, rows in calls:
+        want = _per_element_rows(weight, constraints, chart)
+        assert _distinct_rows(rows) == _distinct_rows(want), (weight, chart)

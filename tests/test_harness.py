@@ -15,12 +15,12 @@ from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
                           prop_sum_failures, pulled_functional,
                           shifted_pair_functionals, space,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
-                          verify_theorem_D, verify_theorem_E, _dot)
+                          verify_theorem_D, verify_theorem_E)
 from ncds.barwords import bar_double, pair
 from ncds.braid import CHORD_NAMES, insert_triple
 from ncds.series import series_to_json
 
-from conftest import random_lie, x_series
+from conftest import random_lie, src_env, x_series
 
 
 LEG_STRANDS = {"451": (4, 5, 1), "123": (1, 2, 3), "432": (4, 3, 2),
@@ -44,17 +44,17 @@ class TestPullback:
                 for order in ORDERS:
                     for leg in LEG_STRANDS:
                         want = direct(a, b, order, ((1, leg),))
-                        assert _dot(coface_pullback(bar_double(a, b, order), leg),
-                                    psi) == want
-                        assert _dot(pulled_functional(((1, a, b),), order, ((1, leg),)),
-                                    psi) == want
+                        assert pair(coface_pullback(bar_double(a, b, order), leg),
+                                   psi) == want
+                        assert pair(pulled_functional(((1, a, b),), order, ((1, leg),)),
+                                   psi) == want
             for order, depth_one in ((("y", "x"), False), (("y", "x"), True),
                                      (("x", "y"), True)):
                 for (a, b), F in alpha_pair_functionals(w, order, depth_one):
-                    assert _dot(F, psi) == direct(a, b, order, ALPHA_LEGS), (a, b)
+                    assert pair(F, psi) == direct(a, b, order, ALPHA_LEGS), (a, b)
             yx = ("y", "x")
             for (a, b), F in shifted_pair_functionals(w):
-                assert _dot(F, psi) == direct(a, b, yx, PHI_LEGS) \
+                assert pair(F, psi) == direct(a, b, yx, PHI_LEGS) \
                     - direct(a + (b[0],), b[1:], yx, PHI_LEGS), (a, b)
 
     def test_pulled_equals_pullback_of_word(self):
@@ -102,7 +102,7 @@ class TestPullback:
                 for order in (("y", "x"), ("x", "y")):
                     bar = bar_double(a, b, order)
                     assert pair(bar, alpha) == \
-                        _dot(pentagon_functional(bar, ALPHA_LEGS), psi)
+                        pair(pentagon_functional(bar, ALPHA_LEGS), psi)
 
 
 class TestVerifiers:
@@ -186,7 +186,7 @@ class TestPaperPropositions:
             psi = random_lie(w, rng, skew=True)
             for k in range(1, w):
                 bar = bar_double((1,) * k, (1,) * (w - k), ("y", "x"))
-                assert _dot(pentagon_functional(bar, ALPHA_LEGS), psi) == 0
+                assert pair(pentagon_functional(bar, ALPHA_LEGS), psi) == 0
 
     def test_alpha_pairings_vanish_on_skew_dmr(self):
         # theorem: for skew dmr_0 elements all y,x pairings of alpha vanish,
@@ -199,7 +199,7 @@ class TestPaperPropositions:
                 assert is_skew(psi)
                 for a, b in index_pairs(w):
                     bar = bar_double(a, b, ("y", "x"))
-                    assert _dot(pentagon_functional(bar, ALPHA_LEGS), psi) == 0
+                    assert pair(pentagon_functional(bar, ALPHA_LEGS), psi) == 0
 
     def test_depth_one_evaluation_on_dmr(self):
         # l^{y,x}_{(1..1)_k,(1)}(psi_451 + psi_123) = (-1)^(k+1) c_{x0^k x1}(psi)
@@ -210,7 +210,7 @@ class TestPaperPropositions:
                 k = w - 1
                 F = pentagon_functional(bar_double((1,) * k, (1,), ("y", "x")),
                                         PHI_LEGS)
-                assert _dot(F, psi) == ((-1) ** (k + 1)) * \
+                assert pair(F, psi) == ((-1) ** (k + 1)) * \
                     psi.coeff(b"\x00" * k + b"\x01")
 
     def test_corollary_432_all_ones_sum(self):
@@ -231,7 +231,7 @@ class TestPaperPropositions:
                             continue
                         F = pentagon_functional(bar_double(first, second, ("y", "x")),
                                                 ((1, "432"),))
-                        total += _dot(F, psi)
+                        total += pair(F, psi)
                     coeff = Fraction(math.factorial(k + l - 1),
                                      math.factorial(k) * math.factorial(l))
                     expected = ((-1) ** (k + l)) * coeff \
@@ -293,7 +293,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import ncds.cli, sys; print(' '.join(sorted(sys.modules)))"],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=src_env())
         loaded = set(proc.stdout.split())
         assert "ncds.cli" in loaded
         for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
@@ -512,7 +512,7 @@ class TestCli:
              "import sys; from ncds.cli import main; "
              "code = main(['spaces', '--set', 'krv2', '--weight', '3', '--out', %r]); "
              "print(code, ' '.join(sorted(sys.modules)))" % str(out)],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=src_env())
         code, *loaded = proc.stdout.split()
         assert code == "0" and out.read_text() == cold
         for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
@@ -522,7 +522,7 @@ class TestCli:
         # `python -m ncds` runs the main() that pyproject.toml declares as the
         # `ncds` console script, so this holds without an install
         proc = subprocess.run([sys.executable, "-m", "ncds", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "ncds" in proc.stdout
         text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

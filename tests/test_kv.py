@@ -12,7 +12,7 @@ from ncds.lie import lyndon_basis
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
-from conftest import X, random_lie, x_series
+from conftest import X, assemble_rows, random_lie, x_series
 
 
 def cyc(terms, mw):
@@ -362,7 +362,7 @@ def _f_target(w):
 def _dense_krv2_dim(w):
     # independent route: solve over raw word coefficients of (a1, a2) with
     # primitivity imposed explicitly, plus the krv conditions
-    from ncds.lie import primitivity_defect, assemble_rows
+    from ncds.lie import primitivity_defect
     from ncds.linalg import kernel_basis
     words = [bytes(t) for t in itertools.product((0, 1), repeat=w)]
     f_target = _f_target(w)
