@@ -93,7 +93,7 @@ def cmd_residual(args):
                          % (list(psi.alphabet.letters),))
     from .coaction import rc_residual
     from .dshuffle import dmr_residual
-    from .kv import krv1_residual, nc_krv2_fit
+    from .kv import krv1_residual, nc_krv2_fit, tangential_pair_of
     if args.check == "rc":
         res = rc_residual(psi)
         payload = {"residual": series_to_json(res), "zero": res.is_zero}
@@ -111,7 +111,7 @@ def cmd_residual(args):
     elif args.check == "nckrv2":
         if not is_lie_series(psi):
             raise InputError("the nc krv2 fit is defined for Lie series")
-        res, f = nc_krv2_fit(psi)
+        res, f = nc_krv2_fit(tangential_pair_of(psi))
         payload = {"residual": series_to_json(res), "f": series_to_json(f),
                    "zero": res.is_zero}
     else:

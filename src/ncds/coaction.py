@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .lie import (is_lie_series, lie_bracket, linear_constraint,
+from .lie import (apply_derivation, is_lie_series, letter_bracket,
+                  lie_bracket, linear_constraint, primitivity_defect,
                   skew_constraint, solve_space, SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
@@ -81,7 +82,6 @@ def rc_space(weight, lam=None, chart="lyndon"):
         raise InputError("rc space starts at weight 2")
     constraints = [skew_constraint, linear_constraint, _rc_residual_linear]
     if chart == "words":
-        from .lie import primitivity_defect
         constraints = [primitivity_defect] + constraints
     if lam == 0:
         constraints = constraints + [lambda s: {"lam": s.coeff(b"\x00\x01")}]
@@ -102,11 +102,11 @@ def rc_space(weight, lam=None, chart="lyndon"):
 
 
 def meta_abelian(psi):
-    """B_psi = abelianization of (part of psi ending in x1) * x1."""
-    tail = fox_derivative(psi, "x1", "left")
-    x1 = Series.letter(psi.alphabet, "x1", psi.max_weight + 1)
-    shifted = Series(psi.alphabet, psi.max_weight + 1, tail.terms, _clean=False) * x1
-    return abelianize(shifted)
+    """B_psi = abelianization of (part of psi ending in x1) * x1, that is of
+    the words of psi that end in x1."""
+    return abelianize(Series(psi.alphabet, psi.max_weight,
+                             {w: c for w, c in psi.terms.items() if w[-1:] == b"\x01"},
+                             _clean=False))
 
 
 def frak_b_check(beta):
@@ -152,19 +152,8 @@ def frak_b_check(beta):
 
 def ihara_derivation(psi, f):
     """d_psi: the derivation with d(x0) = 0, d(x1) = [x1, psi], applied to f."""
-    alphabet = f.alphabet
     mw = min(f.max_weight, psi.max_weight)
-    x1 = Series.letter(alphabet, "x1", mw)
-    img1 = lie_bracket(x1, psi.truncated(mw))
-    out = Series.zero(alphabet, mw)
-    for w, c in f.terms.items():
-        for i, li in enumerate(w):
-            if li != 1:
-                continue
-            pre = Series(alphabet, mw, {w[:i]: c}, _clean=False)
-            post = Series(alphabet, mw, {w[i + 1:]: 1}, _clean=False)
-            out = out + pre * img1 * post
-    return out
+    return apply_derivation((None, letter_bracket(1, psi, mw)), f, mw)
 
 
 def ihara_bracket(psi1, psi2):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import linear_constraint, primitivity_defect, solve_space
+from .lie import (is_lie_series, linear_constraint, primitivity_defect,
+                  solve_space)
 from .series import Alphabet, InputError, Series, TensorSeries, _iadd
 
 
@@ -111,7 +112,6 @@ def stuffle_coproduct(f):
 def dmr_residual(psi):
     """Delta_*(psi_*) - psi_* (x) 1 - 1 (x) psi_*; zero iff psi is in dmr_0
     (given the Lie and vanishing-linear-term preconditions)."""
-    from .lie import is_lie_series
     if psi.coeff(b"\x00") or psi.coeff(b"\x01"):
         raise InputError("dmr residual needs c_x0(psi) = c_x1(psi) = 0")
     if not is_lie_series(psi):

@@ -29,8 +29,8 @@ from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from .braid import CHORD_NAMES, chord_alphabet
 from .coaction import (_rc_residual_linear, c4_residual, frak_b_check,
                        ihara_bracket, meta_abelian, rc_space)
-from .dshuffle import (_dmr_residual_linear, dmr_space, sh_le, sigma_compose,
-                       y_functional)
+from .dshuffle import (_dmr_residual_linear, dmr_space, psi_star, sh_le,
+                       sigma_compose, y_alphabet, y_functional, y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
 from .lie import (is_skew, linear_constraint, lyndon_basis,
@@ -400,13 +400,13 @@ def verify_theorem_E(max_weight, seed=0, weights=None):
         dims["krv2"] = krv2.dimension
         cyc_ok = True
         for psi in s2.basis:
-            h = potential(psi)
-            cyc_ok = cyc_ok and is_cyclic_invariant(h)
-            residual, _f = nc_krv2_fit(psi)
+            u = tangential_pair_of(psi)
+            cyc_ok = cyc_ok and is_cyclic_invariant(potential(u))
+            residual, _f = nc_krv2_fit(u)
             if not residual.is_zero:
                 status = "fail"
                 witness = _witness_json(psi)
-            u = tangential_pair_of(psi).normalized()
+            u = u.normalized()
             if not u.is_zero and not series_span_contains(krv2.basis, u):
                 status = "fail"
                 witness = _witness_json(psi)
@@ -588,7 +588,6 @@ def stuffle_identity_failures(max_weight=6, samples=2, seed=0):
 def prop_sum_failures(max_weight=6):
     """eq (sum): on dmr_0 bases, the corrected one-variable stuffle sums match
     the signed y,x pentagon sums for every index pair."""
-    from .dshuffle import psi_star
     failures = []
     for w in range(2, max_weight + 1):
         for psi in dmr_space(w).basis:
@@ -614,31 +613,29 @@ def prop_sum_failures(max_weight=6):
 def one_loop_equivalence(max_weight=7):
     """Prop: the depth-one bar kernel equals the space cut by the (a, b1) and
     (b1, a) stuffle functionals; returns per-weight dimension pairs and
-    equality flags."""
-    from .dshuffle import psi_star, y_functional
+    equality flags.  Each stuffle functional is the y-series summing the
+    y-words of the composed indices over Sh^{<=}, paired with psi_*."""
     out = []
     for w in range(2, max_weight + 1):
         s1 = solve_space(w, [linear_constraint, _functional_constraint(
             alpha_pair_functionals(w, ("y", "x"), depth_one=True))], space="oneloop1")
+        ys = y_alphabet(w)
 
-        def stuffle_constraint(s):
-            star = psi_star(s)
-            vals = {}
-            for b1 in range(1, w):
-                for a in _compositions(w - b1):
-                    t1 = 0
-                    for sg in sh_le(1, len(a)):
-                        (first, second), _tag = sigma_compose(sg, (b1,), a)
-                        t1 += y_functional(first + second, star)
-                    vals[("ba", b1, a)] = t1
-                    t2 = 0
-                    for sg in sh_le(len(a), 1):
-                        (first, second), _tag = sigma_compose(sg, a, (b1,))
-                        t2 += y_functional(first + second, star)
-                    vals[("ab", a, b1)] = t2
-            return vals
+        def stuffle_sum(a, b):
+            terms = {}
+            for sg in sh_le(len(a), len(b)):
+                (first, second), _tag = sigma_compose(sg, a, b)
+                _iadd(terms, y_word(ys, first + second), 1)
+            return Series(ys, w, terms, _clean=False)
 
-        s2 = solve_space(w, [linear_constraint, stuffle_constraint], space="oneloop2")
+        funcs = []
+        for b1 in range(1, w):
+            for a in _compositions(w - b1):
+                funcs.append((("ba", b1, a), stuffle_sum((b1,), a)))
+                funcs.append((("ab", a, b1), stuffle_sum(a, (b1,))))
+        stuffle = _functional_constraint(funcs)
+        s2 = solve_space(w, [linear_constraint, lambda s: stuffle(psi_star(s))],
+                         space="oneloop2")
         equal, _ = series_spans_equal(s1.basis, s2.basis)
         out.append((w, s1.dimension, s2.dimension, equal))
     return out

@@ -12,26 +12,18 @@ import itertools
 from fractions import Fraction
 
 from .coaction import change_of_variable, reduced_coaction
-from .lie import TangentialDerivation, is_lie_series, lie_bracket, solve_space
-from .series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, S_AT_SUM, S_AT_X0,
-                     S_AT_X1, CyclicSeries, InputError, Series, TensorSeries,
-                     cyclic_project, fox_derivative, one_letter_alphabet,
-                     shuffle_splits, substitute, symmetrize,
-                     two_letter_alphabet, _canonical_rotation, _iadd)
+from .lie import (TangentialDerivation, apply_derivation, is_lie_series,
+                  lie_bracket, solve_space)
+from .series import (AT_MINUS_SUM_X0, S_AT_SUM, S_AT_X0, S_AT_X1,
+                     CyclicSeries, InputError, Series, TensorSeries,
+                     fox_derivative, one_letter_alphabet, shuffle_splits,
+                     substitute, symmetrize, two_letter_alphabet,
+                     _canonical_rotation, _iadd)
 
 
 def tder_apply(u, f):
     """Leibniz extension over words of u(x0) = [x0, a1], u(x1) = [x1, a2]."""
-    img = u.generator_images()
-    mw = f.max_weight
-    x = f.alphabet
-    out = Series.zero(x, mw)
-    for w, c in f.terms.items():
-        for i, li in enumerate(w):
-            pre = Series(x, mw, {w[:i]: c}, _clean=False)
-            post = Series(x, mw, {w[i + 1:]: 1}, _clean=False)
-            out = out + pre * img[li].truncated(mw) * post
-    return out
+    return apply_derivation(u.generator_images(), f, f.max_weight)
 
 
 def tder_bracket(u, v):
@@ -60,16 +52,11 @@ def same_derivation(u, v):
 
 
 def divergence(u):
-    """u = (a0, a1) -> |x0 d^R_0(a0) + x1 d^R_1(a1)| on the canonical pair."""
-    x = u.alphabet
-    mw = u.max_weight
-    x0 = Series.letter(x, "x0", mw)
-    x1 = Series.letter(x, "x1", mw)
-    a1 = Series(x, mw, u.a1.terms, _clean=False)
-    a2 = Series(x, mw, u.a2.terms, _clean=False)
-    body = x0 * fox_derivative(a1, "x0", "right") \
-        + x1 * fox_derivative(a2, "x1", "right")
-    return cyclic_project(body)
+    """u = (a1, a2) -> |x0 d^R_0(a1) + x1 d^R_1(a2)|: the words of a1 that
+    start with x0 plus the words of a2 that start with x1, up to rotation."""
+    terms = {w: c for w, c in u.a1.terms.items() if w[:1] == b"\x00"}
+    terms.update((w, c) for w, c in u.a2.terms.items() if w[:1] == b"\x01")
+    return CyclicSeries(u.alphabet, u.max_weight, terms)
 
 
 def krv1_residual(psi):
@@ -80,51 +67,44 @@ def krv1_residual(psi):
 
 
 def _krv1_linear(psi):
-    x = psi.alphabet
-    mw = psi.max_weight + 1  # the residual lives one weight up
-    x0 = Series.letter(x, "x0", mw)
-    x1 = Series.letter(x, "x1", mw)
-    lifted = Series(x, mw, psi.terms, _clean=False)
-    return (lie_bracket(x1, substitute(lifted, AT_MINUS_SUM_X1))
-            + lie_bracket(x0, substitute(lifted, AT_MINUS_SUM_X0)))
+    """[x0, psi(-x0-x1, x0)] + [x1, psi(-x0-x1, x1)], one weight up."""
+    return _sder_constraint(tangential_pair_of(psi))
 
 
 def tangential_pair_of(psi):
-    """(psi(-x0-x1, x0), psi(-x0-x1, x1)), the canonical pair attached to a
-    Lie series; krv1_residual(psi) = 0 iff this pair is special."""
+    """u_psi = (psi(-x0-x1, x0), psi(-x0-x1, x1)), the pair attached to a
+    Lie series, with its linear terms kept (``.normalized()`` strips them);
+    krv1_residual(psi) = 0 iff this pair is special.  This is the one place
+    psi(-x0-x1, .) is computed: potential and nc_krv2_fit read it off."""
     return TangentialDerivation(substitute(psi, AT_MINUS_SUM_X0),
-                                substitute(psi, AT_MINUS_SUM_X1))
+                                change_of_variable(psi), normalize=False)
 
 
-def potential(psi):
-    """h_psi = x0 psi(-x0-x1, x0) + x1 psi(-x0-x1, x1), one weight up; psi
+def potential(u):
+    """h = x0 a1 + x1 a2 for a pair u = (a1, a2), one weight up: two
+    disjoint prepends.  On u = tangential_pair_of(psi) this is h_psi; psi
     is not checked to be a Lie series."""
-    x = psi.alphabet
-    mw = psi.max_weight + 1
-    x0 = Series.letter(x, "x0", mw)
-    x1 = Series.letter(x, "x1", mw)
-    lifted = Series(x, mw, psi.terms, _clean=False)
-    return x0 * substitute(lifted, AT_MINUS_SUM_X0) \
-        + x1 * substitute(lifted, AT_MINUS_SUM_X1)
+    terms = {b"\x00" + w: c for w, c in u.a1.terms.items()}
+    terms.update((b"\x01" + w, c) for w, c in u.a2.terms.items())
+    return Series(u.alphabet, u.max_weight + 1, terms, _clean=False)
 
 
-def nc_krv2_fit(psi):
+def nc_krv2_fit(u):
     """mu(h_psi) against f(x0+x1) - f(x0) - f(x1) with the explicit
-    candidate f = x0 d^R_1(psi(-x0-x1, x1))(x0, 0).
+    candidate f = x0 d^R_1(psi(-x0-x1, x1))(x0, 0), read off the pair
+    u = tangential_pair_of(psi).
 
     Returns (residual, f) where f is a one-letter Series; psi is not
     checked to be a Lie series.
     """
-    h = potential(psi)
-    mu_h = reduced_coaction(h)
-    eta = change_of_variable(psi)
-    g = fox_derivative(eta, "x1", "right")
+    mu_h = reduced_coaction(potential(u))
+    g = fox_derivative(u.a2, "x1", "right")
     s_alpha = one_letter_alphabet()
     f_terms = {}
     for w, c in g.terms.items():
         if not any(w):  # pure x0 power (possibly empty)
             _iadd(f_terms, bytes(len(w) + 1), c)
-    f = Series(s_alpha, psi.max_weight + 1, f_terms, _clean=False)
+    f = Series(s_alpha, u.max_weight + 1, f_terms, _clean=False)
     combo = substitute(f, S_AT_SUM) - substitute(f, S_AT_X0) \
         - substitute(f, S_AT_X1)
     return mu_h - combo, f
@@ -165,18 +145,12 @@ def hamiltonian(c):
 def hamiltonian_inverse(u):
     """|x0 a1 + x1 a2| with each weight-m homogeneous piece divided by m,
     so that hamiltonian_inverse(hamiltonian(|a|)) = |a|."""
-    x = u.alphabet
-    mw = u.max_weight + 1
-    x0 = Series.letter(x, "x0", mw)
-    x1 = Series.letter(x, "x1", mw)
-    a1 = Series(x, mw, u.a1.terms, _clean=False)
-    a2 = Series(x, mw, u.a2.terms, _clean=False)
-    body = x0 * a1 + x1 * a2
+    body = potential(u)
     out = {}
     for w, c in body.terms.items():
         v = Fraction(c, len(w))
         _iadd(out, w, int(v) if v.denominator == 1 else v)
-    return CyclicSeries(x, mw, out)
+    return CyclicSeries(body.alphabet, body.max_weight, out)
 
 
 # -- necklace Lie bialgebra ---------------------------------------------------

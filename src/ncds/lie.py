@@ -26,6 +26,36 @@ def lie_bracket(f, g):
     return conc_mul(f, g) - conc_mul(g, f)
 
 
+def letter_bracket(i, a, max_weight):
+    """[x_i, a] = x_i a - a x_i as word edits: each word of a, prepended and
+    appended with letter i, truncated at max_weight."""
+    x = bytes((i,))
+    out = {}
+    for w, c in a.terms.items():
+        if len(w) < max_weight:
+            _iadd(out, x + w, c)
+            _iadd(out, w + x, -c)
+    return Series(a.alphabet, max_weight, out, _clean=False)
+
+
+def apply_derivation(images, f, max_weight):
+    """The derivation sending letter i to images[i] (a Series, or None for
+    0), applied to f by the Leibniz rule: the sum over positions i of each
+    word w of w[:i] images[w[i]] w[i+1:], truncated at max_weight."""
+    out = {}
+    for w, c in f.terms.items():
+        room = max_weight - len(w) + 1
+        for i, li in enumerate(w):
+            img = images[li]
+            if img is None:
+                continue
+            pre, post = w[:i], w[i + 1:]
+            for v, cv in img.terms.items():
+                if len(v) <= room:
+                    _iadd(out, pre + v + post, c * cv)
+    return Series(f.alphabet, max_weight, out, _clean=False)
+
+
 def lyndon_words(weight, n_letters=2):
     """All Lyndon words of the given length via Duval's algorithm."""
     if weight < 1:
@@ -207,14 +237,10 @@ class TangentialDerivation:
         return {"a1": series_to_json(self.a1), "a2": series_to_json(self.a2)}
 
     def generator_images(self):
-        """(u(x0), u(x1)); equality of these is equality of derivations."""
-        x = self.alphabet
+        """(u(x0), u(x1)) = ([x0, a1], [x1, a2]), one weight up; equality of
+        these is equality of derivations."""
         mw = self.max_weight + 1
-        x0 = Series.letter(x, "x0", mw)
-        x1 = Series.letter(x, "x1", mw)
-        a1 = Series(x, mw, self.a1.terms, _clean=False)
-        a2 = Series(x, mw, self.a2.terms, _clean=False)
-        return (x0 * a1 - a1 * x0, x1 * a2 - a2 * x1)
+        return letter_bracket(0, self.a1, mw), letter_bracket(1, self.a2, mw)
 
 
 # -- generic homogeneous solver ---------------------------------------------

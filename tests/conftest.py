@@ -1,11 +1,15 @@
 import os
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from ncds.harness import random_lie_series
-from ncds.series import Series, two_letter_alphabet
+from ncds.lie import lie_bracket
+from ncds.series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, CyclicSeries, Series,
+                         abelianize, cyclic_project, fox_derivative, substitute,
+                         two_letter_alphabet)
 
 X = two_letter_alphabet()
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +41,88 @@ def assemble_rows(basis_values, n_cols):
                 row = rows[key] = [0] * n_cols
             row[j] = c
     return [rows[k] for k in sorted(rows)]
+
+
+# -- reference formulas --------------------------------------------------------
+#
+# Products with one letter written as concatenation products (Series.letter
+# and conc_mul), the route the word edits in ncds.lie, ncds.kv and
+# ncds.coaction replaced; tests compare the two on seeded random input.
+
+def _letters(alphabet, mw):
+    return Series.letter(alphabet, "x0", mw), Series.letter(alphabet, "x1", mw)
+
+
+def _lift(a, mw):
+    return Series(a.alphabet, mw, a.terms, _clean=False)
+
+
+def ref_generator_images(u):
+    mw = u.max_weight + 1
+    x0, x1 = _letters(u.alphabet, mw)
+    a1, a2 = _lift(u.a1, mw), _lift(u.a2, mw)
+    return (x0 * a1 - a1 * x0, x1 * a2 - a2 * x1)
+
+
+def ref_divergence(u):
+    mw = u.max_weight
+    x0, x1 = _letters(u.alphabet, mw)
+    body = x0 * fox_derivative(_lift(u.a1, mw), "x0", "right") \
+        + x1 * fox_derivative(_lift(u.a2, mw), "x1", "right")
+    return cyclic_project(body)
+
+
+def ref_krv1(psi):
+    mw = psi.max_weight + 1
+    x0, x1 = _letters(psi.alphabet, mw)
+    lifted = _lift(psi, mw)
+    return (lie_bracket(x1, substitute(lifted, AT_MINUS_SUM_X1))
+            + lie_bracket(x0, substitute(lifted, AT_MINUS_SUM_X0)))
+
+
+def ref_potential(psi):
+    """h_psi from psi itself: x0 psi(-x0-x1, x0) + x1 psi(-x0-x1, x1)."""
+    mw = psi.max_weight + 1
+    x0, x1 = _letters(psi.alphabet, mw)
+    lifted = _lift(psi, mw)
+    return x0 * substitute(lifted, AT_MINUS_SUM_X0) \
+        + x1 * substitute(lifted, AT_MINUS_SUM_X1)
+
+
+def ref_hamiltonian_inverse(u):
+    mw = u.max_weight + 1
+    x0, x1 = _letters(u.alphabet, mw)
+    body = x0 * _lift(u.a1, mw) + x1 * _lift(u.a2, mw)
+    return CyclicSeries(u.alphabet, mw, {w: Fraction(c, len(w))
+                                         for w, c in body.terms.items()})
+
+
+def ref_meta_abelian(psi):
+    tail = fox_derivative(psi, "x1", "left")
+    _x0, x1 = _letters(psi.alphabet, psi.max_weight + 1)
+    return abelianize(_lift(tail, psi.max_weight + 1) * x1)
+
+
+def _ref_leibniz(images, f, mw):
+    out = Series.zero(f.alphabet, mw)
+    for w, c in f.terms.items():
+        for i, li in enumerate(w):
+            if images[li] is None:
+                continue
+            pre = Series(f.alphabet, mw, {w[:i]: c}, _clean=False)
+            post = Series(f.alphabet, mw, {w[i + 1:]: 1}, _clean=False)
+            out = out + pre * images[li].truncated(mw) * post
+    return out
+
+
+def ref_tder_apply(u, f):
+    return _ref_leibniz(ref_generator_images(u), f, f.max_weight)
+
+
+def ref_ihara_derivation(psi, f):
+    mw = min(f.max_weight, psi.max_weight)
+    _x0, x1 = _letters(f.alphabet, mw)
+    return _ref_leibniz((None, lie_bracket(x1, psi.truncated(mw))), f, mw)
 
 
 # the seeded generator the lemma suites use, so tests draw the same series

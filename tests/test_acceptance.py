@@ -21,7 +21,8 @@ from ncds.harness import (_compositions, conjecture_scan, lemma_cab23_failures,
                           verify_theorem_B, verify_theorem_C, verify_theorem_D,
                           verify_theorem_E)
 from ncds.kv import (divergence, hamiltonian, nc_krv2_fit, necklace_bracket,
-                     same_derivation, tder_bracket, TangentialDerivation)
+                     same_derivation, tangential_pair_of, tder_bracket,
+                     TangentialDerivation)
 from ncds.lie import lyndon_basis, series_spans_equal
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
@@ -209,12 +210,12 @@ def test_criterion_10_kv_layer():
             ok = ok and lhs == rhs
     # nc-krv2 fit with the explicit f on [x0,x1] and on rc0 bases
     com = x_series({"01": 1, "10": -1}, 2)
-    residual, f = nc_krv2_fit(com)
+    residual, f = nc_krv2_fit(tangential_pair_of(com))
     s = one_letter_alphabet()
     ok = ok and residual.is_zero and f == Series(s, 3, {bytes(2): 1})
     for w in range(3, 8):
         for psi in rc_space(w, 0).basis:
-            residual, _f = nc_krv2_fit(psi)
+            residual, _f = nc_krv2_fit(tangential_pair_of(psi))
             ok = ok and residual.is_zero
     # H-isomorphism arbiter with the shipped reading
     words = {}

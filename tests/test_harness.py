@@ -23,6 +23,8 @@ from ncds.series import series_to_json
 from conftest import random_lie, src_env, x_series
 
 
+RESIDUAL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "residual_payloads.json"
+
 LEG_STRANDS = {"451": (4, 5, 1), "123": (1, 2, 3), "432": (4, 3, 2),
                "215": (2, 1, 5), "543": (5, 4, 3)}
 ORDERS = (("x", "y"), ("y", "x"))
@@ -335,6 +337,17 @@ class TestCli:
         assert self.run("residual", "--check", "krv1", "--in", str(g)) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["zero"] is False
+
+    @pytest.mark.parametrize("case", sorted(json.loads(RESIDUAL_GOLDEN.read_text())))
+    def test_residual_payload_matches_golden(self, case, tmp_path, capsys):
+        # krv1 and nckrv2 stdout, byte for byte, for psi3, [x0, x1] and
+        # x1 + [x0, x1]; the last has a linear term, which the tangential
+        # pair keeps
+        want = json.loads(RESIDUAL_GOLDEN.read_text())[case]
+        f = tmp_path / "psi.json"
+        f.write_text(json.dumps(want["input"]))
+        assert self.run("residual", "--check", want["check"], "--in", str(f)) == want["exit"]
+        assert capsys.readouterr().out == want["stdout"]
 
     def test_residual_input_error(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

@@ -132,33 +132,33 @@ class TestKrv1:
 class TestPotential:
     def test_commutator(self):
         com = x_series({"01": 1, "10": -1}, 2)
-        h = potential(com)
+        h = potential(tangential_pair_of(com))
         expected = (x_series({"0": 1}, 3) - x_series({"1": 1}, 3)) \
             * x_series({"01": 1, "10": -1}, 3)
         assert h == expected
 
     def test_zero(self):
-        assert potential(Series.zero(X, 3)).is_zero
+        assert potential(tangential_pair_of(Series.zero(X, 3))).is_zero
 
     def test_weight_shift(self):
-        h = potential(psi3())
+        h = potential(tangential_pair_of(psi3()))
         assert h.weights() == [4]
 
 
 class TestNcKrv2Fit:
     def test_commutator(self):
         com = x_series({"01": 1, "10": -1}, 2)
-        residual, f = nc_krv2_fit(com)
+        residual, f = nc_krv2_fit(tangential_pair_of(com))
         assert residual.is_zero
         S = one_letter_alphabet()
         assert f == Series(S, 3, {bytes(2): 1})
 
     def test_zero(self):
-        residual, f = nc_krv2_fit(Series.zero(X, 3))
+        residual, f = nc_krv2_fit(tangential_pair_of(Series.zero(X, 3)))
         assert residual.is_zero and f.is_zero
 
     def test_rc0_weight3_generator(self):
-        residual, f = nc_krv2_fit(psi3())
+        residual, f = nc_krv2_fit(tangential_pair_of(psi3()))
         assert residual.is_zero
 
 
@@ -171,7 +171,7 @@ class TestCyclicInvariance:
 
     def test_h_psi_for_krv1_solutions(self):
         # observed per weight, not assumed: h of the weight-3 rc0 generator
-        h = potential(psi3())
+        h = potential(tangential_pair_of(psi3()))
         assert is_cyclic_invariant(h)
 
 
