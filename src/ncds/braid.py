@@ -6,6 +6,13 @@ Elements of the enveloping algebra are carried as free associative
 polynomials over the chord basis G = (x12, x23, x34, x45, x24) with no
 quotient normal form; every scalar extraction goes through bar-word pairing
 or the pi maps, which are well defined on the quotient.
+
+Chord maps (strand relabelling, projections, insertions) are
+``LinearMorphism``s.  The pi maps send each letter to a sum of cocycle letter
+images and are applied by the same first-letter recursion as a
+``LinearMorphism``: the words of an element are grouped by first letter, the
+tails are mapped once, and each letter image multiplies the merged tail image
+by a word edit that agrees with ``cocycle_mul``, the defining product.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .linalg import rref
-from .series import (Alphabet, LinearMorphism, Series, substitute,
-                     two_letter_alphabet, _iadd)
+from .series import (EMPTY, Alphabet, LinearMorphism, Series, substitute,
+                     two_letter_alphabet, _by_first_letter, _iadd)
 
 CHORD_NAMES = ("12", "23", "34", "45", "24")
 PI23_NAMES = ("12", "23", "24", "34", "13")
@@ -30,11 +37,7 @@ def chord_alphabet():
 
 @lru_cache(maxsize=None)
 def pi_alphabet(flavor):
-    if flavor == "23":
-        return Alphabet(PI23_NAMES)
-    if flavor == "34":
-        return Alphabet(PI34_NAMES)
-    raise ValueError("flavor must be '23' or '34'")
+    return Alphabet(_flavor(flavor)[0])
 
 
 def _chord_name(i, j):
@@ -148,9 +151,33 @@ _COFACE_34 = {
 }
 
 
+# The two pi presentations: the letter names, the coface table, and the
+# letter images under pi, written as a word edit each (see _pi_terms):
+# pi^{2,3}: x12 -> x0 (x) 1, x24 -> x1 (x) 1, x13 -> 1 (x) x0,
+#           x34 -> 1 (x) x1, x23 -> -e
+# pi^{3,4}: x14, x24, x13, x23 likewise, x34 -> -e
+_FLAVORS = {
+    "23": (PI23_NAMES, _COFACE_23,
+           {"12": ("left", b"\x00", 1), "24": ("left", b"\x01", 1),
+            "13": ("right", b"\x00", 1), "34": ("right", b"\x01", 1),
+            "23": ("e", b"", -1)}),
+    "34": (PI34_NAMES, _COFACE_34,
+           {"14": ("left", b"\x00", 1), "24": ("left", b"\x01", 1),
+            "13": ("right", b"\x00", 1), "23": ("right", b"\x01", 1),
+            "34": ("e", b"", -1)}),
+}
+
+
+def _flavor(flavor):
+    """(letter names, coface table, letter images) of a pi presentation."""
+    if flavor not in _FLAVORS:
+        raise ValueError("flavor must be '23' or '34'")
+    return _FLAVORS[flavor]
+
+
 def coface_images(name, flavor):
     """Letter names of the images of (x0, x1) under a coface map."""
-    table = _COFACE_23 if flavor == "23" else _COFACE_34
+    table = _flavor(flavor)[1]
     if name not in table:
         raise ValueError("unknown coface %r" % (name,))
     img0, img1 = table[name]
@@ -308,23 +335,43 @@ def cocycle_mul(u, v):
     return CocycleElement(mw, tensor, module)
 
 
-def _letter_images(flavor, max_weight):
-    # pi^{2,3}: x12 -> x0 (x) 1, x24 -> x1 (x) 1, x13 -> 1 (x) x0,
-    #           x34 -> 1 (x) x1, x23 -> -e
-    # pi^{3,4}: x14, x24, x13, x23 likewise, x34 -> -e
-    if flavor == "23":
-        tensor_letters = {"12": (b"\x00", b""), "24": (b"\x01", b""),
-                          "13": (b"", b"\x00"), "34": (b"", b"\x01")}
-        module_letter = "23"
-    else:
-        tensor_letters = {"14": (b"\x00", b""), "24": (b"\x01", b""),
-                          "13": (b"", b"\x00"), "23": (b"", b"\x01")}
-        module_letter = "34"
-    images = {}
-    for name, key in tensor_letters.items():
-        images[name] = CocycleElement(max_weight, {key: 1}, {})
-    images[module_letter] = CocycleElement(max_weight, {}, {b"": -1})
-    return images
+def _pi_terms(terms, images):
+    """The pi image of a word -> coef map, by first-letter recursion:
+    phi(f) = sum_a phi(a) phi(f_a), where f_a holds the words of f that start
+    with a, that letter removed, and equal words merge at every level.
+    images[i] lists the letter images (kind, x, coef) that letter i maps to.
+    Multiplying on the left by one letter image is a word edit that agrees
+    with cocycle_mul:
+      (x (x) 1)(a (x) b) = xa (x) b, and (x (x) 1) m = 0;
+      (1 (x) x)(a (x) b) = a (x) xb, plus the module word a when b is empty
+        and a starts with x (the rho term); (1 (x) x) m = xm;
+      e (a (x) 1) = a in the module, and e (a (x) b) = 0 = e m otherwise
+        (the letter image -e is e with coef -1).
+    Every letter image has weight 1, so no product needs truncating.
+    Returns the (tensor, module) dicts of a CocycleElement."""
+    const, by_first = _by_first_letter(terms)
+    tensor = {(EMPTY, EMPTY): const} if const else {}
+    module = {}
+    for i, tails in by_first.items():
+        if not images[i]:
+            continue
+        t_sub, m_sub = _pi_terms(tails, images)
+        for kind, x, c in images[i]:
+            if kind == "left":
+                for (a, b), v in t_sub.items():
+                    _iadd(tensor, (x + a, b), c * v)
+            elif kind == "right":
+                for (a, b), v in t_sub.items():
+                    _iadd(tensor, (a, x + b), c * v)
+                    if not b and a[:1] == x:
+                        _iadd(module, a, c * v)
+                for m, v in m_sub.items():
+                    _iadd(module, x + m, c * v)
+            else:
+                for (a, b), v in t_sub.items():
+                    if not b:
+                        _iadd(module, a, c * v)
+    return tensor, module
 
 
 def pi_decompose(e, flavor="23"):
@@ -333,37 +380,19 @@ def pi_decompose(e, flavor="23"):
     alphabet = pi_alphabet(flavor)
     if e.alphabet != alphabet:
         raise ValueError("element is not over the %s-presentation letters" % flavor)
-    images = _letter_images(flavor, e.max_weight)
-    by_index = [images[name] for name in alphabet.letters]
-    out = CocycleElement(e.max_weight)
-    one = CocycleElement(e.max_weight, {(b"", b""): 1}, {})
-    for w, c in e.terms.items():
-        acc = one
-        for i in w:
-            acc = cocycle_mul(acc, by_index[i])
-        out = out + acc.scale(c)
-    return out
+    letter_images = _flavor(flavor)[2]
+    images = [(letter_images[n],) for n in alphabet.letters]
+    return CocycleElement(e.max_weight, *_pi_terms(e.terms, images))
 
 
 def pi_coface(psi, name, flavor="23"):
-    """pi o coface without materializing the intermediate substitution: the
-    generators map straight to sums of cocycle letter images."""
-    images = _letter_images(flavor, psi.max_weight)
-    img0_names, img1_names = coface_images(name, flavor)
-    zero = CocycleElement(psi.max_weight)
-    img = [zero, zero]
-    for n in img0_names:
-        img[0] = img[0] + images[n]
-    for n in img1_names:
-        img[1] = img[1] + images[n]
-    out = CocycleElement(psi.max_weight)
-    one = CocycleElement(psi.max_weight, {(b"", b""): 1}, {})
-    for w, c in psi.terms.items():
-        acc = one
-        for i in w:
-            acc = cocycle_mul(acc, img[i])
-        out = out + acc.scale(c)
-    return out
+    """pi o coface without materializing the intermediate substitution: each
+    generator maps straight to the sum of the letter images of its coface
+    chords."""
+    letter_images = _flavor(flavor)[2]
+    images = [tuple(letter_images[n] for n in img)
+              for img in coface_images(name, flavor)]
+    return CocycleElement(psi.max_weight, *_pi_terms(psi.terms, images))
 
 
 def cyclic_defect_pi23(psi):

@@ -356,20 +356,43 @@ def _translate_terms(terms, table, drop):
     return out
 
 
-def _expand_terms(terms, images):
-    """General path: multiply out the linear image of every letter.  Within
-    one word the expanded words are distinct, so only the sum over source
-    words needs merging."""
-    out = {}
+def _by_first_letter(terms):
+    """(coef of the empty word, {first letter: {rest of word: coef}}) of a
+    word -> coef map: the split a first-letter recursion works on."""
+    const = 0
+    by_first = {}
     for w, c in terms.items():
+        if w:
+            by_first.setdefault(w[0], {})[w[1:]] = c
+        else:
+            const = c
+    return const, by_first
+
+
+def _expand_terms(terms, images):
+    """General path, by first-letter recursion: phi(f) = sum_a phi(a) phi(f_a),
+    where f_a holds the words of f that start with a, that letter removed.
+    Equal words are merged at every level, so a letter map costs one factor
+    at a time instead of one expansion per word.  One word alone is
+    multiplied out directly; its expanded words are distinct."""
+    if len(terms) == 1:
+        ((w, c),) = terms.items()
         partial = {EMPTY: c}
         for i in w:
             partial = {pw + t: pc * tc for pw, pc in partial.items()
                        for t, tc in images[i]}
             if not partial:
                 break
-        for pw, pc in partial.items():
-            _iadd(out, pw, pc)
+        return partial
+    const, by_first = _by_first_letter(terms)
+    out = {EMPTY: const} if const else {}
+    for i, tails in by_first.items():
+        if not images[i]:
+            continue
+        tail_image = _expand_terms(tails, images)
+        for t, tc in images[i]:
+            for v, vc in tail_image.items():
+                _iadd(out, t + v, tc * vc)
     return out
 
 
@@ -378,11 +401,12 @@ class LinearMorphism:
     of target letters.
 
     ``images`` holds one sequence of (target letter index, coef) per source
-    letter, with distinct target letters; an empty one sends the letter to
-    0.  A word maps to words of its own length, so an image needs no
-    truncation beyond its source's.  When every image is a single letter
-    with coefficient 1 or nothing (a word morphism), words go through one
-    ``bytes.translate`` each.
+    letter, with distinct target letters; zero coefficients are dropped, and
+    an empty image sends the letter to 0.  A word maps to words of its own
+    length, so an image needs no truncation beyond its source's.  When every
+    image is a single letter with coefficient 1 or nothing (a word morphism),
+    words go through one ``bytes.translate`` each; otherwise the map is
+    expanded by first-letter recursion (``_expand_terms``).
     """
 
     __slots__ = ("source", "target", "images", "_translation")
@@ -390,7 +414,8 @@ class LinearMorphism:
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.images = tuple(tuple((bytes((t,)), c) for t, c in img) for img in images)
+        self.images = tuple(tuple((bytes((t,)), c) for t, c in img if c)
+                            for img in images)
         if len(self.images) != len(source):
             raise ValueError("need one image per source letter")
         if all(len(img) <= 1 and all(c == 1 for _t, c in img) for img in self.images):

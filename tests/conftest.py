@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from ncds.braid import CocycleElement, cocycle_mul
 from ncds.harness import random_lie_series
 from ncds.lie import lie_bracket
 from ncds.series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, CyclicSeries, Series,
                          abelianize, cyclic_project, fox_derivative, substitute,
-                         two_letter_alphabet)
+                         two_letter_alphabet, _iadd)
 
 X = two_letter_alphabet()
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -123,6 +124,69 @@ def ref_ihara_derivation(psi, f):
     mw = min(f.max_weight, psi.max_weight)
     _x0, x1 = _letters(f.alphabet, mw)
     return _ref_leibniz((None, lie_bracket(x1, psi.truncated(mw))), f, mw)
+
+
+# -- reference letter maps -----------------------------------------------------
+#
+# Every word expanded on its own, the route the first-letter recursion of
+# ncds.series._expand_terms and ncds.braid._pi_terms replaced: a word is the
+# product of its letter images, and only the sum over source words merges.
+
+def ref_expand_terms(terms, images):
+    """A LinearMorphism's ``images`` applied to a word -> coef map."""
+    out = {}
+    for w, c in terms.items():
+        partial = {b"": c}
+        for i in w:
+            partial = {pw + t: pc * tc for pw, pc in partial.items()
+                       for t, tc in images[i]}
+        for pw, pc in partial.items():
+            _iadd(out, pw, pc)
+    return out
+
+
+# pi^{2,3} and pi^{3,4} on their five letters, as cocycle elements:
+# (x0 (x) 1, x1 (x) 1, 1 (x) x0, 1 (x) x1, -e)
+_REF_PI_LETTERS = {"23": ("12", "24", "13", "34", "23"),
+                   "34": ("14", "24", "13", "23", "34")}
+
+
+def ref_pi_letter(flavor, name, max_weight):
+    k = _REF_PI_LETTERS[flavor].index(name)
+    if k == 4:
+        return CocycleElement(max_weight, {}, {b"": -1})
+    key = (bytes((k,)), b"") if k < 2 else (b"", bytes((k - 2,)))
+    return CocycleElement(max_weight, {key: 1}, {})
+
+
+def ref_pi_fold(terms, images, max_weight):
+    """Sum over words of c times the cocycle_mul product of the letter
+    images (CocycleElements), one word at a time."""
+    out = CocycleElement(max_weight)
+    for w, c in terms.items():
+        acc = CocycleElement(max_weight, {(b"", b""): 1}, {})
+        for i in w:
+            acc = cocycle_mul(acc, images[i])
+        out = out + acc.scale(c)
+    return out
+
+
+def ref_pi_decompose(e, flavor):
+    mw = e.max_weight
+    return ref_pi_fold(e.terms, [ref_pi_letter(flavor, n, mw)
+                                 for n in e.alphabet.letters], mw)
+
+
+def ref_pi_coface(psi, images, flavor):
+    """images: the pi-letter names of the coface images of x0 and x1."""
+    mw = psi.max_weight
+    sums = []
+    for names in images:
+        total = CocycleElement(mw)
+        for n in names:
+            total = total + ref_pi_letter(flavor, n, mw)
+        sums.append(total)
+    return ref_pi_fold(psi.terms, sums, mw)
 
 
 # the seeded generator the lemma suites use, so tests draw the same series

@@ -1,16 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
 from ncds.braid import (SIGMA, TAU, CocycleElement, chord_alphabet,
-                        chord_series, coface, cocycle_mul,
+                        chord_series, coface, coface_images, cocycle_mul,
                         cyclic_defect_pi23, defect, express_chord,
                         insert_triple, p5_relations, permute_strands,
                         pi_alphabet, pi_coface, pi_decompose, project_strand,
                         r23_relations, rewrite_chord, rho_kks)
 from ncds.coaction import change_of_variable, r_series, reduced_coaction
 from ncds.lie import is_skew, lyndon_basis
-from ncds.series import Series, fox_derivative, one_letter_alphabet, substitute
+from ncds.series import (LinearMorphism, Series, fox_derivative,
+                         one_letter_alphabet, substitute)
 
-from conftest import X, random_lie, x_series
+from conftest import (X, random_lie, ref_expand_terms, ref_pi_coface,
+                      ref_pi_decompose, x_series)
 
 G = chord_alphabet()
 
@@ -302,13 +306,78 @@ class TestPiMaps:
         got = pi_decompose(u * v - v * u, "23")
         assert got.module == {}
 
+    COFACES = ("1,2,3", "2,3,4", "12,3,4", "1,23,4", "1,2,34")
+
     def test_pi_coface_matches_pi_decompose(self, rng):
-        for w in (2, 3, 4):
+        for flavor in ("23", "34"):
+            for w in range(1, 7):
+                psi = random_lie(w, rng, skew=(flavor == "23"))
+                for name in self.COFACES:
+                    fast = pi_coface(psi, name, flavor)
+                    slow = pi_decompose(coface(psi, name, flavor), flavor)
+                    ref = ref_pi_coface(psi, coface_images(name, flavor), flavor)
+                    assert fast == slow == ref and not ref.is_zero
+
+    def test_pi_decompose_non_homogeneous(self, rng):
+        # mixed weights, the empty word and Fraction coefficients, checked
+        # against the cocycle_mul fold
+        for flavor in ("23", "34"):
+            p = pi_alphabet(flavor)
+            for mw in (0, 1, 3, 5):
+                terms = {}
+                for _ in range(60):
+                    word = bytes(rng.randrange(5) for _ in range(rng.randint(0, mw)))
+                    terms[word] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                e = Series(p, mw, terms)
+                got = pi_decompose(e, flavor)
+                assert got == ref_pi_decompose(e, flavor)
+                assert got.max_weight == mw
+
+    def test_unknown_flavor_rejected(self, rng):
+        psi = random_lie(3, rng)
+        e = Series.letter(pi_alphabet("23"), "12", 3)
+        calls = (lambda: pi_coface(psi, "1,2,3", "99"),
+                 lambda: coface_images("1,2,3", "99"),
+                 lambda: coface(psi, "1,2,3", "99"),
+                 lambda: pi_decompose(e, "99"),
+                 lambda: pi_alphabet("99"))
+        for call in calls:
+            with pytest.raises(ValueError, match="flavor"):
+                call()
+
+
+class TestLetterMapsAgainstReference:
+    """Every letter map the braid layer builds, applied to seeded input, is
+    checked against the per-word expansion (conftest.ref_expand_terms)."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        real = LinearMorphism.apply
+
+        def apply(m, f):
+            got = real(m, f)
+            assert got.terms == ref_expand_terms(f.terms, m.images)
+            seen.append(m)
+            return got
+
+        monkeypatch.setattr(LinearMorphism, "apply", apply)
+        return seen
+
+    def test_strand_maps(self, rng, checked):
+        for w in (3, 5):
             psi = random_lie(w, rng, skew=True)
-            for name in ("1,2,3", "2,3,4", "12,3,4", "1,23,4", "1,2,34"):
-                fast = pi_coface(psi, name, "23")
-                slow = pi_decompose(coface(psi, name, "23"), "23")
-                assert fast == slow
+            alpha = defect(psi)
+            permute_strands(alpha, SIGMA)
+            permute_strands(alpha, TAU)
+            for i in range(1, 6):
+                project_strand(alpha, i)
+            insert_triple(psi, 2, 4, 1)
+            defect(psi, "alpha_hat")
+        multi = [m for m in checked
+                 if m.source == X and any(len(img) > 1 for img in m.images)]
+        # 5 + 2 + 5 + 1 + 5 maps a weight, besides the skew symmetrization
+        assert len(checked) >= 2 * 18 and multi
 
 
 class TestCab23Identities:

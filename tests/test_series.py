@@ -1,15 +1,16 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from ncds.series import (LinearMorphism, Series, TensorSeries, abelianize,
+from ncds.series import (Alphabet, LinearMorphism, Series, TensorSeries, abelianize,
                          antipode, conc_mul, cyclic_project, fox_derivative,
                          letter_swap, series_from_json, series_to_json,
                          shuffle_coproduct, shuffle_mul, substitute,
                          symmetrize, _expand_terms, _translate_terms)
 
-from conftest import X, x_series
+from conftest import X, ref_expand_terms, x_series
 
 
 def letters(mw=6):
@@ -238,6 +239,70 @@ class TestSubstitute:
             assert m.apply(f) == general
             assert _translate_terms(f.terms, *m._translation) == general.terms
         assert letter_swap(cases[0][1]) == swap.apply(cases[0][1])
+
+
+class TestLetterMapRecursion:
+    """The first-letter recursion of _expand_terms against the per-word
+    reference expansion (conftest.ref_expand_terms)."""
+
+    @staticmethod
+    def fraction_series(rng, alphabet, max_weight, n_terms):
+        terms = {}
+        for _ in range(n_terms):
+            n = rng.randint(0, max_weight)
+            w = bytes(rng.randrange(len(alphabet)) for _ in range(n))
+            terms[w] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return Series(alphabet, max_weight, terms)
+
+    @staticmethod
+    def assert_matches_reference(m, f):
+        want = ref_expand_terms(f.terms, m.images)
+        assert _expand_terms(f.terms, m.images) == want
+        got = m.apply(f)
+        assert got.terms == want and got.max_weight == f.max_weight
+        assert got.alphabet == m.target
+
+    def test_named_maps(self, rng):
+        from ncds import series
+        maps = [getattr(series, name) for name in
+                ("AT_MINUS_SUM_X0", "AT_MINUS_SUM_X1", "AT_SUM_ZERO",
+                 "AT_X1_ZERO", "S_AT_X1", "S_AT_MINUS_X0", "S_AT_X0", "S_AT_SUM")]
+        for m in maps:
+            for w in range(0, 7):
+                for word in itertools.product(range(len(m.source)), repeat=w):
+                    self.assert_matches_reference(
+                        m, Series(m.source, w, {bytes(word): 1}))
+            for mw in (0, 1, 4, 7):
+                for n_terms in (1, 2, 30):
+                    self.assert_matches_reference(
+                        m, self.fraction_series(rng, m.source, mw, n_terms))
+
+    def test_zero_letters_empty_word_and_mixed_weights(self, rng):
+        three = Alphabet(("a", "b", "c"))
+        maps = [
+            LinearMorphism(three, X, (((0, 2), (1, -1)), (), ((1, 3),))),
+            LinearMorphism(three, X, (((0, 1), (1, 0)), ((1, 1),), ((0, 1),))),
+            LinearMorphism(three, three, ((), (), ())),
+            LinearMorphism(three, three, (((0, 1), (1, 1), (2, 1)),) * 3),
+        ]
+        assert maps[1].images[0] == ((b"\x00", 1),)
+        for m in maps:
+            for mw in (0, 3, 6):
+                for n_terms in (1, 5, 40):
+                    self.assert_matches_reference(
+                        m, self.fraction_series(rng, three, mw, n_terms))
+            self.assert_matches_reference(m, Series.unit(three, 4))
+            self.assert_matches_reference(m, Series.zero(three, 4))
+        assert maps[2].apply(Series(three, 3, {b"": 5, b"\x00\x01": 1})).terms \
+            == {b"": 5}
+
+    def test_truncation_by_the_images(self, rng):
+        f = self.fraction_series(rng, X, 7, 40)
+        x0, x1 = letters(4)
+        got = substitute(f, {"x0": x0 - x1, "x1": 3 * x0})
+        m = LinearMorphism(X, X, (((0, 1), (1, -1)), ((0, 3),)))
+        want = ref_expand_terms(f.truncated(4).terms, m.images)
+        assert got.terms == want and got.max_weight == 4
 
 
 class TestAbelianize:
