@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import comb
 
 from .lie import (apply_derivation, is_lie_series, letter_bracket,
-                  lie_bracket, linear_constraint, primitivity_defect,
-                  skew_constraint, solve_space, SolutionSpace)
+                  lie_bracket, primitivity_defect, skew_constraint,
+                  solve_space, SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
                      InputError, one_letter_alphabet, substitute,
@@ -75,20 +75,22 @@ def rc_space(weight, lam=None, chart="lyndon"):
 
     lam constrains the coefficient of [x0, x1]; it only bites at weight 2
     since higher weights have no commutator component.  lam=None leaves it
-    free (the space rc), lam=0 gives rc_0, and a nonzero lam produces an
-    affine set returned as offset + homogeneous basis.
+    free (the space rc), lam=0 gives rc_0, the space rc cut by that
+    coefficient, and a nonzero lam produces an affine set returned as
+    offset + rc_0 basis.
     """
     if weight < 2:
         raise InputError("rc space starts at weight 2")
-    constraints = [skew_constraint, linear_constraint, _rc_residual_linear]
+    constraints = [skew_constraint, _rc_residual_linear]
     if chart == "words":
         constraints = [primitivity_defect] + constraints
-    if lam == 0:
-        constraints = constraints + [lambda s: {"lam": s.coeff(b"\x00\x01")}]
-        return solve_space(weight, constraints, space="rc0", chart=chart)
     space = solve_space(weight, constraints, space="rc", chart=chart)
     if lam is None:
         return space
+    rc0 = solve_space(weight, [lambda s: {"lam": s.coeff(b"\x00\x01")}],
+                      space="rc0", chart=space)
+    if lam == 0:
+        return rc0
     particular = None
     for b in space.basis:
         v = b.coeff(b"\x00\x01")
@@ -97,8 +99,7 @@ def rc_space(weight, lam=None, chart="lyndon"):
             break
     if particular is None:
         raise InputError("no solution with the requested commutator coefficient")
-    return SolutionSpace("rc_lambda", weight, rc_space(weight, 0, chart=chart).basis,
-                         offset=particular)
+    return SolutionSpace("rc_lambda", weight, rc0.basis, offset=particular)
 
 
 def meta_abelian(psi):
@@ -131,19 +132,10 @@ def frak_b_check(beta):
     for word, g in gamma_terms.items():
         n = len(word)
         # gamma(x0) + gamma(x1) - gamma(x0+x1)
-        for key in ((n, 0), (0, n)):
-            cur = expected.get(key, 0) + g
-            if cur:
-                expected[key] = cur
-            else:
-                expected.pop(key, None)
+        _iadd(expected, (n, 0), g)
+        _iadd(expected, (0, n), g)
         for i in range(n + 1):
-            key = (i, n - i)
-            cur = expected.get(key, 0) - g * comb(n, i)
-            if cur:
-                expected[key] = cur
-            else:
-                expected.pop(key, None)
+            _iadd(expected, (i, n - i), -g * comb(n, i))
     if expected != dict(beta):
         return False, None
     gamma = Series(one_letter_alphabet(), top, gamma_terms, _clean=False)

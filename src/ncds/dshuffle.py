@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import (is_lie_series, linear_constraint, primitivity_defect,
-                  solve_space)
+from .lie import is_lie_series, primitivity_defect, solve_space
 from .series import Alphabet, InputError, Series, TensorSeries, _iadd
 
 
@@ -130,7 +129,7 @@ def dmr_space(weight, chart="lyndon"):
     primitive for the stuffle coproduct."""
     if weight < 2:
         raise InputError("dmr space starts at weight 2")
-    constraints = [linear_constraint, _dmr_residual_linear]
+    constraints = [_dmr_residual_linear]
     if chart == "words":
         constraints = [primitivity_defect] + constraints
     return solve_space(weight, constraints, space="dmr0", chart=chart)

@@ -113,16 +113,7 @@ def nc_krv2_fit(u):
 def is_cyclic_invariant(h):
     """In the image of the symmetrization N: coefficients constant on the
     rotation class of every word."""
-    seen = {}
     for w, c in h.terms.items():
-        canon = _canonical_rotation(w)
-        if canon in seen:
-            if seen[canon] != c:
-                return False
-        else:
-            seen[canon] = c
-    for w, c in h.terms.items():
-        canon = _canonical_rotation(w)
         rot = w
         for _ in range(len(w)):
             rot = rot[1:] + rot[:1]

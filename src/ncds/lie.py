@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .linalg import kernel_basis, rref, span_contains
+from .linalg import _integer_rows, kernel_basis, rref, span_contains
 from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
                      letter_swap, two_letter_alphabet, series_from_json,
                      series_to_json, _iadd)
@@ -143,11 +143,6 @@ def is_lie_series(f):
 def skew_constraint(s):
     """eta(x1, x0) + eta(x0, x1), zero iff s is skew."""
     return letter_swap(s) + s
-
-
-def linear_constraint(s):
-    """The x0 and x1 coefficients, which the named spaces require to vanish."""
-    return {"x0": s.coeff(b"\x00"), "x1": s.coeff(b"\x01")}
 
 
 def is_skew(f):
@@ -315,33 +310,50 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
     (slot, word) for pairs).  Each constraint maps an ambient element to a
     Series/TensorSeries/CyclicSeries/dict whose entries must all vanish.
 
-    Constraints are evaluated once per coordinate, on that coordinate's unit
-    element, and the value is carried to every column through the chart.  So
-    every constraint must be linear on the whole ambient algebra and must
-    check no precondition: a unit word is not a Lie series.  Rows are keyed
-    (constraint index, output key) and sorted by key.
+    On these coordinate charts, constraints are evaluated once per
+    coordinate, on that coordinate's unit element, and the value is carried
+    to every column through the chart.  So every constraint must be linear
+    on the whole ambient algebra and must check no precondition: a unit word
+    is not a Lie series.
+
+    A solved space is a chart too: its basis elements, scaled to integer
+    coefficients, are the columns, and each constraint is evaluated once per
+    element, which feeds only its own column.  The result is the space cut
+    by the constraints; an empty basis gives an empty space.
+
+    Rows are keyed (constraint index, output key) and sorted by key.
     """
     alphabet = two_letter_alphabet()
-    if chart == "lyndon":
-        kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
-    elif chart == "words":
-        kind, columns = Series, [{bytes(w): 1} for w in product((0, 1), repeat=weight)]
-    elif chart == "pairs":
-        lyndon = lyndon_basis(weight).series()
-        kind = TangentialDerivation
-        columns = [{(slot, w): c for w, c in s.terms.items()}
-                   for slot in (0, 1) for s in lyndon]
+    if isinstance(chart, SolutionSpace):
+        if not chart.basis:
+            return SolutionSpace(space, weight, [])
+        kind = type(chart.basis[0])
+        columns = [dict(zip(b.terms, ints)) for b, ints in zip(
+            chart.basis, _integer_rows([list(b.terms.values()) for b in chart.basis]))]
+        points = [(terms, [(j, 1)]) for j, terms in enumerate(columns)]
     else:
-        raise ValueError("unknown chart %r" % (chart,))
-    chart_index = {}  # coordinate key -> [(column, coefficient)]
-    for j, terms in enumerate(columns):
-        for key, c in terms.items():
-            chart_index.setdefault(key, []).append((j, c))
+        if chart == "lyndon":
+            kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
+        elif chart == "words":
+            kind, columns = Series, [{bytes(w): 1}
+                                     for w in product((0, 1), repeat=weight)]
+        elif chart == "pairs":
+            lyndon = lyndon_basis(weight).series()
+            kind = TangentialDerivation
+            columns = [{(slot, w): c for w, c in s.terms.items()}
+                       for slot in (0, 1) for s in lyndon]
+        else:
+            raise ValueError("unknown chart %r" % (chart,))
+        chart_index = {}  # coordinate key -> [(column, coefficient)]
+        for j, terms in enumerate(columns):
+            for key, c in terms.items():
+                chart_index.setdefault(key, []).append((j, c))
+        points = [({key: 1}, cols) for key, cols in chart_index.items()]
     rows = {}
-    for key, cols in chart_index.items():
-        unit = kind.from_terms(alphabet, weight, {key: 1})
+    for terms, cols in points:
+        point = kind.from_terms(alphabet, weight, terms)
         for ci, con in enumerate(constraints):
-            for out_key, v in _constraint_items(con(unit)):
+            for out_key, v in _constraint_items(con(point)):
                 row = rows.get((ci, out_key))
                 if row is None:
                     row = rows[ci, out_key] = [0] * len(columns)

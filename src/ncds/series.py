@@ -511,12 +511,7 @@ def abelianize(f):
         deg = [0] * k
         for i in w:
             deg[i] += 1
-        key = tuple(deg)
-        cur = out.get(key, 0) + c
-        if cur:
-            out[key] = cur
-        else:
-            del out[key]
+        _iadd(out, tuple(deg), c)
     return out
 
 

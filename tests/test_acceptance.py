@@ -7,6 +7,7 @@ lines and timings.
 
 import itertools
 import json
+import math
 import pathlib
 import time
 from fractions import Fraction
@@ -23,7 +24,7 @@ from ncds.harness import (_compositions, conjecture_scan, lemma_cab23_failures,
 from ncds.kv import (divergence, hamiltonian, nc_krv2_fit, necklace_bracket,
                      same_derivation, tangential_pair_of, tder_bracket,
                      TangentialDerivation)
-from ncds.lie import lyndon_basis, series_spans_equal
+from ncds.lie import SolutionSpace, lyndon_basis, series_spans_equal
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
@@ -278,7 +279,8 @@ def test_named_spaces_match_golden():
 def test_golden_space_kernels_match_full_elimination(monkeypatch):
     # every matrix the solver hands to kernel_basis (a row selection and an
     # exact check) while it builds the 30 golden spaces, solved again by
-    # eliminating all of its rows at once
+    # eliminating all of its rows at once; rc0 is rc cut by one more
+    # constraint, a second matrix wherever rc is not empty (w = 3, 5, 7, 8)
     import ncds.lie
     from ncds.linalg import kernel_basis, rref
     captured = []
@@ -289,7 +291,7 @@ def test_golden_space_kernels_match_full_elimination(monkeypatch):
     for key in json.loads(SPACES_GOLDEN.read_text()):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))
-    assert len(captured) == 30
+    assert len(captured) == 34
     for rows in captured:
         cols = len(rows[0])
         red, pivots = rref(rows)
@@ -303,11 +305,20 @@ def test_golden_space_kernels_match_full_elimination(monkeypatch):
         assert kernel_basis(rows) == full
 
 
+def _integer_element(b):
+    # b scaled to coprime integer coefficients
+    coeffs = [Fraction(c) for c in b.terms.values()]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return b.scale(Fraction(den, math.gcd(*(int(c * den) for c in coeffs))))
+
+
 def _per_element_rows(weight, constraints, chart):
     # the rows built the direct way, without the solver's coordinate index:
     # every constraint called on every chart element, then assembled
     lyndon = lyndon_basis(weight).series()
-    if chart == "lyndon":
+    if isinstance(chart, SolutionSpace):
+        ambient = [_integer_element(b) for b in chart.basis]
+    elif chart == "lyndon":
         ambient = lyndon
     else:
         assert chart == "pairs", chart
@@ -327,8 +338,10 @@ def _per_element_rows(weight, constraints, chart):
 
 def test_solver_rows_match_per_element_reference(monkeypatch):
     # every matrix solve_space hands to kernel_basis while it builds the 30
-    # golden spaces and theorem B to weight 7 (a bar-functional family per
-    # weight) equals, up to zero rows and repeats, the per-element rows
+    # golden spaces (rc0 is rc cut by one more constraint: 6 more solves, on
+    # the rc basis as chart) and theorem B to weight 7 (a bar-functional
+    # family per weight) equals, up to zero rows and repeats, the
+    # per-element rows; a cut of an empty space builds no matrix
     import ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv, ncds.lie
     from ncds.linalg import _distinct_rows, kernel_basis
     solve_space = ncds.lie.solve_space
@@ -348,7 +361,10 @@ def test_solver_rows_match_per_element_reference(monkeypatch):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))
     verify_theorem_B(7)
-    assert len(calls) == 30 + 2 * 6
+    assert len(calls) == 30 + 6 + 2 * 6
     for weight, constraints, chart, rows in calls:
+        if isinstance(chart, SolutionSpace) and not chart.basis:
+            assert rows is None
+            continue
         want = _per_element_rows(weight, constraints, chart)
         assert _distinct_rows(rows) == _distinct_rows(want), (weight, chart)

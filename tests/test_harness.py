@@ -424,7 +424,8 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,weight", [
-        ("rc0", 1), ("dmr0", 1), ("krv2", 0), ("krv1skew", 0), ("conj2", -1)])
+        ("rc0", 1), ("dmr0", 1), ("krv2", 0), ("krv1skew", 0), ("conj2", -1),
+        ("krv1skew", 1), ("conj2", 1)])
     def test_weight_below_minimum_is_input_error(self, capsys, name, weight):
         assert self.run("spaces", "--set", name, "--weight", str(weight)) == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -169,6 +169,11 @@ class TestCyclicInvariance:
     def test_partial_orbit(self):
         assert not is_cyclic_invariant(x_series({"01": 1}, 2))
 
+    def test_unequal_orbit(self):
+        # the whole rotation class is present, its coefficients differ
+        assert not is_cyclic_invariant(x_series({"01": 1, "10": 2}, 2))
+        assert not is_cyclic_invariant(x_series({"001": 1, "010": 1, "100": 3}, 3))
+
     def test_h_psi_for_krv1_solutions(self):
         # observed per weight, not assumed: h of the weight-3 rc0 generator
         h = potential(tangential_pair_of(psi3()))
