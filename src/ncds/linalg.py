@@ -1,27 +1,53 @@
 """Exact rational linear algebra: fraction-free elimination, kernels, spans.
 
-``rref`` is the one elimination: a Bareiss forward pass over big integers
+``rref`` is the exact elimination: a Bareiss forward pass over big integers
 (rows are scaled to integers first) and a back pass that fills in the
-free columns of the reduced rows.  Kernels and span tests read off it.
+free columns of the reduced rows.  Canonical bases and span tests read off
+it, and it is ``kernel_basis``'s fallback.
 
-``kernel_basis`` does not eliminate a tall matrix whole.  It drops zero
-rows and rows that repeat up to sign; if m > k = cols + 8 distinct rows
-remain, it eliminates only every (m // k)-th of them, then checks each
-kernel vector, scaled to integers, against every distinct row.  ker(A) lies
-in ker(A_S) for any row selection S, so a basis that every row annihilates
-is a certificate that the kernels, hence the row spaces and their reduced
-forms, are equal: the output is the one full elimination gives.  Rows that
-fail join the selection (at most k in the first repair round, a budget
-that doubles each round) and the selection is eliminated again.  A failing
-row lies outside the selection's row space, so each round raises the rank
-and the rounds end, at worst with every row selected.  The selection is
-deterministic: no random numbers, no seed.
+``kernel_basis`` does not eliminate a tall matrix whole, and it eliminates
+modulo the prime p = 2^61 - 1.  It drops zero rows and rows that repeat up
+to sign; if m > k = cols + 8 distinct rows remain, it selects only every
+(m // k)-th of them.
+
+- Mod-p pass.  Each selected row is packed into one int, one slot per
+  column (17 bytes) holding its entry mod p, so a row operation is one
+  big-int multiply-add (Kronecker substitution; Dumas, Fousse and Salvy,
+  J. Symb. Comput. 46, 2011).  Slots never go negative and are reduced mod
+  p only when read.  Gauss-Jordan mod p gives the free-column kernel basis
+  mod p.
+- Lift.  Each entry is lifted to a fraction a/b with |a|, b <= sqrt(p/2) by
+  rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).
+- Certificate.  Each lifted vector, scaled to integers, is checked exactly
+  against every distinct row.
+
+Why the output is the one full elimination over Q gives, for every p: a
+rank mod p is at most the rank over Q, so nullity_Q(A) <= nullity_Q(A_S) <=
+nullity_p(A_S), the number of lifted vectors.  They are independent (the
+vector for free column fc is 1 there and 0 at the other free columns), so if
+A annihilates them all they are a basis of ker_Q(A); and the vector for fc
+is also zero right of fc, a shape that only the reduced free-column basis of
+ker_Q(A) has.
+
+Rows that fail the check join the selection (at most k in the first repair
+round, a budget that doubles each round) and are reduced against the
+echelon so far; the rows eliminated before are not eliminated again.  If
+every selected row passes, the lifted basis is the exact kernel of the
+selection, so a failing row lies outside the selection's row space.  If an
+entry does not lift or a selected row fails, the lift was wrong: an
+entry of the selection's kernel is wider than the lift bound, or p is
+unlucky.  The distinct rows are then checked mod p against the mod-p
+kernel, and those that fail (rows outside the selection's row space mod p)
+make the repair round.  If none fail, the current selection is eliminated
+by ``rref`` instead, and so are the later rounds.  Each round adds rows not selected
+before, so the rounds end, at worst with every row selected.  The
+selection is deterministic: no random numbers, no seed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 _ZERO = Fraction(0)
@@ -125,41 +151,186 @@ def _distinct_rows(rows):
     return list(seen)
 
 
+_P = (1 << 61) - 1  # a Mersenne prime
+_LIFT = isqrt(_P // 2)  # a/b mod p with |a|, b <= _LIFT is unique
+
+
+def _slot_bytes(cols):
+    """Bytes per slot of a packed row.  A slot starts below p and takes at
+    most one multiply-add below p^2 per pivot, so it stays below
+    (cols + 1) p^2 and never carries into the next slot (17 bytes while
+    cols < 2^14 - 1)."""
+    return (2 * 61 + (cols + 1).bit_length() + 7) // 8
+
+
+def _pack(values, nb):
+    """Values in [0, p) as one int, value j in slot j of nb bytes."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]),
+                          "little")
+
+
+def _unpack(x, n, nb):
+    """The n slots of a packed int, each reduced mod p."""
+    b = x.to_bytes(n * nb, "little")
+    return [int.from_bytes(b[i:i + nb], "little") % _P
+            for i in range(0, n * nb, nb)]
+
+
+def _eliminate_mod_p(echelon, rows, cols, nb):
+    """Reduce integer rows mod p into an echelon, a dict pivot column ->
+    packed row from its pivot on (slot 0 holds 1, every slot is in [0, p)).
+
+    A row is read one column at a time from its low end, shifting the read
+    slot out: a pivot column is cleared by adding p - v times the pivot row,
+    and the first other column whose slot is not 0 mod p becomes a pivot.
+    """
+    width = 8 * nb
+    mask = (1 << width) - 1
+    for row in rows:
+        cur = _pack([v % _P for v in row], nb)
+        for c in range(cols):
+            if not cur:
+                break
+            v = (cur & mask) % _P
+            if v:
+                piv = echelon.get(c)
+                if piv is None:
+                    inv = pow(v, -1, _P)
+                    echelon[c] = _pack([x * inv % _P
+                                        for x in _unpack(cur, cols - c, nb)], nb)
+                    break
+                cur += (_P - v) * piv
+            cur >>= width
+
+
+def _lift(u):
+    """The fraction a/b = u mod p with |a|, b <= _LIFT, or None (Wang's
+    rational reconstruction: the extended Euclidean algorithm on p and u,
+    stopped at the first remainder within the bound)."""
+    r0, r1, t0, t1 = _P, u, 0, 1
+    while r1 > _LIFT:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _LIFT:
+        return None
+    return Fraction(r1, t1)
+
+
+def _back_pass(echelon, cols, nb):
+    """The free columns and, per pivot c, the free-column slots of the
+    reduced row of c, packed.
+
+    The pivots are taken from the right: the reduced row of c is its own
+    free-column slots minus, for each later pivot k, its entry at k times
+    the reduced row of k, one multiply-add per pair.  The kernel vector for
+    free column fc is 1 at fc and -R_c[fc] at each pivot c.
+    """
+    pivots = sorted(echelon, reverse=True)
+    free = [c for c in range(cols) if c not in echelon]
+    packed = {}
+    for i, c in enumerate(pivots):
+        row = _unpack(echelon[c], cols - c, nb)
+        acc = _pack([row[fc - c] if fc > c else 0 for fc in free], nb)
+        for k in pivots[:i]:
+            e = row[k - c]
+            if e:
+                acc += (_P - e) * packed[k]
+        packed[c] = _pack(_unpack(acc, len(free), nb), nb)
+    return free, packed
+
+
+def _lifted_basis(free, packed, cols, nb):
+    """The kernel vectors of a back pass with each entry lifted to a
+    fraction, in free-column order; None if an entry does not lift."""
+    reduced = {c: _unpack(x, len(free), nb) for c, x in packed.items()}
+    basis = []
+    for t, fc in enumerate(free):
+        vec = [_ZERO] * cols
+        vec[fc] = _ONE
+        for c, r in reduced.items():
+            if r[t]:
+                vec[c] = _lift(_P - r[t])
+                if vec[c] is None:
+                    return None
+        basis.append(tuple(vec))
+    return basis
+
+
+def _failing_mod_p(rows, free, packed, nb):
+    """The rows whose product with some kernel vector of a back pass is not
+    0 mod p: row . v_fc = row[fc] - sum_c row[c] R_c[fc], all free columns
+    in one packed sum."""
+    failing = []
+    for row in rows:
+        acc = _pack([row[fc] % _P for fc in free], nb)
+        for c, x in packed.items():
+            e = row[c] % _P
+            if e:
+                acc += (_P - e) * x
+        if any(_unpack(acc, len(free), nb)):
+            failing.append(row)
+    return failing
+
+
+def _failing_exactly(rows, basis):
+    """The rows whose product with some basis vector is not 0."""
+    checks = _integer_rows(basis)
+    return [row for row in rows if any(sum(map(mul, row, v)) for v in checks)]
+
+
+def _bareiss_kernel(rows, cols):
+    """The free-column kernel basis read off ``rref``: 1 at fc, 0 at the
+    other free columns and -R[i][fc] at pivot p_i."""
+    red, pivots = rref(rows)
+    pivset = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivset:
+            continue
+        vec = [_ZERO] * cols
+        vec[fc] = _ONE
+        for row, p in zip(red, pivots):
+            vec[p] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
+
+
 def kernel_basis(rows):
     """Reduced basis of the right kernel of a matrix given as a row list.
 
-    The basis is the standard free-column parametrization read off ``rref``:
-    one vector per free column fc, with entry 1 there, 0 at the other free
-    columns and -R[i][fc] at pivot p_i; vectors are returned in free-column
-    order as tuples of Fractions.  Tall matrices go through the certified
-    row selection of the module docstring.
+    The basis is the standard free-column parametrization: one vector per
+    free column fc of the reduced row echelon form R, with entry 1 there, 0
+    at the other free columns and -R[i][fc] at pivot p_i; vectors are
+    returned in free-column order as tuples of Fractions.  It is found by
+    the certified modular elimination of the module docstring.
     """
     cols = len(rows[0]) if rows else 0
     distinct = _distinct_rows(rows)
     k = cols + 8
     step = max(1, len(distinct) // k)
     selected = distinct[::step]
-    budget = k
+    added, budget = selected, k
+    nb = _slot_bytes(cols)
+    echelon = {}  # None once the selection is eliminated by rref instead
     while True:
-        red, pivots = rref(selected)
-        pivset = set(pivots)
-        basis = []
-        for fc in range(cols):
-            if fc in pivset:
-                continue
-            vec = [_ZERO] * cols
-            vec[fc] = _ONE
-            for row, p in zip(red, pivots):
-                vec[p] = -row[fc]
-            basis.append(tuple(vec))
-        if len(selected) == len(distinct):
-            return basis
-        checks = _integer_rows(basis)
-        failing = [row for row in distinct
-                   if any(sum(map(mul, row, v)) for v in checks)]
+        if echelon is not None:
+            _eliminate_mod_p(echelon, added, cols, nb)
+            free, packed = _back_pass(echelon, cols, nb)
+            basis = _lifted_basis(free, packed, cols, nb)
+            if basis is not None:
+                failing = _failing_exactly(distinct, basis)
+            if basis is None or not set(failing).isdisjoint(selected):
+                failing = _failing_mod_p(distinct, free, packed, nb)
+                if not failing:
+                    echelon = None
+        if echelon is None:
+            basis = _bareiss_kernel(selected, cols)
+            failing = _failing_exactly(distinct, basis)
         if not failing:
             return basis
-        selected += failing[:budget]
+        added = failing[:budget]
+        selected += added
         budget *= 2
 
 

@@ -199,20 +199,100 @@ class TestEliminationAgainstReference:
         assert kernel_basis([]) == []
         assert kernel_basis([[0] * 5] * 40) == reference_kernel([[0] * 5], 5)
 
-    def test_rank_off_the_selection_is_repaired(self, monkeypatch):
+    @staticmethod
+    def off_the_selection_rows():
         # 52 distinct rows over 5 columns select every 4th row (52 // 13);
         # those span only e1, e2, while the rows between them add e3, e4,
         # so the first kernel fails the check and a repair round must run
         rows = [[1, i, 0, 0, 0] if i % 4 == 0 else [0, 0, 1, i, 0]
                 for i in range(52)]
-        rows += [[0] * 5, [-v for v in rows[5]], list(rows[8])]
+        return rows + [[0] * 5, [-v for v in rows[5]], list(rows[8])]
+
+    def test_rank_off_the_selection_is_repaired(self, monkeypatch):
+        rows = self.off_the_selection_rows()
+        calls = []
+        eliminate = linalg._eliminate_mod_p
+        def counted(echelon, added, cols, nb):
+            calls.append(len(added))
+            return eliminate(echelon, added, cols, nb)
+        monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
+        assert kernel_basis(rows) == reference_kernel(rows, 5)
+        assert len(calls) >= 2 and calls[0] == 13
+
+    def test_repair_round_eliminates_only_the_added_rows(self, monkeypatch):
+        # round 2 reduces the failing rows it adds (a budget of 13 of the 39
+        # rows off e1, e2) against the echelon of round 1, which it keeps
+        rows = self.off_the_selection_rows()
+        calls = []
+        eliminate = linalg._eliminate_mod_p
+        def counted(echelon, added, cols, nb):
+            calls.append((sorted(echelon), list(added)))
+            return eliminate(echelon, added, cols, nb)
+        monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
+        monkeypatch.setattr(linalg, "rref", None)
+        assert kernel_basis(rows) == reference_kernel(rows, 5)
+        (before1, round1), (before2, round2) = calls
+        assert before1 == [] and before2 == [0, 1]
+        assert len(round1) == len(round2) == 13
+        assert all(row[2] == 0 for row in round1)
+        assert all(row[2] == 1 for row in round2)
+
+    def test_wide_selection_kernel_is_repaired_mod_p(self, monkeypatch):
+        # the even rows, every 2nd of 24 (24 // 12), span (1, 0, X, 0) and
+        # (0, 1, Y, 0): their kernel vector (-X, -Y, 1, 0) is far wider than
+        # the lift bound, while each odd row adds e3 and the kernel of the
+        # whole matrix is e4; the odd rows fail mod p, so a repair round
+        # continues the echelon and rref is never called
+        X, Y = 3 ** 35, 5 ** 21
+        rows = [[1, i, X + i * Y + i % 2, 0] for i in range(24)]
+        calls = []
+        eliminate = linalg._eliminate_mod_p
+        def counted(echelon, added, cols, nb):
+            calls.append(list(added))
+            return eliminate(echelon, added, cols, nb)
+        monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
+        monkeypatch.setattr(linalg, "rref", None)
+        assert kernel_basis(rows) == reference_kernel(rows, 4)
+        assert [len(c) for c in calls] == [12, 12]
+        assert all(row[1] % 2 == 1 for row in calls[1])
+
+    @pytest.mark.parametrize("case", ["rank_drop", "wide_entry", "wide_tall"])
+    def test_modular_fallback_matches_reference(self, rng, monkeypatch, case):
+        # each matrix defeats the elimination mod p = 2^61 - 1, so kernel_basis
+        # must eliminate its selection with rref instead
+        p = (1 << 61) - 1
+        if case == "rank_drop":
+            # the minor on columns 0, 1 is p: rank 2 over Q, 1 mod p
+            rows = [[1, 1, 0], [1, p + 1, 0]]
+        elif case == "wide_entry":
+            # the kernel vector (2^40, 1) is wider than the lift bound
+            rows = [[1, -(1 << 40)]]
+        else:
+            # rank 5 of 6 with entries up to 2^12: the kernel entries are
+            # quotients of 5 x 5 minors, far wider than the lift bound
+            base = [[rng.randint(-(1 << 12), 1 << 12) for _ in range(6)]
+                    for _ in range(5)]
+            rows = base + [[sum(c * b[j] for c, b in zip(coefs, base))
+                            for j in range(6)]
+                           for coefs in ([rng.randint(-2, 2) for _ in base]
+                                         for _ in range(55))]
+            rng.shuffle(rows)
         calls = []
         def counted(selected):
             calls.append(len(selected))
             return rref(selected)
         monkeypatch.setattr(linalg, "rref", counted)
-        assert kernel_basis(rows) == reference_kernel(rows, 5)
-        assert len(calls) >= 2 and calls[0] == 13
+        assert kernel_basis(rows) == reference_kernel(rows, len(rows[0]))
+        assert calls
+
+    def test_lift_inverts_reduction(self, rng):
+        p, bound = (1 << 61) - 1, linalg._LIFT
+        assert bound * bound * 2 < p < (bound + 1) * (bound + 1) * 2
+        for a, b in [(0, 1), (-1, 1), (bound, 1), (-bound, bound), (1, bound)]:
+            assert linalg._lift(a * pow(b, -1, p) % p) == Fraction(a, b)
+        for _ in range(200):
+            a, b = rng.randint(-bound, bound), rng.randint(1, bound)
+            assert linalg._lift(a * pow(b, -1, p) % p) == Fraction(a, b)
 
 
 class TestSolveSpace:
