@@ -3,7 +3,9 @@ the krv equations, the potential and its noncommutative krv2 equation, the
 necklace Lie bialgebra on cyclic words, and the krv_2 solution spaces.
 
 ``TangentialDerivation`` lives in ``lie``, whose "pairs" chart solves over
-it, so that reading a cached krv2 space needs no part of this module.
+it, so that reading a cached krv2 space needs no part of this module.  Its
+keys are (slot, word), slot i standing next to the letter x_i, and the maps
+here read them directly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def tder_bracket(u, v):
     slot ), renormalized."""
     c1 = tder_apply(u, v.a1) - tder_apply(v, u.a1) + lie_bracket(u.a1, v.a1)
     c2 = tder_apply(u, v.a2) - tder_apply(v, u.a2) + lie_bracket(u.a2, v.a2)
-    return TangentialDerivation(c1, c2)
+    return TangentialDerivation.of(c1, c2)
 
 
 def _sder_constraint(u):
@@ -52,10 +54,9 @@ def same_derivation(u, v):
 
 
 def divergence(u):
-    """u = (a1, a2) -> |x0 d^R_0(a1) + x1 d^R_1(a2)|: the words of a1 that
-    start with x0 plus the words of a2 that start with x1, up to rotation."""
-    terms = {w: c for w, c in u.a1.terms.items() if w[:1] == b"\x00"}
-    terms.update((w, c) for w, c in u.a2.terms.items() if w[:1] == b"\x01")
+    """u = (a1, a2) -> |x0 d^R_0(a1) + x1 d^R_1(a2)|: the words of each
+    slot that start with its letter (x0 in a1, x1 in a2), up to rotation."""
+    terms = {w: c for (slot, w), c in u.terms.items() if w and w[0] == slot}
     return CyclicSeries(u.alphabet, u.max_weight, terms)
 
 
@@ -76,16 +77,16 @@ def tangential_pair_of(psi):
     Lie series, with its linear terms kept (``.normalized()`` strips them);
     krv1_residual(psi) = 0 iff this pair is special.  This is the one place
     psi(-x0-x1, .) is computed: potential and nc_krv2_fit read it off."""
-    return TangentialDerivation(substitute(psi, AT_MINUS_SUM_X0),
-                                change_of_variable(psi), normalize=False)
+    return TangentialDerivation.of(substitute(psi, AT_MINUS_SUM_X0),
+                                   change_of_variable(psi), normalize=False)
 
 
 def potential(u):
-    """h = x0 a1 + x1 a2 for a pair u = (a1, a2), one weight up: two
-    disjoint prepends.  On u = tangential_pair_of(psi) this is h_psi; psi
-    is not checked to be a Lie series."""
-    terms = {b"\x00" + w: c for w, c in u.a1.terms.items()}
-    terms.update((b"\x01" + w, c) for w, c in u.a2.terms.items())
+    """h = x0 a1 + x1 a2 for a pair u = (a1, a2), one weight up: each
+    (slot, word) key becomes the word with the slot letter prepended.  On
+    u = tangential_pair_of(psi) this is h_psi; psi is not checked to be a
+    Lie series."""
+    terms = {bytes((slot,)) + w: c for (slot, w), c in u.terms.items()}
     return Series(u.alphabet, u.max_weight + 1, terms, _clean=False)
 
 
@@ -128,9 +129,9 @@ def hamiltonian(c):
     if any(len(w) < 2 for w in c.terms):
         raise ValueError("hamiltonian needs homogeneous weight >= 2 input")
     n = symmetrize(c)
-    return TangentialDerivation(fox_derivative(n, "x0", "right"),
-                                fox_derivative(n, "x1", "right"),
-                                normalize=False)
+    return TangentialDerivation.of(fox_derivative(n, "x0", "right"),
+                                   fox_derivative(n, "x1", "right"),
+                                   normalize=False)
 
 
 def hamiltonian_inverse(u):
@@ -207,7 +208,7 @@ def necklace_cobracket(a):
 
 def _pair_linear_constraint(u):
     """The canonical pair has no x0 in a1 and no x1 in a2."""
-    return {"a1": u.a1.coeff(b"\x00"), "a2": u.a2.coeff(b"\x01")}
+    return {"a1": u.terms.get((0, b"\x00"), 0), "a2": u.terms.get((1, b"\x01"), 0)}
 
 
 def krv2_space(weight):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .linalg import _integer_rows, kernel_basis, rref, span_contains
+from .linalg import _integer_rows, kernel_basis, rref
 from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
                      letter_swap, two_letter_alphabet, series_from_json,
                      series_to_json, _iadd)
@@ -152,81 +152,50 @@ def is_skew(f):
 
 # -- tangential derivations, the element type of the "pairs" chart -----------
 
-def _strip_linear(a, letter_index):
-    w = bytes((letter_index,))
-    if w in a.terms:
-        terms = dict(a.terms)
-        del terms[w]
-        return Series(a.alphabet, a.max_weight, terms, _clean=False)
-    return a
+class TangentialDerivation(SparseSeries):
+    """The pair (a1, a2) with u(x0) = [x0, a1] and u(x1) = [x1, a2], one
+    sparse series over keys (slot, word): (0, w) is the coefficient of w in
+    a1 and (1, w) in a2.  A key weighs as much as its word.  The canonical
+    pair strips the linear terms k1 x0 and k2 x1, which do not move the
+    derivation."""
 
+    __slots__ = ()
 
-class TangentialDerivation:
-    """The pair (a1, a2) with u(x0) = [x0, a1] and u(x1) = [x1, a2]; the
-    canonical pair strips the linear terms k1 x0 and k2 x1, which do not move
-    the derivation."""
-
-    __slots__ = ("a1", "a2")
-
-    def __init__(self, a1, a2, normalize=True):
-        if a1.alphabet != a2.alphabet:
-            raise ValueError("alphabet mismatch")
-        if normalize:
-            a1 = _strip_linear(a1, 0)
-            a2 = _strip_linear(a2, 1)
-        self.a1 = a1
-        self.a2 = a2
+    @staticmethod
+    def key_weight(key):
+        return len(key[1])
 
     @classmethod
-    def from_terms(cls, alphabet, max_weight, terms):
-        """Inverse of terms: key (0, word) is in a1, (1, word) in a2."""
-        parts = ({}, {})
-        for (slot, w), c in terms.items():
-            parts[slot][w] = c
-        return cls(Series(alphabet, max_weight, parts[0], _clean=False),
-                   Series(alphabet, max_weight, parts[1], _clean=False),
-                   normalize=False)
-
-    @property
-    def alphabet(self):
-        return self.a1.alphabet
-
-    @property
-    def max_weight(self):
-        return max(self.a1.max_weight, self.a2.max_weight)
-
-    @property
-    def is_zero(self):
-        return self.a1.is_zero and self.a2.is_zero
+    def of(cls, a1, a2, normalize=True):
+        """The pair of two Series, at the larger of their max weights."""
+        if a1.alphabet != a2.alphabet:
+            raise ValueError("alphabet mismatch")
+        terms = {(0, w): c for w, c in a1.terms.items()}
+        terms.update(((1, w), c) for w, c in a2.terms.items())
+        u = cls(a1.alphabet, max(a1.max_weight, a2.max_weight), terms, _clean=False)
+        return u.normalized() if normalize else u
 
     def normalized(self):
-        return TangentialDerivation(self.a1, self.a2, normalize=True)
+        terms = dict(self.terms)
+        terms.pop((0, b"\x00"), None)
+        terms.pop((1, b"\x01"), None)
+        return TangentialDerivation(self.alphabet, self.max_weight, terms, _clean=False)
 
-    def __add__(self, other):
-        return TangentialDerivation(self.a1 + other.a1, self.a2 + other.a2,
-                                    normalize=False)
+    def _slot(self, slot):
+        return Series(self.alphabet, self.max_weight,
+                      {w: c for (s, w), c in self.terms.items() if s == slot},
+                      _clean=False)
 
-    def __sub__(self, other):
-        return TangentialDerivation(self.a1 - other.a1, self.a2 - other.a2,
-                                    normalize=False)
+    @property
+    def a1(self):
+        return self._slot(0)
 
-    def scale(self, c):
-        return TangentialDerivation(self.a1.scale(c), self.a2.scale(c),
-                                    normalize=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, TangentialDerivation)
-                and self.a1 == other.a1 and self.a2 == other.a2)
+    @property
+    def a2(self):
+        return self._slot(1)
 
     def __repr__(self):
         return "TangentialDerivation(%r, %r)" % (self.a1, self.a2)
-
-    @property
-    def terms(self):
-        """Coordinates of the pair: (0, word) in a1 and (1, word) in a2."""
-        out = {(0, w): c for w, c in self.a1.terms.items()}
-        out.update(((1, w), c) for w, c in self.a2.terms.items())
-        return out
 
     def to_json(self):
         return {"a1": series_to_json(self.a1), "a2": series_to_json(self.a2)}
@@ -283,9 +252,9 @@ def _basis_entry_json(entry):
 
 def _basis_entry_from_json(data):
     if "a1" in data:
-        return TangentialDerivation(series_from_json(data["a1"]),
-                                    series_from_json(data["a2"]),
-                                    normalize=False)
+        return TangentialDerivation.of(series_from_json(data["a1"]),
+                                       series_from_json(data["a2"]),
+                                       normalize=False)
     return series_from_json(data)
 
 
@@ -373,62 +342,53 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
 
 # -- canonical bases and span comparisons over coordinates ------------------
 #
-# Series and tangential derivations expose their coordinates the same way:
-# a ``terms`` map key -> coefficient and the class method
-# ``from_terms(alphabet, max_weight, terms)``.
-
-def _coordinate_keys(objs):
-    return sorted({k for o in objs for k in o.terms})
-
-
-def _coordinate_rows(objs, keys):
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for o in objs:
-        row = [0] * len(keys)
-        for k, c in o.terms.items():
-            row[index[k]] = c
-        rows.append(row)
-    return rows
-
+# Every kind here (Series, tangential pairs) is a SparseSeries: one stored
+# ``terms`` map key -> coefficient, and ``from_terms(alphabet, max_weight,
+# terms)`` back.  Keys of one kind compare, so sorted keys are the columns.
 
 def canonical_series_basis(sols):
     """Reduced echelon basis of the span of the given Series (or tangential
-    derivations), as objects of the same kind."""
+    derivations), as objects of the same kind.  Each element's least key is
+    its pivot, with coefficient 1, and no other element has that key."""
     sols = [s for s in sols if not s.is_zero]
     if not sols:
         return []
     kind, alphabet = type(sols[0]), sols[0].alphabet
     mw = min(s.max_weight for s in sols)
-    keys = _coordinate_keys(sols)
-    ech, _ = rref(_coordinate_rows(sols, keys))
+    keys = sorted({k for s in sols for k in s.terms})
+    ech, _ = rref([[s.terms.get(k, 0) for k in keys] for s in sols])
     return [kind.from_terms(
                 alphabet, mw, {k: (int(c) if c.denominator == 1 else c)
                                for k, c in zip(keys, row) if c})
             for row in ech]
 
 
-def _outside_span(basis, objs, keys):
-    """The first of objs outside the span of basis, or None; keys must cover
-    every coordinate of both."""
-    ech, piv = rref(_coordinate_rows(basis, keys))
-    for row, obj in zip(_coordinate_rows(objs, keys), objs):
-        if not span_contains(ech, piv, row):
+def _outside_span(basis, objs):
+    """The first of objs outside the span of basis, or None.  Each is reduced
+    sparsely against the canonical basis: subtracting c e for the
+    coefficient c of e's pivot clears that pivot and touches no other."""
+    reducers = [(min(e.terms), e.terms) for e in canonical_series_basis(basis)]
+    for obj in objs:
+        rest = dict(obj.terms)
+        for pivot, terms in reducers:
+            c = rest.get(pivot)
+            if c:
+                for k, v in terms.items():
+                    _iadd(rest, k, -c * v)
+        if rest:
             return obj
     return None
 
 
 def series_span_contains(basis, candidate):
-    keys = _coordinate_keys(list(basis) + [candidate])
-    return _outside_span(basis, [candidate], keys) is None
+    return _outside_span(basis, [candidate]) is None
 
 
 def series_spans_equal(basis_a, basis_b):
     """Mutual containment; returns (equal, witness object or None)."""
-    keys = _coordinate_keys(list(basis_a) + list(basis_b))
-    witness = _outside_span(basis_a, basis_b, keys)
+    witness = _outside_span(basis_a, basis_b)
     if witness is None:
-        witness = _outside_span(basis_b, basis_a, keys)
+        witness = _outside_span(basis_b, basis_a)
     return witness is None, witness
 
 

@@ -1,9 +1,10 @@
-"""Exact rational linear algebra: fraction-free elimination, kernels, spans.
+"""Exact rational linear algebra: fraction-free elimination and kernels.
 
 ``rref`` is the exact elimination: a Bareiss forward pass over big integers
 (rows are scaled to integers first) and a back pass that fills in the
-free columns of the reduced rows.  Canonical bases and span tests read off
-it, and it is ``kernel_basis``'s fallback.
+free columns of the reduced rows.  Canonical bases (and through them the
+span tests) and ``braid.express_chord`` read off it, and it is
+``kernel_basis``'s fallback.
 
 ``kernel_basis`` does not eliminate a tall matrix whole, and it eliminates
 modulo the prime p = 2^61 - 1.  It drops zero rows and rows that repeat up
@@ -142,12 +143,12 @@ def rref(rows):
 
 def _distinct_rows(rows):
     """Integer rows as tuples, without zero rows and without repeats up to
-    sign, each with a positive leading entry, in order of first appearance."""
+    sign, each with a positive leading entry, in order of first appearance.
+    Zero rows and exact repeats go before the rows are scaled."""
     seen = {}
-    for row in _integer_rows(rows):
-        lead = next((v for v in row if v), 0)
-        if lead:
-            seen[tuple(row) if lead > 0 else tuple(-v for v in row)] = None
+    for row in _integer_rows([r for r in dict.fromkeys(map(tuple, rows)) if any(r)]):
+        lead = next(v for v in row if v)
+        seen[tuple(row) if lead > 0 else tuple(-v for v in row)] = None
     return list(seen)
 
 
@@ -332,13 +333,3 @@ def kernel_basis(rows):
         added = failing[:budget]
         selected += added
         budget *= 2
-
-
-def span_contains(echelon, pivots, vec):
-    """Whether vec lies in the span of an ``rref`` basis."""
-    v = [Fraction(x) for x in vec]
-    for row, p in zip(echelon, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)

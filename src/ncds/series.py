@@ -96,6 +96,12 @@ class SparseSeries:
         else:
             self.terms = terms
 
+    @classmethod
+    def from_terms(cls, alphabet, max_weight, terms):
+        """The element with the given key -> nonzero coefficient map, taken
+        as it is (no key is heavier than max_weight)."""
+        return cls(alphabet, max_weight, terms, _clean=False)
+
     def _cleaned(self, terms):
         """Drop zero coefficients and keys heavier than max_weight."""
         kw, mw = self.key_weight, self.max_weight
@@ -163,11 +169,6 @@ class Series(SparseSeries):
     def word(cls, alphabet, letters, max_weight, coef=1):
         w = bytes(alphabet.index(n) for n in letters)
         return cls(alphabet, max_weight, {w: coef})
-
-    @classmethod
-    def from_terms(cls, alphabet, max_weight, terms):
-        """The series with the given word -> nonzero coefficient map."""
-        return cls(alphabet, max_weight, terms, _clean=False)
 
     # -- basic queries -----------------------------------------------------
 

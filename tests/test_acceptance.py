@@ -229,8 +229,8 @@ def test_criterion_10_kv_layer():
             if canon not in found:
                 found.add(canon)
                 words[m].append(canon)
-    zero_pair = TangentialDerivation(Series.zero(X, 12), Series.zero(X, 12),
-                                     normalize=False)
+    zero_pair = TangentialDerivation.of(Series.zero(X, 12), Series.zero(X, 12),
+                                        normalize=False)
     for wa in range(2, 6):
         for wb in range(wa, 6):
             for a_word in words[wa]:
@@ -323,8 +323,8 @@ def _per_element_rows(weight, constraints, chart):
     else:
         assert chart == "pairs", chart
         zero = Series.zero(X, weight)
-        ambient = ([TangentialDerivation(s, zero, normalize=False) for s in lyndon]
-                   + [TangentialDerivation(zero, s, normalize=False) for s in lyndon])
+        ambient = ([TangentialDerivation.of(s, zero, normalize=False) for s in lyndon]
+                   + [TangentialDerivation.of(zero, s, normalize=False) for s in lyndon])
     values = []
     for elt in ambient:
         items = []

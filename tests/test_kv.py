@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from ncds.kv import (TangentialDerivation, divergence, hamiltonian,
                      krv1_residual, krv2_space, nc_krv2_fit, necklace_bracket,
                      necklace_cobracket, potential, same_derivation,
                      tangential_pair_of, tder_apply, tder_bracket)
-from ncds.lie import lyndon_basis
+from ncds.lie import SolutionSpace, lyndon_basis
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
@@ -26,8 +28,8 @@ def psi3(mw=3):
 
 
 def pair(t1, t2, mw):
-    return TangentialDerivation(x_series(t1, mw), x_series(t2, mw),
-                                normalize=False)
+    return TangentialDerivation.of(x_series(t1, mw), x_series(t2, mw),
+                                   normalize=False)
 
 
 def all_cyclic_words(weight):
@@ -75,10 +77,10 @@ class TestTderBracket:
         x0 = Series.letter(X, "x0", 9)
         x1 = Series.letter(X, "x1", 9)
         for _ in range(4):
-            u = TangentialDerivation(random_lie(3, rng, max_weight=9),
-                                     random_lie(2, rng, max_weight=9))
-            v = TangentialDerivation(random_lie(2, rng, max_weight=9),
-                                     random_lie(4, rng, max_weight=9))
+            u = TangentialDerivation.of(random_lie(3, rng, max_weight=9),
+                                        random_lie(2, rng, max_weight=9))
+            v = TangentialDerivation.of(random_lie(2, rng, max_weight=9),
+                                        random_lie(4, rng, max_weight=9))
             br = tder_bracket(u, v)
             for gen in (x0, x1):
                 lhs = tder_apply(br, gen)
@@ -376,8 +378,8 @@ def _dense_krv2_dim(w):
         for word in words:
             s = Series(X, w, {word: 1})
             zero = Series.zero(X, w)
-            u = TangentialDerivation(s if comp == 0 else zero,
-                                     s if comp == 1 else zero, normalize=False)
+            u = TangentialDerivation.of(s if comp == 0 else zero,
+                                        s if comp == 1 else zero, normalize=False)
             items = [(("p", comp, k), v) for k, v in primitivity_defect(s).items()]
             img0, img1 = u.generator_images()
             items.extend((("s", k), v) for k, v in (img0 + img1).terms.items())
@@ -394,6 +396,93 @@ def _dense_krv2_dim(w):
         a1 = Series(X, w, {word: c for word, c in zip(words, vec[:len(words)]) if c})
         a2 = Series(X, w, {word: c for word, c in zip(words, vec[len(words):2 * len(words)]) if c})
         if not (a1.is_zero and a2.is_zero):
-            pairs.append(TangentialDerivation(a1, a2, normalize=False))
+            pairs.append(TangentialDerivation.of(a1, a2, normalize=False))
     from ncds.lie import canonical_series_basis
     return len(canonical_series_basis(pairs))
+
+
+# -- the pair as one sparse series over (slot, word) keys ----------------------
+
+def _seeded_series(rng, max_weight, n_terms=6):
+    """Words of every length 0..max_weight with Fraction coefficients; empty
+    about one time in six."""
+    if rng.random() < 1 / 6:
+        return Series.zero(X, max_weight)
+    terms = {}
+    for _ in range(n_terms):
+        w = bytes(rng.randint(0, 1) for _ in range(rng.randint(0, max_weight)))
+        terms[w] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Series(X, max_weight, terms)
+
+
+def _seeded_pairs(n=40):
+    rng = random.Random(13)
+    for _ in range(n):
+        mw = rng.randint(1, 5)
+        u = TangentialDerivation.of(_seeded_series(rng, mw), _seeded_series(rng, mw),
+                                    normalize=False)
+        # the second pair at another max weight, or u's slots moved slightly
+        if rng.random() < 0.5:
+            mv = rng.randint(1, 5)
+            v = TangentialDerivation.of(_seeded_series(rng, mv), _seeded_series(rng, mv),
+                                        normalize=False)
+        else:
+            v = TangentialDerivation.of(u.a1, u.a2 + _seeded_series(rng, mw, 1),
+                                        normalize=False)
+        yield u, v
+
+
+class TestPairAsSparseSeries:
+    def test_arithmetic_matches_slotwise_series(self):
+        for u, v in _seeded_pairs():
+            for got, a1, a2 in ((u + v, u.a1 + v.a1, u.a2 + v.a2),
+                                (u - v, u.a1 - v.a1, u.a2 - v.a2),
+                                (u.scale(Fraction(-2, 3)), u.a1.scale(Fraction(-2, 3)),
+                                 u.a2.scale(Fraction(-2, 3))),
+                                (u.scale(0), u.a1.scale(0), u.a2.scale(0))):
+                assert isinstance(got, TangentialDerivation)
+                assert got.a1 == a1 and got.a2 == a2
+                assert got.max_weight == a1.max_weight == a2.max_weight
+                assert got.is_zero == (a1.is_zero and a2.is_zero)
+            assert (u == v) == (u.a1 == v.a1 and u.a2 == v.a2)
+            assert u == TangentialDerivation.of(u.a1, u.a2, normalize=False)
+            assert u != u.a1 and u.a1 != u
+
+    def test_keys_are_slot_and_word(self):
+        for u, _ in _seeded_pairs(10):
+            assert u.terms == {**{(0, w): c for w, c in u.a1.terms.items()},
+                               **{(1, w): c for w, c in u.a2.terms.items()}}
+            assert TangentialDerivation.from_terms(X, u.max_weight, u.terms) == u
+
+    def test_normalize_removes_exactly_the_two_linear_keys(self):
+        linear = x_series({"0": 2, "1": -1}, 4)
+        for u, _ in _seeded_pairs():
+            a1, a2 = u.a1 + linear, u.a2 - linear
+            kept = TangentialDerivation.of(a1, a2, normalize=False)
+            assert TangentialDerivation.of(a1, a2).terms == {
+                k: c for k, c in kept.terms.items() if k not in ((0, b"\x00"), (1, b"\x01"))}
+            assert TangentialDerivation.of(a1, a2) == kept.normalized()
+        # a1's x1 term and a2's x0 term do move the derivation: kept
+        u = TangentialDerivation.of(x_series({"0": 1, "1": 2}, 1),
+                                    x_series({"0": 3, "1": 4}, 1))
+        assert u.terms == {(0, b"\x01"): 2, (1, b"\x00"): 3}
+
+    def test_one_max_weight_for_both_slots(self):
+        u = TangentialDerivation.of(x_series({"01": 1}, 5), x_series({"1": 1}, 3),
+                                    normalize=False)
+        assert u.max_weight == u.a1.max_weight == u.a2.max_weight == 5
+        assert u.a2 == x_series({"1": 1}, 5)
+
+    def test_alphabet_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            TangentialDerivation.of(x_series({"0": 1}, 2),
+                                    Series(one_letter_alphabet(), 2, {b"\x00": 1}))
+
+    @pytest.mark.parametrize("w", range(1, 7))
+    def test_krv2_space_json_round_trip(self, w):
+        space = krv2_space(w)
+        data = space.to_json()
+        back = SolutionSpace.from_json(json.loads(json.dumps(data)))
+        assert back == space
+        assert all(isinstance(b, TangentialDerivation) for b in back.basis)
+        assert back.to_json() == data

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ncds.lie import (canonical_series_basis, is_lie_series,
+from ncds.lie import (TangentialDerivation, canonical_series_basis, is_lie_series,
                       is_skew, kernel_basis, lie_bracket, lyndon_basis,
                       lyndon_words, series_span_contains, series_spans_equal,
                       solve_space)
@@ -342,3 +343,98 @@ class TestSpanHelpers:
         a = canonical_series_basis([basis[0] + basis[1], basis[0] - basis[1]])
         b = canonical_series_basis([basis[0].scale(3), basis[1].scale(Fraction(1, 2))])
         assert a == b
+
+
+# -- sparse span reduction against the Gauss-Jordan reference ---------------
+
+def _reference_rank(objs, keys):
+    return len(reference_rref([[o.terms.get(k, 0) for k in keys] for o in objs])[1])
+
+
+def reference_contains(basis, candidate):
+    """Rank of the basis, dense over the union of keys, unchanged by the
+    candidate."""
+    keys = sorted({k for o in list(basis) + [candidate] for k in o.terms})
+    return _reference_rank(list(basis) + [candidate], keys) == _reference_rank(basis, keys)
+
+
+def reference_spans_equal(a, b):
+    """(equal, the first of b outside span a, else the first of a outside
+    span b)."""
+    witness = next((o for o in b if not reference_contains(a, o)), None)
+    if witness is None:
+        witness = next((o for o in a if not reference_contains(b, o)), None)
+    return witness is None, witness
+
+
+def _seeded_element(rng, kind, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        w = bytes(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+        terms[w] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    if kind == "series":
+        return Series(X, 3, terms)
+    other = {w[::-1]: c for w, c in terms.items() if rng.random() < 0.5}
+    return TangentialDerivation.of(Series(X, 3, terms), Series(X, 3, other),
+                                   normalize=False)
+
+
+def _seeded_span_case(rng, kind):
+    """A non-canonical basis (independent elements, their combinations, a
+    repeat and a zero element, shuffled) and candidates in and out of its
+    span, the zero element among them."""
+    base = [_seeded_element(rng, kind, rng.randint(1, 4))
+            for _ in range(rng.randint(0, 4))]
+    zero = _seeded_element(rng, kind, 0)
+    combos = []
+    for _ in range(rng.randint(0, 3)):
+        acc = zero
+        for e in base:
+            acc = acc + e.scale(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        combos.append(acc)
+    basis = base + combos + base[:1] + [zero] * rng.randint(0, 1)
+    rng.shuffle(basis)
+    candidates = combos + [zero] + [_seeded_element(rng, kind, rng.randint(1, 4))
+                                    for _ in range(3)]
+    return basis, candidates
+
+
+class TestSparseSpanReduction:
+    @pytest.mark.parametrize("kind", ["series", "pairs"])
+    def test_span_contains_matches_reference(self, kind):
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(60):
+            basis, candidates = _seeded_span_case(rng, kind)
+            for cand in candidates:
+                want = reference_contains(basis, cand)
+                assert series_span_contains(basis, cand) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kind", ["series", "pairs"])
+    def test_spans_equal_and_witness_match_reference(self, kind):
+        rng = random.Random(8)
+        sides = set()
+        for i in range(90):
+            a, extra = _seeded_span_case(rng, kind)
+            # a reordering of a, a part of a, or a part of a and more
+            b = a[:rng.randint(0, len(a))] + (extra if i % 3 == 2 else [])
+            b = list(a) if i % 3 == 0 else b
+            rng.shuffle(b)
+            want = reference_spans_equal(a, b)
+            got = series_spans_equal(a, b)
+            assert got[0] == want[0]
+            assert got[1] is want[1]
+            sides.add("equal" if want[0] else "b" if any(o is want[1] for o in b) else "a")
+        assert sides == {"equal", "a", "b"}
+
+    def test_empty_basis(self):
+        zero = Series.zero(X, 3)
+        assert series_span_contains([], zero)
+        assert not series_span_contains([], x_series({"01": 1}, 3))
+        assert series_spans_equal([], []) == (True, None)
+        assert series_spans_equal([], [zero, zero]) == (True, None)
+        b = [zero, x_series({"1": 2}, 3)]
+        assert series_spans_equal([], b) == (False, b[1])
+        assert series_spans_equal(b, []) == (False, b[1])

@@ -37,8 +37,8 @@ def _same(got, want, what):
 
 
 def _pair(rng, w):
-    return TangentialDerivation(random_series(rng, w), random_series(rng, rng.randint(1, w)),
-                                normalize=False)
+    return TangentialDerivation.of(random_series(rng, w), random_series(rng, rng.randint(1, w)),
+                                   normalize=False)
 
 
 def _psi(rng, w):
