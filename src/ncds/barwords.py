@@ -122,7 +122,12 @@ def bar_single(index, variable, target=IDENTITY):
 def _bar_xy(a, b, target):
     """Terms of l^{x,y}_{a,b} sent through the letter target: dualized
     differential recursion, both d/dx and d/dy branches prepend one 1-form on
-    the left.  A branch whose letters the target drops is never expanded."""
+    the left.  A branch whose letters the target drops is never expanded.
+
+    The memo lives as long as the process, since the lemma suites pair the
+    same words across samples.  A functional family calls the uncached body
+    ``_bar_xy.__wrapped__`` for its own words, so only the sub-results of
+    lower weight, which the recursion reads again, enter the memo."""
     w12, w23, w34, w45 = (_letter("12"), _letter("23"), _letter("34"),
                           _letter("45"))
     out = {}

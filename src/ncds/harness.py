@@ -149,15 +149,13 @@ def pentagon_functional(bar, legs):
                         for sign, leg in legs), bar.max_weight)
 
 
-def pulled_functional(pairs, order, legs):
-    """Sum of s * pentagon_functional(bar_double(a, b, order), legs) over
-    (s, a, b) in pairs, built in two-letter coordinates: the bar-word
-    recursion runs on each leg's letter target, so no five-letter word is
-    formed.  All pairs share one weight."""
-    targets = [(sign, order_target(order, leg_target(leg))) for sign, leg in legs]
-    parts = [(s * sign, _bar_xy(a, b, target))
-             for s, a, b in pairs for sign, target in targets]
-    _s, a, b = pairs[0]
+def pulled_functional(a, b, order, legs):
+    """pentagon_functional(bar_double(a, b, order), legs), built in
+    two-letter coordinates: the bar-word recursion runs on each leg's letter
+    target, so no five-letter word is formed.  The leg words are built by
+    the uncached recursion body and dropped once summed."""
+    parts = ((sign, _bar_xy.__wrapped__(a, b, order_target(order, leg_target(leg))))
+             for sign, leg in legs)
     return _signed_sum(parts, sum(a) + sum(b))
 
 
@@ -181,47 +179,49 @@ def _all_ones(a, b):
     return set(a) <= {1} and set(b) <= {1}
 
 
+class _Family:
+    """A family of (key, F) functionals, the form in which `solve_space`
+    takes them as rows.  Each pass calls make() for a new iterator, which
+    builds the functionals one at a time, so none outlives its row."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
+
+
+def _shifted_pairs(weight):
+    yx = ("y", "x")
+    for c in _compositions(weight):
+        if len(c) < 3 or set(c) == {1}:
+            continue
+        left = pulled_functional(c[:1], c[1:], yx, PHI_LEGS)
+        for k in range(1, len(c) - 1):
+            right = pulled_functional(c[:k + 1], c[k + 1:], yx, PHI_LEGS)
+            yield (c[:k], c[k:]), left - right
+            left = right
+
+
 def shifted_pair_functionals(weight):
     """Functionals psi -> l^{y,x}_{a,b}(phi) - l^{y,x}_{(a,b1),(b2..)}(phi)
-    on phi = psi_451 + psi_123, for dp(b) >= 2 and (a, b) not all ones."""
-    out = []
-    for a, b in index_pairs(weight):
-        if len(b) < 2 or _all_ones(a, b):
-            continue
-        out.append(((a, b), pulled_functional(
-            ((1, a, b), (-1, a + (b[0],), b[1:])), ("y", "x"), PHI_LEGS)))
-    return out
+    on phi = psi_451 + psi_123, for dp(b) >= 2 and (a, b) not all ones.
+    They are taken per composition c of the weight, as the differences
+    L_k - L_{k+1} of its neighbouring splits L_k = l_{c[:k], c[k:]}(phi), so
+    each split is built once."""
+    return _Family(lambda: _shifted_pairs(weight))
+
+
+def _alpha_keys(weight, depth_one=False):
+    return [(a, b) for a, b in index_pairs(weight)
+            if (len(b) == 1 if depth_one else not _all_ones(a, b))]
 
 
 def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
-    """Functionals psi -> l_{a,b}(alpha(psi)) for pairs of the given weight;
-    depth_one restricts to dp(b) = 1."""
-    out = []
-    for a, b in index_pairs(weight):
-        if depth_one and len(b) != 1:
-            continue
-        if not depth_one and _all_ones(a, b):
-            continue
-        out.append(((a, b), pulled_functional(((1, a, b),), orders, ALPHA_LEGS)))
-    return out
-
-
-def _functional_constraint(functionals):
-    """The family of (key, F) functionals as one linear constraint
-    s -> {i: <F_i, s>}, keyed by the functional's position i; the words of
-    s are looked up once in an index word -> [(i, F_i[word])]."""
-    by_word = {}
-    for i, (_key, F) in enumerate(functionals):
-        for w, c in F.terms.items():
-            by_word.setdefault(w, []).append((i, c))
-
-    def constraint(s):
-        out = {}
-        for w, c in s.terms.items():
-            for i, f in by_word.get(w, ()):
-                _iadd(out, i, f * c)
-        return out
-    return constraint
+    """Functionals psi -> l_{a,b}(alpha(psi)) for pairs of the given weight,
+    not all ones; depth_one restricts to dp(b) = 1 instead."""
+    return _Family(lambda: (((a, b), pulled_functional(a, b, orders, ALPHA_LEGS))
+                            for a, b in _alpha_keys(weight, depth_one)))
 
 
 # -- named spaces -------------------------------------------------------------
@@ -241,7 +241,7 @@ def space(name, weight, lam=None):
     if name == "krv1skew":
         return solve_space(weight, [skew_constraint, _krv1_linear], space=name)
     if name == "conj2":
-        cons = [skew_constraint, _functional_constraint(shifted_pair_functionals(weight))]
+        cons = [skew_constraint, shifted_pair_functionals(weight)]
         return solve_space(weight, cons, space=name)
     raise ValueError("unknown space %r" % (name,))
 
@@ -267,8 +267,8 @@ def verify_theorem_A(max_weight, seed=0, weights=None):
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = solve_space(w, [skew_constraint], space="dmr0skew", chart=dmr_space(w))
-        shifted = _functional_constraint(shifted_pair_functionals(w))
-        s2 = solve_space(w, [shifted], space="rc0shifted", chart=rc_space(w))
+        s2 = solve_space(w, [shifted_pair_functionals(w)], space="rc0shifted",
+                         chart=rc_space(w))
         entries.append(_entry_for_equality(w, "dmr0_skew", s1, "rc0_shifted", s2,
                                            report_only=(w == 2)))
     return CheckReport("theorem_A", entries, seed, elapsed=time.perf_counter() - t0)
@@ -281,11 +281,10 @@ def verify_theorem_B(max_weight, seed=0, weights=None):
     entries = []
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         s1 = dmr_space(w)
-        funcs = alpha_pair_functionals(w)
-        s2 = solve_space(w, [_functional_constraint(funcs)], space="barkernel")
+        s2 = solve_space(w, [alpha_pair_functionals(w)], space="barkernel")
         entry = _entry_for_equality(w, "dmr0", s1, "bar_kernel", s2,
                                     report_only=(w == 2))
-        entry.dims["constraints"] = len(funcs)
+        entry.dims["constraints"] = len(_alpha_keys(w))
         entries.append(entry)
     return CheckReport("theorem_B", entries, seed, elapsed=time.perf_counter() - t0)
 
@@ -298,10 +297,10 @@ def verify_theorem_C(max_weight, seed=0, weights=None):
     for w in (weights if weights is not None else range(2, max_weight + 1)):
         spaces = {
             "i_rc0": rc_space(w),
-            "ii_yx": solve_space(w, [skew_constraint, _functional_constraint(
-                alpha_pair_functionals(w, ("y", "x"), depth_one=True))], space="c2"),
-            "iii_xy": solve_space(w, [skew_constraint, _functional_constraint(
-                alpha_pair_functionals(w, ("x", "y"), depth_one=True))], space="c3"),
+            "ii_yx": solve_space(w, [skew_constraint, alpha_pair_functionals(
+                w, ("y", "x"), depth_one=True)], space="c2"),
+            "iii_xy": solve_space(w, [skew_constraint, alpha_pair_functionals(
+                w, ("x", "y"), depth_one=True)], space="c3"),
             "iv_mu": solve_space(w, [skew_constraint, c4_residual], space="c4"),
         }
         dims = {k: v.dimension for k, v in spaces.items()}
@@ -368,7 +367,7 @@ def nonadmissible_sum_value(psi, k, l):
         (first, second), tag = sigma_compose(s, a, b)
         if tag != "y,x" or not _all_ones(first, second):
             continue
-        F = pulled_functional(((1, first, second),), ("y", "x"), PHI_LEGS)
+        F = pulled_functional(first, second, ("y", "x"), PHI_LEGS)
         total += pair(F, psi)
     return total
 
@@ -598,8 +597,7 @@ def prop_sum_failures(max_weight=6):
                         - pair(bar_single(merged, "z"), psi)
                     rhs += corr_val
                     if tag == "y,x":
-                        F = pulled_functional(((1, first, second),), ("y", "x"),
-                                              PHI_LEGS)
+                        F = pulled_functional(first, second, ("y", "x"), PHI_LEGS)
                         lhs += pair(F, psi) - pair(bar_single(merged, "z"), psi)
                 if lhs != rhs:
                     failures.append((w, a, b))
@@ -613,8 +611,8 @@ def one_loop_equivalence(max_weight=7):
     y-words of the composed indices over Sh^{<=}, paired with psi_*."""
     out = []
     for w in range(2, max_weight + 1):
-        s1 = solve_space(w, [_functional_constraint(
-            alpha_pair_functionals(w, ("y", "x"), depth_one=True))], space="oneloop1")
+        s1 = solve_space(w, [alpha_pair_functionals(w, ("y", "x"), depth_one=True)],
+                         space="oneloop1")
         ys = y_alphabet(w)
 
         def stuffle_sum(a, b):
@@ -622,15 +620,20 @@ def one_loop_equivalence(max_weight=7):
             for sg in sh_le(len(a), len(b)):
                 (first, second), _tag = sigma_compose(sg, a, b)
                 _iadd(terms, y_word(ys, first + second), 1)
-            return Series(ys, w, terms, _clean=False)
+            return terms
 
         funcs = []
         for b1 in range(1, w):
             for a in _compositions(w - b1):
                 funcs.append((("ba", b1, a), stuffle_sum((b1,), a)))
                 funcs.append((("ab", a, b1), stuffle_sum(a, (b1,))))
-        stuffle = _functional_constraint(funcs)
-        s2 = solve_space(w, [lambda s: stuffle(psi_star(s))], space="oneloop2")
+
+        def stuffle(s):
+            # paired after psi_*, so a callable rather than a family of rows
+            star = psi_star(s).terms
+            return {key: sum(c * star.get(y, 0) for y, c in F.items())
+                    for key, F in funcs}
+        s2 = solve_space(w, [stuffle], space="oneloop2")
         equal, _ = series_spans_equal(s1.basis, s2.basis)
         out.append((w, s1.dimension, s2.dimension, equal))
     return out

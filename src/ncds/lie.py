@@ -290,6 +290,12 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
     element, which feeds only its own column.  The result is the space cut
     by the constraints; an empty basis gives an empty space.
 
+    A constraint that is not callable is a family of functionals: an
+    iterable of (key, F) with F a series over the chart's coordinates, whose
+    row (index, key) is sum_k F[k] * column_j[k], read through the chart
+    index.  A family is iterated once, so each F can be dropped as soon as
+    its row is built.
+
     Rows are keyed (constraint index, output key) and sorted by key.
     """
     alphabet = two_letter_alphabet()
@@ -299,35 +305,49 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
         kind = type(chart.basis[0])
         columns = [dict(zip(b.terms, ints)) for b, ints in zip(
             chart.basis, _integer_rows([list(b.terms.values()) for b in chart.basis]))]
+    elif chart == "lyndon":
+        kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
+    elif chart == "words":
+        kind, columns = Series, [{bytes(w): 1} for w in product((0, 1), repeat=weight)]
+    elif chart == "pairs":
+        lyndon = lyndon_basis(weight).series()
+        kind = TangentialDerivation
+        columns = [{(slot, w): c for w, c in s.terms.items()}
+                   for slot in (0, 1) for s in lyndon]
+    else:
+        raise ValueError("unknown chart %r" % (chart,))
+    chart_index = {}  # coordinate key -> [(column, coefficient)]
+    for j, terms in enumerate(columns):
+        for key, c in terms.items():
+            chart_index.setdefault(key, []).append((j, c))
+    if isinstance(chart, SolutionSpace):
         points = [(terms, [(j, 1)]) for j, terms in enumerate(columns)]
     else:
-        if chart == "lyndon":
-            kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
-        elif chart == "words":
-            kind, columns = Series, [{bytes(w): 1}
-                                     for w in product((0, 1), repeat=weight)]
-        elif chart == "pairs":
-            lyndon = lyndon_basis(weight).series()
-            kind = TangentialDerivation
-            columns = [{(slot, w): c for w, c in s.terms.items()}
-                       for slot in (0, 1) for s in lyndon]
-        else:
-            raise ValueError("unknown chart %r" % (chart,))
-        chart_index = {}  # coordinate key -> [(column, coefficient)]
-        for j, terms in enumerate(columns):
-            for key, c in terms.items():
-                chart_index.setdefault(key, []).append((j, c))
         points = [({key: 1}, cols) for key, cols in chart_index.items()]
+    calls = [(ci, con) for ci, con in enumerate(constraints) if callable(con)]
+    families = [(ci, con) for ci, con in enumerate(constraints) if not callable(con)]
+
+    def entries():
+        """(row key, [(column, c)], v): row[column] += c * v."""
+        for terms, cols in points:
+            point = kind.from_terms(alphabet, weight, terms)
+            for ci, con in calls:
+                for out_key, v in _constraint_items(con(point)):
+                    yield (ci, out_key), cols, v
+        for ci, family in families:
+            for key, F in family:
+                for k, v in F.terms.items():
+                    cols = chart_index.get(k)
+                    if cols:
+                        yield (ci, key), cols, v
+
     rows = {}
-    for terms, cols in points:
-        point = kind.from_terms(alphabet, weight, terms)
-        for ci, con in enumerate(constraints):
-            for out_key, v in _constraint_items(con(point)):
-                row = rows.get((ci, out_key))
-                if row is None:
-                    row = rows[ci, out_key] = [0] * len(columns)
-                for j, c in cols:
-                    row[j] += c * v
+    for row_key, cols, v in entries():
+        row = rows.get(row_key)
+        if row is None:
+            row = rows[row_key] = [0] * len(columns)
+        for j, c in cols:
+            row[j] += c * v
     combos = kernel_basis([rows[k] for k in sorted(rows)] or [[0] * len(columns)])
     sols = []
     for vec in combos:

@@ -58,19 +58,18 @@ _ONE = Fraction(1)
 def _integer_rows(rows):
     """Scale each row by the lcm of its denominators and divide by the gcd.
 
-    Entries are ints or Fractions; both carry ``numerator``/``denominator``.
+    Entries are ints or Fractions.  A row of ints takes one ``gcd`` call;
+    ``gcd`` rejects a Fraction, and only then are the denominators read.
     """
     out = []
     for row in rows:
-        den = lcm(*[v.denominator for v in row])
-        if den == 1:
-            ints = [v.numerator for v in row]
-        else:
-            ints = [v.numerator * (den // v.denominator) for v in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        try:
+            g = gcd(*row)
+        except TypeError:
+            den = lcm(*[v.denominator for v in row])
+            row = [v.numerator * (den // v.denominator) for v in row]
+            g = gcd(*row)
+        out.append([v // g for v in row] if g > 1 else list(row))
     return out
 
 
@@ -144,9 +143,12 @@ def rref(rows):
 def _distinct_rows(rows):
     """Integer rows as tuples, without zero rows and without repeats up to
     sign, each with a positive leading entry, in order of first appearance.
-    Zero rows and exact repeats go before the rows are scaled."""
+    Each row is scaled as it is read, so only the distinct rows are copied."""
     seen = {}
-    for row in _integer_rows([r for r in dict.fromkeys(map(tuple, rows)) if any(r)]):
+    for row in rows:
+        if not any(row):
+            continue
+        row, = _integer_rows((row,))
         lead = next(v for v in row if v)
         seen[tuple(row) if lead > 0 else tuple(-v for v in row)] = None
     return list(seen)

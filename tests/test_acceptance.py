@@ -325,12 +325,19 @@ def _per_element_rows(weight, constraints, chart):
         zero = Series.zero(X, weight)
         ambient = ([TangentialDerivation.of(s, zero, normalize=False) for s in lyndon]
                    + [TangentialDerivation.of(zero, s, normalize=False) for s in lyndon])
+    for con in constraints:
+        # a family is iterated again below: a one-shot iterator would
+        # arrive here already consumed and drop its rows unnoticed
+        assert callable(con) or iter(con) is not con, con
     values = []
     for elt in ambient:
         items = []
         for ci, con in enumerate(constraints):
-            value = con(elt)
-            value = value if isinstance(value, dict) else value.terms
+            if callable(con):
+                value = con(elt)
+                value = value if isinstance(value, dict) else value.terms
+            else:  # a family of functionals, each paired with the element
+                value = {key: pair(F, elt) for key, F in con}
             items.extend(((ci, key), c) for key, c in value.items())
         values.append(items)
     return assemble_rows(values, len(ambient)) or [[0] * len(ambient)]

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import pathlib
 import re
@@ -16,7 +17,7 @@ from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
                           shifted_pair_functionals, space,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
                           verify_theorem_D, verify_theorem_E)
-from ncds.barwords import bar_double, pair
+from ncds.barwords import _bar_xy, bar_double, order_target, pair
 from ncds.braid import CHORD_NAMES, insert_triple
 from ncds.series import series_to_json
 
@@ -48,7 +49,7 @@ class TestPullback:
                         want = direct(a, b, order, ((1, leg),))
                         assert pair(coface_pullback(bar_double(a, b, order), leg),
                                    psi) == want
-                        assert pair(pulled_functional(((1, a, b),), order, ((1, leg),)),
+                        assert pair(pulled_functional(a, b, order, ((1, leg),)),
                                    psi) == want
             for order, depth_one in ((("y", "x"), False), (("y", "x"), True),
                                      (("x", "y"), True)):
@@ -65,9 +66,9 @@ class TestPullback:
                 for order in ORDERS:
                     bar = bar_double(a, b, order)
                     for leg in LEG_STRANDS:
-                        assert pulled_functional(((1, a, b),), order, ((1, leg),)) \
+                        assert pulled_functional(a, b, order, ((1, leg),)) \
                             == coface_pullback(bar, leg), (a, b, order, leg)
-                    assert pulled_functional(((1, a, b),), order, ALPHA_LEGS) \
+                    assert pulled_functional(a, b, order, ALPHA_LEGS) \
                         == pentagon_functional(bar, ALPHA_LEGS), (a, b, order)
 
     def test_every_leg_is_a_word_morphism(self, monkeypatch):
@@ -105,6 +106,95 @@ class TestPullback:
                     bar = bar_double(a, b, order)
                     assert pair(bar, alpha) == \
                         pair(pentagon_functional(bar, ALPHA_LEGS), psi)
+
+
+def _all_compositions(total):
+    # every composition of total, read off the subsets of the total - 1 cuts
+    out = []
+    for cuts in itertools.product((False, True), repeat=total - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        out.append(tuple(parts + [run]))
+    return out
+
+
+def _expected_keys(w, shape):
+    keys = []
+    for wa in range(1, w):
+        for a in _all_compositions(wa):
+            for b in _all_compositions(w - wa):
+                ones = set(a + b) == {1}
+                if shape == "depth_one" and len(b) == 1 \
+                        or shape == "alpha" and not ones \
+                        or shape == "shifted" and len(b) >= 2 and not ones:
+                    keys.append((a, b))
+    return keys
+
+
+class TestFunctionalFamilies:
+    # the goldens cannot see a dropped functional: at w >= 3 each cut
+    # leaves its base space unchanged (test_cuts.py), so the key sets are
+    # checked here against an independent enumeration
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_each_family_yields_every_key_once(self, w):
+        families = {
+            "alpha": alpha_pair_functionals(w),
+            "yx": alpha_pair_functionals(w, ("y", "x"), depth_one=True),
+            "xy": alpha_pair_functionals(w, ("x", "y"), depth_one=True),
+            "shifted": shifted_pair_functionals(w),
+        }
+        for name, family in families.items():
+            shape = {"yx": "depth_one", "xy": "depth_one"}.get(name, name)
+            keys = [key for key, _F in family]
+            assert len(keys) == len(set(keys)), (name, w)
+            assert sorted(keys) == sorted(_expected_keys(w, shape)), (name, w)
+            # a family can be iterated again, for the solver and a reference
+            assert [key for key, _F in family] == keys, (name, w)
+
+    @pytest.mark.parametrize("family, order, legs", [
+        (lambda w: alpha_pair_functionals(w), ("y", "x"), ALPHA_LEGS),
+        (lambda w: alpha_pair_functionals(w, ("x", "y"), depth_one=True),
+         ("x", "y"), ALPHA_LEGS),
+        (lambda w: shifted_pair_functionals(w), ("y", "x"), PHI_LEGS),
+    ])
+    def test_family_words_stay_out_of_the_memo(self, family, order, legs):
+        # after a family is built, each of its own top-level words is one
+        # cache miss (not kept), and every sub-result it reads is a hit
+        w = 7
+        _bar_xy.cache_clear()  # no word left by an earlier test
+        keys = [key for key, _F in family(w)]
+        targets = [order_target(order, leg_target(leg)) for _s, leg in legs]
+        for a, b in keys:
+            for target in targets:
+                misses = _bar_xy.cache_info().misses
+                _bar_xy(a, b, target)
+                assert _bar_xy.cache_info().misses == misses + 1, (a, b, target)
+
+
+def test_theorem_B_peak_rss_rise_is_bounded():
+    # B at weight 10 in a fresh interpreter: the functional families stream
+    # into the solver as rows and their own bar words stay out of the memo,
+    # so the peak RSS rises about 14 MB over the post-import RSS (about
+    # 55 MB when every functional, a word index and every word were kept;
+    # Linux, Python 3.11)
+    code = "\n".join([
+        "import resource, sys",
+        "import ncds.harness as h",
+        "unit = 1 if sys.platform == 'darwin' else 1024  # ru_maxrss: B or KiB",
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit",
+        "base = peak()",
+        "assert h.verify_theorem_B(10, weights=[10]).ok",
+        "print((peak() - base) / 2 ** 20)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=src_env())
+    assert float(proc.stdout) < 40
 
 
 class TestVerifiers:
