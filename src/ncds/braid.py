@@ -9,21 +9,22 @@ or the pi maps, which are well defined on the quotient.
 
 Chord maps (strand relabelling, projections, insertions) are
 ``LinearMorphism``s.  The pi maps send each letter to a sum of cocycle letter
-images and are applied by the same first-letter recursion as a
-``LinearMorphism``: the words of an element are grouped by first letter, the
-tails are mapped once, and each letter image multiplies the merged tail image
-by a word edit that agrees with ``cocycle_mul``, the defining product.
+images and run on the same engine, ``series._expand_terms``: the words of an
+element are grouped by first letter, the tails are mapped once, and each
+letter image multiplies the merged tail image by a word edit
+(``_cocycle_times``) that agrees with ``cocycle_mul``, the defining product.
+A cocycle element is a ``SparseSeries`` over (x0, x1) whose keys are tensor
+pairs (a, b) and tagged module words (w,).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 from .linalg import rref
-from .series import (EMPTY, Alphabet, LinearMorphism, Series, substitute,
-                     two_letter_alphabet, _by_first_letter, _iadd)
+from .series import (EMPTY, Alphabet, LinearMorphism, Series, SparseSeries,
+                     substitute, two_letter_alphabet, _expand_terms, _iadd)
 
 CHORD_NAMES = ("12", "23", "34", "45", "24")
 PI23_NAMES = ("12", "23", "24", "34", "13")
@@ -152,7 +153,7 @@ _COFACE_34 = {
 
 
 # The two pi presentations: the letter names, the coface table, and the
-# letter images under pi, written as a word edit each (see _pi_terms):
+# letter images under pi, written as a word edit each (see _cocycle_times):
 # pi^{2,3}: x12 -> x0 (x) 1, x24 -> x1 (x) 1, x13 -> 1 (x) x0,
 #           x34 -> 1 (x) x1, x23 -> -e
 # pi^{3,4}: x14, x24, x13, x23 likewise, x34 -> -e
@@ -238,74 +239,66 @@ def project_strand(e, i):
 
 # -- Fox pairing and the two-cocycle algebra --------------------------------
 
+def _rho_words(u, v):
+    """rho(u, v) on words: u . tail(v) if last(u) == first(v), else None."""
+    if not u or not v or u[-1] != v[0]:
+        return None
+    return u + v[1:]
+
+
 def rho_kks(a, b):
     """The diagonal Fox pairing: left Fox derivative in the first slot and
     right Fox derivative in the second, with rho(x_i, x_j) = delta_ij x_i.
 
-    On words it contracts the last letter of a with the first letter of b:
-    rho(u, v) = [last(u) == first(v)] u . tail(v).
+    On words it contracts the last letter of a with the first letter of b
+    (``_rho_words``).
     """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     mw = min(a.max_weight, b.max_weight)
     out = {}
     for u, cu in a.terms.items():
-        if not u:
-            continue
         for v, cv in b.terms.items():
-            if v and u[-1] == v[0]:
-                w = u + v[1:]
-                if len(w) <= mw:
-                    _iadd(out, w, cu * cv)
+            w = _rho_words(u, v)
+            if w is not None and len(w) <= mw:
+                _iadd(out, w, cu * cv)
     return Series(a.alphabet, mw, out, _clean=False)
 
 
-def _rho_words(u, v):
-    if not u or not v or u[-1] != v[0]:
-        return None
-    return u + v[1:]
+class CocycleElement(SparseSeries):
+    """Element of A (x) A + M over (x0, x1) with the Fox-pairing twisted
+    product; the module M is A with the bimodule rule
+    (f (x) g) a (h (x) k) = eps(f) eps(k) g a h.  A tensor key (a, b) weighs
+    len(a) + len(b), a module key (w,) len(w) + 1 (e has weight 1)."""
 
+    __slots__ = ()
 
-@dataclass
-class CocycleElement:
-    """Element of A (x) A + M with the Fox-pairing twisted product; the
-    module M is A with the bimodule rule (f (x) g) a (h (x) k) =
-    eps(f) eps(k) g a h."""
+    @staticmethod
+    def key_weight(key):
+        if len(key) == 2:
+            return len(key[0]) + len(key[1])
+        return len(key[0]) + 1
 
-    max_weight: int
-    tensor: dict = field(default_factory=dict)   # (word, word) -> coef
-    module: dict = field(default_factory=dict)   # word -> coef
+    @classmethod
+    def of(cls, max_weight, tensor=(), module=()):
+        """From a (word, word) -> coef map and a word -> coef map."""
+        terms = dict(tensor)
+        terms.update(((w,), c) for w, c in dict(module).items())
+        return cls(two_letter_alphabet(), max_weight, terms)
 
     @property
-    def is_zero(self):
-        return not self.tensor and not self.module
+    def tensor(self):
+        return {k: c for k, c in self.terms.items() if len(k) == 2}
 
-    def __add__(self, other):
-        t = dict(self.tensor)
-        for k, c in other.tensor.items():
-            _iadd(t, k, c)
-        m = dict(self.module)
-        for k, c in other.module.items():
-            _iadd(m, k, c)
-        return CocycleElement(min(self.max_weight, other.max_weight), t, m)
+    @property
+    def module(self):
+        return {k[0]: c for k, c in self.terms.items() if len(k) == 1}
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    def module_series(self):
+        return Series(self.alphabet, self.max_weight, self.module, _clean=False)
 
-    def scale(self, c):
-        if not c:
-            return CocycleElement(self.max_weight)
-        return CocycleElement(self.max_weight,
-                              {k: c * v for k, v in self.tensor.items()},
-                              {k: c * v for k, v in self.module.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, CocycleElement)
-                and self.tensor == other.tensor and self.module == other.module)
-
-    def module_series(self, alphabet=None):
-        x = alphabet or two_letter_alphabet()
-        return Series(x, self.max_weight, dict(self.module))
+    def __repr__(self):
+        return "CocycleElement(%r, %r)" % (self.tensor, self.module)
 
 
 def cocycle_mul(u, v):
@@ -314,10 +307,11 @@ def cocycle_mul(u, v):
     if u.max_weight != v.max_weight:
         raise ValueError("truncation mismatch")
     mw = u.max_weight
+    u_tensor, v_tensor, v_module = u.tensor, v.tensor, v.module
     tensor = {}
     module = {}
-    for (a1, b1), cu in u.tensor.items():
-        for (a2, b2), cv in v.tensor.items():
+    for (a1, b1), cu in u_tensor.items():
+        for (a2, b2), cv in v_tensor.items():
             if len(a1) + len(a2) + len(b1) + len(b2) <= mw:
                 _iadd(tensor, (a1 + a2, b1 + b2), cu * cv)
             if not a1 and not b2:
@@ -325,64 +319,62 @@ def cocycle_mul(u, v):
                 if w is not None and len(w) + 1 <= mw:
                     _iadd(module, w, cu * cv)
         if not a1:
-            for m2, cv in v.module.items():
+            for m2, cv in v_module.items():
                 if len(b1) + len(m2) + 1 <= mw:
                     _iadd(module, b1 + m2, cu * cv)
     for m1, cu in u.module.items():
-        for (a2, b2), cv in v.tensor.items():
+        for (a2, b2), cv in v_tensor.items():
             if not b2 and len(m1) + len(a2) + 1 <= mw:
                 _iadd(module, m1 + a2, cu * cv)
-    return CocycleElement(mw, tensor, module)
+    return CocycleElement.of(mw, tensor, module)
 
 
-def _pi_terms(terms, images):
-    """The pi image of a word -> coef map, by first-letter recursion:
-    phi(f) = sum_a phi(a) phi(f_a), where f_a holds the words of f that start
-    with a, that letter removed, and equal words merge at every level.
-    images[i] lists the letter images (kind, x, coef) that letter i maps to.
-    Multiplying on the left by one letter image is a word edit that agrees
-    with cocycle_mul:
+def _cocycle_times(image, tail, out):
+    """Adds image * tail to out in the cocycle algebra, for the image of one
+    pi letter, a sequence of (kind, x, coef).  Each product with a letter
+    image is a word edit that agrees with cocycle_mul:
       (x (x) 1)(a (x) b) = xa (x) b, and (x (x) 1) m = 0;
-      (1 (x) x)(a (x) b) = a (x) xb, plus the module word a when b is empty
-        and a starts with x (the rho term); (1 (x) x) m = xm;
+      (1 (x) x)(a (x) b) = a (x) xb, plus rho(x, a) = a in the module when
+        b is empty and a starts with x; (1 (x) x) m = xm;
       e (a (x) 1) = a in the module, and e (a (x) b) = 0 = e m otherwise
         (the letter image -e is e with coef -1).
-    Every letter image has weight 1, so no product needs truncating.
-    Returns the (tensor, module) dicts of a CocycleElement."""
-    const, by_first = _by_first_letter(terms)
-    tensor = {(EMPTY, EMPTY): const} if const else {}
-    module = {}
-    for i, tails in by_first.items():
-        if not images[i]:
-            continue
-        t_sub, m_sub = _pi_terms(tails, images)
-        for kind, x, c in images[i]:
-            if kind == "left":
-                for (a, b), v in t_sub.items():
-                    _iadd(tensor, (x + a, b), c * v)
-            elif kind == "right":
-                for (a, b), v in t_sub.items():
-                    _iadd(tensor, (a, x + b), c * v)
-                    if not b and a[:1] == x:
-                        _iadd(module, a, c * v)
-                for m, v in m_sub.items():
-                    _iadd(module, x + m, c * v)
-            else:
-                for (a, b), v in t_sub.items():
-                    if not b:
-                        _iadd(module, a, c * v)
-    return tensor, module
+    Every letter image has weight 1, so no product needs truncating."""
+    for kind, x, c in image:
+        if kind == "left":
+            for key, v in tail.items():
+                if len(key) == 2:
+                    _iadd(out, (x + key[0], key[1]), c * v)
+        elif kind == "right":
+            for key, v in tail.items():
+                if len(key) == 2:
+                    a, b = key
+                    _iadd(out, (a, x + b), c * v)
+                    if not b and a[:1] == x:  # rho(x, a) = a
+                        _iadd(out, (a,), c * v)
+                else:
+                    _iadd(out, (x + key[0],), c * v)
+        else:
+            for key, v in tail.items():
+                if len(key) == 2 and not key[1]:
+                    _iadd(out, key[:1], c * v)
+    return out
+
+
+def _pi_apply(f, images):
+    """f under the letter map images: (kind, x, coef) sequences per letter."""
+    return CocycleElement.from_terms(
+        two_letter_alphabet(), f.max_weight,
+        _expand_terms(f.terms, images, _cocycle_times, (EMPTY, EMPTY)))
 
 
 def pi_decompose(e, flavor="23"):
     """Image of a five-letter presentation element under pi^{2,3} or
-    pi^{3,4}; returns the CocycleElement (tensor part, module part)."""
+    pi^{3,4}, a CocycleElement (tensor part and module part)."""
     alphabet = pi_alphabet(flavor)
     if e.alphabet != alphabet:
         raise ValueError("element is not over the %s-presentation letters" % flavor)
     letter_images = _flavor(flavor)[2]
-    images = [(letter_images[n],) for n in alphabet.letters]
-    return CocycleElement(e.max_weight, *_pi_terms(e.terms, images))
+    return _pi_apply(e, [(letter_images[n],) for n in alphabet.letters])
 
 
 def pi_coface(psi, name, flavor="23"):
@@ -390,9 +382,8 @@ def pi_coface(psi, name, flavor="23"):
     generator maps straight to the sum of the letter images of its coface
     chords."""
     letter_images = _flavor(flavor)[2]
-    images = [tuple(letter_images[n] for n in img)
-              for img in coface_images(name, flavor)]
-    return CocycleElement(psi.max_weight, *_pi_terms(psi.terms, images))
+    return _pi_apply(psi, [tuple(letter_images[n] for n in img)
+                           for img in coface_images(name, flavor)])
 
 
 def cyclic_defect_pi23(psi):

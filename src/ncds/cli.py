@@ -59,25 +59,30 @@ def cmd_spaces(args):
     return 0
 
 
-def _report(report, path):
-    """The report JSON to path or stdout, its summary (timing last) to stderr."""
-    _dump(report.to_json(), path)
+def _report(report, args):
+    """The report JSON to --out or stdout, its summary (timing last) to
+    stderr; InputError if --max-weight left the check no weight."""
+    if not report.weights:
+        raise InputError("--max-weight %d is below the first weight %s checks"
+                         % (args.max_weight, report.check))
+    _dump(report.to_json(), args.out)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
 
 
 def cmd_verify(args):
     from .harness import DEFAULT_CEILINGS, VERIFIERS
-    max_weight = args.max_weight or DEFAULT_CEILINGS[args.theorem]
+    max_weight = args.max_weight
+    if max_weight is None:
+        max_weight = DEFAULT_CEILINGS[args.theorem]
     report = VERIFIERS[args.theorem](max_weight, args.seed)
-    _report(report, args.out)
+    _report(report, args)
     return 0 if report.ok else 1
 
 
 def cmd_conjecture(args):
     from .harness import conjecture_scan
-    report = conjecture_scan(args.max_weight, args.seed)
-    _report(report, args.out)
+    _report(conjecture_scan(args.max_weight, args.seed), args)
     return 0
 
 

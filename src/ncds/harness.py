@@ -461,55 +461,54 @@ def random_lie_series(weight, rng, skew=False, max_weight=None, span=3):
     return out
 
 
-def lemma_cab23_failures(max_weight=6, samples=100, seed=0):
-    """pi^{2,3} coface identities on seeded random skew Lie series."""
+def _pi_lemma_failures(label, flavor, first_weight, skew, expected,
+                       max_weight, samples, seed):
+    """(label, weight, sample, coface) wherever the module part of pi_coface
+    on a seeded random Lie series psi differs from expected(psi)[coface]."""
     from .braid import pi_coface
-    from .coaction import r_series, reduced_coaction
-    from .series import fox_derivative
     rng = random.Random(seed)
     failures = []
-    for w in range(2, max_weight + 1):
+    for w in range(first_weight, max_weight + 1):
         for i in range(samples):
-            psi = random_lie_series(w, rng, skew=True)
-            r = r_series(psi)
-            expected = {
-                "1,2,34": -1 * fox_derivative(psi, "x1", "right"),
-                "12,3,4": -1 * fox_derivative(psi, "x0", "left"),
-                "1,23,4": reduced_coaction(psi),
-                "2,3,4": substitute(r, S_AT_X1),
-                "1,2,3": -1 * substitute(r, S_AT_MINUS_X0),
-            }
-            for name, want in expected.items():
-                got = pi_coface(psi, name, "23").module_series()
-                if got != want:
-                    failures.append(("cab23", w, i, name))
+            psi = random_lie_series(w, rng, skew=skew)
+            for name, want in expected(psi).items():
+                if pi_coface(psi, name, flavor).module_series() != want:
+                    failures.append((label, w, i, name))
     return failures
+
+
+def lemma_cab23_failures(max_weight=6, samples=100, seed=0):
+    """pi^{2,3} coface identities on seeded random skew Lie series."""
+    from .coaction import r_series, reduced_coaction
+    from .series import fox_derivative
+    def expected(psi):
+        r = r_series(psi)
+        return {
+            "1,2,34": -1 * fox_derivative(psi, "x1", "right"),
+            "12,3,4": -1 * fox_derivative(psi, "x0", "left"),
+            "1,23,4": reduced_coaction(psi),
+            "2,3,4": substitute(r, S_AT_X1),
+            "1,2,3": -1 * substitute(r, S_AT_MINUS_X0),
+        }
+    return _pi_lemma_failures("cab23", "23", 2, True, expected,
+                              max_weight, samples, seed)
 
 
 def lemma_cabling34_failures(max_weight=6, samples=100, seed=0):
     """pi^{3,4} coface identities on seeded random Lie series."""
-    from .braid import pi_coface
     from .coaction import reduced_coaction
     from .series import fox_derivative
-    rng = random.Random(seed)
-    failures = []
-    for w in range(1, max_weight + 1):
-        zero = Series.zero(two_letter_alphabet(), w)
-        for i in range(samples):
-            eta = random_lie_series(w, rng)
-            dr1 = fox_derivative(eta, "x1", "right")
-            expected = {
-                "1,2,34": reduced_coaction(eta),
-                "2,3,4": -1 * substitute(dr1, AT_X1_ZERO),
-                "12,3,4": -1 * substitute(dr1, AT_SUM_ZERO),
-                "1,2,3": zero,
-                "1,23,4": -1 * dr1,
-            }
-            for name, want in expected.items():
-                got = pi_coface(eta, name, "34").module_series()
-                if got != want:
-                    failures.append(("cabling34", w, i, name))
-    return failures
+    def expected(eta):
+        dr1 = fox_derivative(eta, "x1", "right")
+        return {
+            "1,2,34": reduced_coaction(eta),
+            "2,3,4": -1 * substitute(dr1, AT_X1_ZERO),
+            "12,3,4": -1 * substitute(dr1, AT_SUM_ZERO),
+            "1,2,3": Series.zero(two_letter_alphabet(), eta.max_weight),
+            "1,23,4": -1 * dr1,
+        }
+    return _pi_lemma_failures("cabling34", "34", 1, False, expected,
+                              max_weight, samples, seed)
 
 
 def lemma_dihedral_failures(max_weight=6, samples=3, seed=0):

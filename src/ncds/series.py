@@ -357,43 +357,46 @@ def _translate_terms(terms, table, drop):
     return out
 
 
-def _by_first_letter(terms):
-    """(coef of the empty word, {first letter: {rest of word: coef}}) of a
-    word -> coef map: the split a first-letter recursion works on."""
-    const = 0
+def _concat_times(image, tail, out):
+    """out + image * tail in the free algebra: the image of a letter, a
+    sequence of (one-letter word, coef), concatenated before each word.  The
+    image's letters are distinct, so for an empty out the products are
+    distinct words and fill a new dict without merging."""
+    if not out:
+        return {t + v: tc * vc for t, tc in image for v, vc in tail.items()}
+    for t, tc in image:
+        for v, vc in tail.items():
+            _iadd(out, t + v, tc * vc)
+    return out
+
+
+def _expand_terms(terms, images, times=_concat_times, unit=EMPTY):
+    """Image of a word -> coef map under the algebra morphism sending letter
+    i to images[i], by first-letter recursion: phi(f) = sum_a phi(a) phi(f_a),
+    where f_a holds the words of f that start with a, that letter removed.
+    Equal keys merge at every level, so a letter map costs one factor at a
+    time instead of one expansion per word; one word alone is multiplied out
+    from its last letter.  ``times(image, tail, out)`` is out + image * tail
+    in the target (in place, or a new dict for an empty out); ``unit`` is
+    the target key of the empty word.  Concatenation is the default."""
+    if len(terms) == 1:
+        ((w, c),) = terms.items()
+        out = {unit: c}
+        for i in reversed(w):
+            out = times(images[i], out, {})
+            if not out:
+                break
+        return out
+    out = {}
     by_first = {}
     for w, c in terms.items():
         if w:
             by_first.setdefault(w[0], {})[w[1:]] = c
         else:
-            const = c
-    return const, by_first
-
-
-def _expand_terms(terms, images):
-    """General path, by first-letter recursion: phi(f) = sum_a phi(a) phi(f_a),
-    where f_a holds the words of f that start with a, that letter removed.
-    Equal words are merged at every level, so a letter map costs one factor
-    at a time instead of one expansion per word.  One word alone is
-    multiplied out directly; its expanded words are distinct."""
-    if len(terms) == 1:
-        ((w, c),) = terms.items()
-        partial = {EMPTY: c}
-        for i in w:
-            partial = {pw + t: pc * tc for pw, pc in partial.items()
-                       for t, tc in images[i]}
-            if not partial:
-                break
-        return partial
-    const, by_first = _by_first_letter(terms)
-    out = {EMPTY: const} if const else {}
+            out[unit] = c
     for i, tails in by_first.items():
-        if not images[i]:
-            continue
-        tail_image = _expand_terms(tails, images)
-        for t, tc in images[i]:
-            for v, vc in tail_image.items():
-                _iadd(out, t + v, tc * vc)
+        if images[i]:
+            out = times(images[i], _expand_terms(tails, images, times, unit), out)
     return out
 
 

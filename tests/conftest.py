@@ -129,8 +129,9 @@ def ref_ihara_derivation(psi, f):
 # -- reference letter maps -----------------------------------------------------
 #
 # Every word expanded on its own, the route the first-letter recursion of
-# ncds.series._expand_terms and ncds.braid._pi_terms replaced: a word is the
-# product of its letter images, and only the sum over source words merges.
+# ncds.series._expand_terms replaced for letter maps and the pi maps alike: a
+# word is the product of its letter images, and only the sum over source
+# words merges.
 
 def ref_expand_terms(terms, images):
     """A LinearMorphism's ``images`` applied to a word -> coef map."""
@@ -154,17 +155,17 @@ _REF_PI_LETTERS = {"23": ("12", "24", "13", "34", "23"),
 def ref_pi_letter(flavor, name, max_weight):
     k = _REF_PI_LETTERS[flavor].index(name)
     if k == 4:
-        return CocycleElement(max_weight, {}, {b"": -1})
+        return CocycleElement.of(max_weight, {}, {b"": -1})
     key = (bytes((k,)), b"") if k < 2 else (b"", bytes((k - 2,)))
-    return CocycleElement(max_weight, {key: 1}, {})
+    return CocycleElement.of(max_weight, {key: 1}, {})
 
 
 def ref_pi_fold(terms, images, max_weight):
     """Sum over words of c times the cocycle_mul product of the letter
     images (CocycleElements), one word at a time."""
-    out = CocycleElement(max_weight)
+    out = CocycleElement.of(max_weight)
     for w, c in terms.items():
-        acc = CocycleElement(max_weight, {(b"", b""): 1}, {})
+        acc = CocycleElement.of(max_weight, {(b"", b""): 1}, {})
         for i in w:
             acc = cocycle_mul(acc, images[i])
         out = out + acc.scale(c)
@@ -182,7 +183,7 @@ def ref_pi_coface(psi, images, flavor):
     mw = psi.max_weight
     sums = []
     for names in images:
-        total = CocycleElement(mw)
+        total = CocycleElement.of(mw)
         for n in names:
             total = total + ref_pi_letter(flavor, n, mw)
         sums.append(total)

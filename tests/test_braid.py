@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -246,12 +248,12 @@ class TestRhoKks:
 
 class TestCocycleAlgebra:
     def test_module_squares_to_zero(self):
-        e = CocycleElement(4, {}, {b"": 1})
+        e = CocycleElement.of(4, {}, {b"": 1})
         assert cocycle_mul(e, e).is_zero
 
     def test_module_tensor_products(self):
-        e = CocycleElement(4, {}, {b"": 1})
-        x0_tensor = CocycleElement(4, {(b"\x00", b""): 1}, {})
+        e = CocycleElement.of(4, {}, {b"": 1})
+        x0_tensor = CocycleElement.of(4, {(b"\x00", b""): 1}, {})
         left = cocycle_mul(e, x0_tensor)
         assert left.tensor == {} and left.module == {b"\x00": 1}
         right = cocycle_mul(x0_tensor, e)
@@ -259,9 +261,9 @@ class TestCocycleAlgebra:
 
     def test_r23_relation_image(self):
         # pi-image of [x13,x23] - [x23,x12] via explicit cocycle products
-        one_x0 = CocycleElement(4, {(b"", b"\x00"): 1}, {})
-        e = CocycleElement(4, {}, {b"": 1})
-        x0_one = CocycleElement(4, {(b"\x00", b""): 1}, {})
+        one_x0 = CocycleElement.of(4, {(b"", b"\x00"): 1}, {})
+        e = CocycleElement.of(4, {}, {b"": 1})
+        x0_one = CocycleElement.of(4, {(b"\x00", b""): 1}, {})
         lhs = cocycle_mul(one_x0, e.scale(-1)) - cocycle_mul(e.scale(-1), one_x0)
         assert lhs.tensor == {} and lhs.module == {b"\x00": -1}
         rhs = cocycle_mul(e.scale(-1), x0_one) - cocycle_mul(x0_one, e.scale(-1))
@@ -276,12 +278,104 @@ class TestCocycleAlgebra:
                 t[(a, b)] = rng.randint(-2, 2)
             m = {bytes(rng.randint(0, 1) for _ in range(rng.randint(0, 2))):
                  rng.randint(-2, 2)}
-            return CocycleElement(8, {k: v for k, v in t.items() if v},
+            return CocycleElement.of(8, {k: v for k, v in t.items() if v},
                                   {k: v for k, v in m.items() if v})
 
         for _ in range(8):
             u, v, w = rand_elt(), rand_elt(), rand_elt()
             assert cocycle_mul(cocycle_mul(u, v), w) == cocycle_mul(u, cocycle_mul(v, w))
+
+
+def _seeded_cocycle_parts(n=16, seed=20241015):
+    """(max_weight, tensor dict, module dict) with mixed weights, keys above
+    max_weight, zero and Fraction coefficients."""
+    rng = random.Random(seed)
+
+    def word(k):
+        return bytes(rng.randint(0, 1) for _ in range(k))
+
+    def coef():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    out = []
+    for _ in range(n):
+        mw = rng.randint(0, 6)
+        tensor = {(word(rng.randint(0, 3)), word(rng.randint(0, 3))): coef()
+                  for _ in range(rng.randint(0, 8))}
+        module = {word(rng.randint(0, 5)): coef() for _ in range(rng.randint(0, 5))}
+        out.append((mw, tensor, module))
+    return out
+
+
+def _tensor_kept(tensor, mw):
+    return {k: c for k, c in tensor.items() if c and len(k[0]) + len(k[1]) <= mw}
+
+
+def _module_kept(module, mw):
+    return {w: c for w, c in module.items() if c and len(w) + 1 <= mw}
+
+
+def _dict_sum(p, q, sign=1):
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+class TestCocycleAsSparseSeries:
+    """A CocycleElement is one SparseSeries over tensor keys (a, b) and module
+    keys (w,); its arithmetic is checked against dict arithmetic on the
+    tensor and module views."""
+
+    @staticmethod
+    def elements():
+        return [CocycleElement.of(mw, t, m) for mw, t, m in _seeded_cocycle_parts()]
+
+    def test_of_truncates_by_key_weight_and_round_trips(self):
+        for mw, tensor, module in _seeded_cocycle_parts():
+            e = CocycleElement.of(mw, tensor, module)
+            assert e.tensor == _tensor_kept(tensor, mw)
+            assert e.module == _module_kept(module, mw)
+            assert e.terms == {**e.tensor, **{(w,): c for w, c in e.module.items()}}
+            assert e.max_weight == mw and e.alphabet == X
+            assert CocycleElement.of(mw, e.tensor, e.module) == e
+            assert CocycleElement.from_terms(X, mw, e.terms) == e
+            assert e.module_series() == Series(X, mw, e.module)
+
+    def test_module_key_weighs_one_more_than_its_word(self):
+        e = CocycleElement.of(2, {(b"\x00", b"\x01"): 1, (b"\x00\x00", b"\x01"): 1},
+                              {b"\x00\x01": 1, b"\x00": 2, b"": 3})
+        assert e.tensor == {(b"\x00", b"\x01"): 1}
+        assert e.module == {b"\x00": 2, b"": 3}
+        assert CocycleElement.key_weight((b"\x00",)) == 2
+        assert CocycleElement.key_weight((b"\x00", b"")) == 1
+        assert CocycleElement.of(0, {(b"", b""): 5}, {b"": 1}).terms == {(b"", b""): 5}
+
+    def test_arithmetic_matches_dict_arithmetic_on_the_views(self):
+        elements = self.elements()
+        for u, v in itertools.product(elements, repeat=2):
+            mw = min(u.max_weight, v.max_weight)
+            third = Fraction(-2, 3)
+            for got, tensor, module, weight in (
+                    (u + v, _dict_sum(u.tensor, v.tensor), _dict_sum(u.module, v.module), mw),
+                    (u - v, _dict_sum(u.tensor, v.tensor, -1),
+                     _dict_sum(u.module, v.module, -1), mw),
+                    (u.scale(third), {k: third * c for k, c in u.tensor.items()},
+                     {k: third * c for k, c in u.module.items()}, u.max_weight),
+                    (u.scale(0), {}, {}, u.max_weight)):
+                assert isinstance(got, CocycleElement)
+                assert got.tensor == _tensor_kept(tensor, weight)
+                assert got.module == _module_kept(module, weight)
+                assert got.max_weight == weight
+                assert got.is_zero == (not got.tensor and not got.module)
+            assert (u == v) == (u.tensor == v.tensor and u.module == v.module)
+            assert (u - u).is_zero
+        assert any(not e.is_zero for e in elements)
+        assert any(e.is_zero for e in elements)
+
+    def test_not_equal_to_its_module_series(self):
+        e = CocycleElement.of(3, {}, {b"\x00": 1})
+        assert e != e.module_series() and e.module_series() != e
 
 
 class TestPiMaps:
@@ -332,6 +426,36 @@ class TestPiMaps:
                 got = pi_decompose(e, flavor)
                 assert got == ref_pi_decompose(e, flavor)
                 assert got.max_weight == mw
+
+    def test_one_word_inputs(self):
+        # one word alone takes the engine's single-word path
+        coefs = (1, -2, Fraction(3, 4))
+        for flavor in ("23", "34"):
+            p = pi_alphabet(flavor)
+            for n in range(0, 5):
+                for k, word in enumerate(itertools.product(range(5), repeat=n)):
+                    e = Series(p, n + k % 2, {bytes(word): coefs[k % 3]})
+                    got = pi_decompose(e, flavor)
+                    assert got == ref_pi_decompose(e, flavor), (flavor, word)
+                    assert got.max_weight == e.max_weight
+            for n in range(0, 7):
+                for k, word in enumerate(itertools.product(range(2), repeat=n)):
+                    psi = Series(X, n, {bytes(word): coefs[k % 3]})
+                    for name in self.COFACES:
+                        got = pi_coface(psi, name, flavor)
+                        want = ref_pi_coface(psi, coface_images(name, flavor), flavor)
+                        assert got == want, (flavor, name, word)
+
+    def test_single_word_path_merges_equal_keys(self):
+        # under the coface 1,23,4 of pi^{2,3}, x0 maps to x0 (x) 1 + 1 (x) x0,
+        # so x0 x0 reaches x0 (x) x0 twice within one word, besides the rho
+        # term x0 in the module
+        psi = x_series({"00": 1}, 2)
+        got = pi_coface(psi, "1,23,4", "23")
+        assert got == ref_pi_coface(psi, coface_images("1,23,4", "23"), "23")
+        assert got.tensor == {(b"\x00\x00", b""): 1, (b"\x00", b"\x00"): 2,
+                              (b"", b"\x00\x00"): 1}
+        assert got.module == {b"\x00": 1}
 
     def test_unknown_flavor_rejected(self, rng):
         psi = random_lie(3, rng)

@@ -391,6 +391,28 @@ class TestCli:
         for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
             assert "ncds." + name not in loaded
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--theorem", "A", "--max-weight", "0"),
+        ("verify", "--theorem", "A", "--max-weight", "1"),
+        ("verify", "--theorem", "A", "--max-weight", "-3"),
+        ("verify", "--theorem", "D", "--max-weight", "2"),
+        ("verify", "--theorem", "E", "--max-weight", "0"),
+        ("conjecture", "--max-weight", "0"),
+        ("conjecture", "--max-weight", "2"),
+    ])
+    def test_ceiling_below_first_weight_is_input_error(self, capsys, argv):
+        # a ceiling that checks no weight neither passes nor falls back to
+        # the default ceiling
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ncds: --max-weight") and "Traceback" not in captured.err
+
+    def test_lowest_ceiling_runs(self, capsys):
+        assert self.run("verify", "--theorem", "D", "--max-weight", "3") == 0
+        assert [e["w"] for e in json.loads(capsys.readouterr().out)["weights"]] == [3]
+        assert self.run("conjecture", "--max-weight", "3") == 0
+
     def test_verify_pass_exit_code(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
         assert self.run("verify", "--theorem", "C", "--max-weight", "4",
