@@ -381,6 +381,8 @@ def pi_coface(psi, name, flavor="23"):
     """pi o coface without materializing the intermediate substitution: each
     generator maps straight to the sum of the letter images of its coface
     chords."""
+    if psi.alphabet != two_letter_alphabet():
+        raise ValueError("psi is not over the letters x0, x1")
     letter_images = _flavor(flavor)[2]
     return _pi_apply(psi, [tuple(letter_images[n] for n in img)
                            for img in coface_images(name, flavor)])

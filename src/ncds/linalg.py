@@ -3,26 +3,28 @@
 ``rref`` is the exact elimination: a Bareiss forward pass over big integers
 (rows are scaled to integers first) and a back pass that fills in the
 free columns of the reduced rows.  Canonical bases (and through them the
-span tests) and ``braid.express_chord`` read off it, and it is
-``kernel_basis``'s fallback.
+span tests) and ``braid.express_chord`` read off it.
 
 ``kernel_basis`` does not eliminate a tall matrix whole, and it eliminates
-modulo the prime p = 2^61 - 1.  It drops zero rows and rows that repeat up
-to sign; if m > k = cols + 8 distinct rows remain, it selects only every
-(m // k)-th of them.
+modulo primes: the primes below 2^61, taken downward from the Mersenne
+prime 2^61 - 1 (``_primes``, a fixed sequence).  It drops zero rows and rows
+that repeat up to sign; if m > k = cols + 8 distinct rows remain, it selects
+only every (m // k)-th of them.
 
 - Mod-p pass.  Each selected row is packed into one int, one slot per
   column (17 bytes) holding its entry mod p, so a row operation is one
   big-int multiply-add (Kronecker substitution; Dumas, Fousse and Salvy,
   J. Symb. Comput. 46, 2011).  Slots never go negative and are reduced mod
   p only when read.  Gauss-Jordan mod p gives the free-column kernel basis
-  mod p.
-- Lift.  Each entry is lifted to a fraction a/b with |a|, b <= sqrt(p/2) by
-  rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).
+  mod p.  One echelon is kept per prime.
+- Lift.  The kernel bases mod the kept primes are combined by CRT into one
+  mod their product M, and each entry is lifted to a fraction a/b with
+  |a|, b <= sqrt(M/2) by rational reconstruction (Wang, Guy and Davenport,
+  SIGSAM Bull. 16, 1982).  Over one prime the CRT is the identity.
 - Certificate.  Each lifted vector, scaled to integers, is checked exactly
   against every distinct row.
 
-Why the output is the one full elimination over Q gives, for every p: a
+Why the output is the one full elimination over Q gives, for every M: a
 rank mod p is at most the rank over Q, so nullity_Q(A) <= nullity_Q(A_S) <=
 nullity_p(A_S), the number of lifted vectors.  They are independent (the
 vector for free column fc is 1 there and 0 at the other free columns), so if
@@ -31,23 +33,47 @@ is also zero right of fc, a shape that only the reduced free-column basis of
 ker_Q(A) has.
 
 Rows that fail the check join the selection (at most k in the first repair
-round, a budget that doubles each round) and are reduced against the
-echelon so far; the rows eliminated before are not eliminated again.  If
-every selected row passes, the lifted basis is the exact kernel of the
+round, a budget that doubles each round) and are reduced into the echelon
+of every kept prime; the rows eliminated before are not eliminated again.
+If every selected row passes, the lifted basis is the exact kernel of the
 selection, so a failing row lies outside the selection's row space.  If an
-entry does not lift or a selected row fails, the lift was wrong: an
-entry of the selection's kernel is wider than the lift bound, or p is
-unlucky.  The distinct rows are then checked mod p against the mod-p
-kernel, and those that fail (rows outside the selection's row space mod p)
-make the repair round.  If none fail, the current selection is eliminated
-by ``rref`` instead, and so are the later rounds.  Each round adds rows not selected
-before, so the rounds end, at worst with every row selected.  The
-selection is deterministic: no random numbers, no seed.
+entry does not lift or a selected row fails, the lift was wrong.  The
+distinct rows are then checked mod p against the mod-p kernel of the first
+kept prime, and those that fail (rows outside the selection's row space mod
+p) make the repair round.  If none fail, the selection is right and only M
+is too small: a CRT round eliminates the selection mod the next prime.
+After every round a prime whose pivot set is not the best of the kept ones
+is dropped as unlucky; the best set has the most pivots and, among sets of
+that size, is the lexicographically smallest.
+
+Why the rounds end.  Let S be the selection, r its rank over Q, P its pivot
+set over Q, and H the Hadamard bound of S (the product of its row norms),
+which bounds every minor of S.  A prime is lucky if its pivot set is P.
+- P is the best set any prime can give.  The pivots left of column j count
+  the rank of the first j columns, and that rank mod p is at most the rank
+  over Q, so mod p the i-th pivot is at or right of the i-th pivot of P.
+  So a lucky prime is never dropped, and once one is kept all kept are.
+- A lucky prime gives the residues of the kernel over Q.  It does not
+  divide the minor D on P of some r rows of S, and every row of S is D^-1
+  times an integer combination of those rows, so mod p the selection has
+  the reduction of its reduced form over Q.  An unlucky prime divides every
+  such D, so the unlucky primes multiply to at most H: there are at most
+  log2(H)/60 of them.
+- Each entry of the kernel over Q is a quotient of r x r minors of S, a/b
+  with |a|, b <= H.  The kept primes share one pivot set, so once their
+  product M > 2H^2 they are lucky, and every entry lifts, to its value.
+  Then every selected row passes, and the check either certifies the basis
+  or names rows not selected before.
+Every CRT round but at most log2(H)/60 keeps one more lucky prime, so M
+passes 2H^2 after finitely many; each repair round adds rows not selected
+before; so the rounds end, at worst with every row selected.
+The selection and the primes are deterministic: no random numbers, no seed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -154,13 +180,43 @@ def _distinct_rows(rows):
     return list(seen)
 
 
-_P = (1 << 61) - 1  # a Mersenne prime
-_LIFT = isqrt(_P // 2)  # a/b mod p with |a|, b <= _LIFT is unique
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the primes below 41
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n):
+    """Miller-Rabin with the prime bases up to 37, which is exact for every
+    n below 3.1 * 10^23 (Sorenson and Webster, Math. Comp. 86, 2017).
+    Cached: every kernel starts its sequence at 2^61 - 1."""
+    if n < 41:
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2^61, downward from 2^61 - 1."""
+    n = (1 << 61) - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
 
 
 def _slot_bytes(cols):
-    """Bytes per slot of a packed row.  A slot starts below p and takes at
-    most one multiply-add below p^2 per pivot, so it stays below
+    """Bytes per slot of a packed row.  A slot starts below p < 2^61 and
+    takes at most one multiply-add below p^2 per pivot, so it stays below
     (cols + 1) p^2 and never carries into the next slot (17 bytes while
     cols < 2^14 - 1)."""
     return (2 * 61 + (cols + 1).bit_length() + 7) // 8
@@ -172,14 +228,14 @@ def _pack(values, nb):
                           "little")
 
 
-def _unpack(x, n, nb):
+def _unpack(x, n, nb, p):
     """The n slots of a packed int, each reduced mod p."""
     b = x.to_bytes(n * nb, "little")
-    return [int.from_bytes(b[i:i + nb], "little") % _P
+    return [int.from_bytes(b[i:i + nb], "little") % p
             for i in range(0, n * nb, nb)]
 
 
-def _eliminate_mod_p(echelon, rows, cols, nb):
+def _eliminate_mod_p(echelon, rows, cols, nb, p):
     """Reduce integer rows mod p into an echelon, a dict pivot column ->
     packed row from its pivot on (slot 0 holds 1, every slot is in [0, p)).
 
@@ -190,39 +246,40 @@ def _eliminate_mod_p(echelon, rows, cols, nb):
     width = 8 * nb
     mask = (1 << width) - 1
     for row in rows:
-        cur = _pack([v % _P for v in row], nb)
+        cur = _pack([v % p for v in row], nb)
         for c in range(cols):
             if not cur:
                 break
-            v = (cur & mask) % _P
+            v = (cur & mask) % p
             if v:
                 piv = echelon.get(c)
                 if piv is None:
-                    inv = pow(v, -1, _P)
-                    echelon[c] = _pack([x * inv % _P
-                                        for x in _unpack(cur, cols - c, nb)], nb)
+                    inv = pow(v, -1, p)
+                    echelon[c] = _pack([x * inv % p
+                                        for x in _unpack(cur, cols - c, nb, p)], nb)
                     break
-                cur += (_P - v) * piv
+                cur += (p - v) * piv
             cur >>= width
 
 
-def _lift(u):
-    """The fraction a/b = u mod p with |a|, b <= _LIFT, or None (Wang's
-    rational reconstruction: the extended Euclidean algorithm on p and u,
+def _lift(u, m):
+    """The fraction a/b = u mod m with |a|, b <= sqrt(m/2), or None (Wang's
+    rational reconstruction: the extended Euclidean algorithm on m and u,
     stopped at the first remainder within the bound)."""
-    r0, r1, t0, t1 = _P, u, 0, 1
-    while r1 > _LIFT:
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _LIFT:
+    if abs(t1) > bound:
         return None
     return Fraction(r1, t1)
 
 
-def _back_pass(echelon, cols, nb):
+def _back_pass(echelon, cols, nb, p):
     """The free columns and, per pivot c, the free-column slots of the
-    reduced row of c, packed.
+    reduced row of c mod p, packed.
 
     The pivots are taken from the right: the reduced row of c is its own
     free-column slots minus, for each later pivot k, its entry at k times
@@ -233,45 +290,68 @@ def _back_pass(echelon, cols, nb):
     free = [c for c in range(cols) if c not in echelon]
     packed = {}
     for i, c in enumerate(pivots):
-        row = _unpack(echelon[c], cols - c, nb)
+        row = _unpack(echelon[c], cols - c, nb, p)
         acc = _pack([row[fc - c] if fc > c else 0 for fc in free], nb)
         for k in pivots[:i]:
             e = row[k - c]
             if e:
-                acc += (_P - e) * packed[k]
-        packed[c] = _pack(_unpack(acc, len(free), nb), nb)
+                acc += (p - e) * packed[k]
+        packed[c] = _pack(_unpack(acc, len(free), nb, p), nb)
     return free, packed
 
 
-def _lifted_basis(free, packed, cols, nb):
-    """The kernel vectors of a back pass with each entry lifted to a
-    fraction, in free-column order; None if an entry does not lift."""
-    reduced = {c: _unpack(x, len(free), nb) for c, x in packed.items()}
+def _reduce(p, echelon, rows, cols, nb):
+    """Eliminate rows into the echelon mod p; returns the prime's pass
+    (p, echelon, free columns, packed back pass)."""
+    _eliminate_mod_p(echelon, rows, cols, nb, p)
+    return (p, echelon) + _back_pass(echelon, cols, nb, p)
+
+
+def _lucky(passes):
+    """The passes whose pivot set is the best of them: the most pivots, and
+    among sets of that size the lexicographically smallest."""
+    profiles = [(-len(echelon), sorted(echelon)) for _, echelon, _, _ in passes]
+    best = min(profiles)
+    return [q for q, profile in zip(passes, profiles) if profile == best]
+
+
+def _lifted_basis(passes, cols, nb):
+    """The kernel vectors of the passes, which share one pivot set, combined
+    by CRT and with each entry lifted to a fraction, in free-column order;
+    None if an entry does not lift."""
+    (m, _, free, packed), *rest = passes
+    reduced = {c: _unpack(x, len(free), nb, m) for c, x in packed.items()}
+    for p, _, _, other in rest:
+        inv = pow(m, -1, p)
+        for c, r in reduced.items():
+            reduced[c] = [u + m * ((v - u) * inv % p)
+                          for u, v in zip(r, _unpack(other[c], len(free), nb, p))]
+        m *= p
     basis = []
     for t, fc in enumerate(free):
         vec = [_ZERO] * cols
         vec[fc] = _ONE
         for c, r in reduced.items():
             if r[t]:
-                vec[c] = _lift(_P - r[t])
+                vec[c] = _lift(m - r[t], m)
                 if vec[c] is None:
                     return None
         basis.append(tuple(vec))
     return basis
 
 
-def _failing_mod_p(rows, free, packed, nb):
+def _failing_mod_p(rows, free, packed, nb, p):
     """The rows whose product with some kernel vector of a back pass is not
     0 mod p: row . v_fc = row[fc] - sum_c row[c] R_c[fc], all free columns
     in one packed sum."""
     failing = []
     for row in rows:
-        acc = _pack([row[fc] % _P for fc in free], nb)
+        acc = _pack([row[fc] % p for fc in free], nb)
         for c, x in packed.items():
-            e = row[c] % _P
+            e = row[c] % p
             if e:
-                acc += (_P - e) * x
-        if any(_unpack(acc, len(free), nb)):
+                acc += (p - e) * x
+        if any(_unpack(acc, len(free), nb, p)):
             failing.append(row)
     return failing
 
@@ -282,23 +362,6 @@ def _failing_exactly(rows, basis):
     return [row for row in rows if any(sum(map(mul, row, v)) for v in checks)]
 
 
-def _bareiss_kernel(rows, cols):
-    """The free-column kernel basis read off ``rref``: 1 at fc, 0 at the
-    other free columns and -R[i][fc] at pivot p_i."""
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivset:
-            continue
-        vec = [_ZERO] * cols
-        vec[fc] = _ONE
-        for row, p in zip(red, pivots):
-            vec[p] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def kernel_basis(rows):
     """Reduced basis of the right kernel of a matrix given as a row list.
 
@@ -306,32 +369,32 @@ def kernel_basis(rows):
     free column fc of the reduced row echelon form R, with entry 1 there, 0
     at the other free columns and -R[i][fc] at pivot p_i; vectors are
     returned in free-column order as tuples of Fractions.  It is found by
-    the certified modular elimination of the module docstring.
+    the certified multimodular elimination of the module docstring.
     """
     cols = len(rows[0]) if rows else 0
     distinct = _distinct_rows(rows)
     k = cols + 8
     step = max(1, len(distinct) // k)
     selected = distinct[::step]
-    added, budget = selected, k
+    budget = k
     nb = _slot_bytes(cols)
-    echelon = {}  # None once the selection is eliminated by rref instead
+    primes = _primes()
+    passes = [_reduce(next(primes), {}, selected, cols, nb)]
     while True:
-        if echelon is not None:
-            _eliminate_mod_p(echelon, added, cols, nb)
-            free, packed = _back_pass(echelon, cols, nb)
-            basis = _lifted_basis(free, packed, cols, nb)
-            if basis is not None:
-                failing = _failing_exactly(distinct, basis)
-            if basis is None or not set(failing).isdisjoint(selected):
-                failing = _failing_mod_p(distinct, free, packed, nb)
-                if not failing:
-                    echelon = None
-        if echelon is None:
-            basis = _bareiss_kernel(selected, cols)
+        passes = _lucky(passes)
+        basis = _lifted_basis(passes, cols, nb)
+        if basis is not None:
             failing = _failing_exactly(distinct, basis)
+        if basis is None or not set(failing).isdisjoint(selected):
+            p, _, free, packed = passes[0]
+            failing = _failing_mod_p(distinct, free, packed, nb, p)
+            if not failing:
+                passes.append(_reduce(next(primes), {}, selected, cols, nb))
+                continue
         if not failing:
             return basis
         added = failing[:budget]
         selected += added
         budget *= 2
+        passes = [_reduce(p, echelon, added, cols, nb)
+                  for p, echelon, _, _ in passes]

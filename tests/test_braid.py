@@ -457,6 +457,14 @@ class TestPiMaps:
                               (b"", b"\x00\x00"): 1}
         assert got.module == {b"\x00": 1}
 
+    def test_pi_coface_rejects_other_alphabets(self):
+        # a series over the chord letters, or over one letter, is not a psi
+        for psi in (Series.letter(chord_alphabet(), "45", 2),
+                    Series(one_letter_alphabet(), 2, {b"\x00\x00": 1})):
+            for flavor in ("23", "34"):
+                with pytest.raises(ValueError, match="x0, x1"):
+                    pi_coface(psi, "1,2,3", flavor)
+
     def test_unknown_flavor_rejected(self, rng):
         psi = random_lie(3, rng)
         e = Series.letter(pi_alphabet("23"), "12", 3)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 
@@ -213,9 +215,9 @@ class TestEliminationAgainstReference:
         rows = self.off_the_selection_rows()
         calls = []
         eliminate = linalg._eliminate_mod_p
-        def counted(echelon, added, cols, nb):
+        def counted(echelon, added, cols, nb, p):
             calls.append(len(added))
-            return eliminate(echelon, added, cols, nb)
+            return eliminate(echelon, added, cols, nb, p)
         monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
         assert kernel_basis(rows) == reference_kernel(rows, 5)
         assert len(calls) >= 2 and calls[0] == 13
@@ -226,9 +228,9 @@ class TestEliminationAgainstReference:
         rows = self.off_the_selection_rows()
         calls = []
         eliminate = linalg._eliminate_mod_p
-        def counted(echelon, added, cols, nb):
+        def counted(echelon, added, cols, nb, p):
             calls.append((sorted(echelon), list(added)))
-            return eliminate(echelon, added, cols, nb)
+            return eliminate(echelon, added, cols, nb, p)
         monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
         monkeypatch.setattr(linalg, "rref", None)
         assert kernel_basis(rows) == reference_kernel(rows, 5)
@@ -248,20 +250,22 @@ class TestEliminationAgainstReference:
         rows = [[1, i, X + i * Y + i % 2, 0] for i in range(24)]
         calls = []
         eliminate = linalg._eliminate_mod_p
-        def counted(echelon, added, cols, nb):
+        def counted(echelon, added, cols, nb, p):
             calls.append(list(added))
-            return eliminate(echelon, added, cols, nb)
+            return eliminate(echelon, added, cols, nb, p)
         monkeypatch.setattr(linalg, "_eliminate_mod_p", counted)
         monkeypatch.setattr(linalg, "rref", None)
         assert kernel_basis(rows) == reference_kernel(rows, 4)
         assert [len(c) for c in calls] == [12, 12]
         assert all(row[1] % 2 == 1 for row in calls[1])
 
-    @pytest.mark.parametrize("case", ["rank_drop", "wide_entry", "wide_tall"])
-    def test_modular_fallback_matches_reference(self, rng, monkeypatch, case):
-        # each matrix defeats the elimination mod p = 2^61 - 1, so kernel_basis
-        # must eliminate its selection with rref instead
-        p = (1 << 61) - 1
+    @pytest.mark.parametrize("case", ["rank_drop", "wide_entry", "wide_tall",
+                                      "past_2_60"])
+    def test_multimodular_lift_matches_reference(self, rng, monkeypatch, case):
+        # each matrix defeats the elimination mod p = 2^61 - 1 alone, so
+        # kernel_basis must eliminate mod further primes and lift by CRT;
+        # rref is never reached
+        p, q = (1 << 61) - 1, (1 << 61) - 31
         if case == "rank_drop":
             # the minor on columns 0, 1 is p: rank 2 over Q, 1 mod p
             rows = [[1, 1, 0], [1, p + 1, 0]]
@@ -269,31 +273,63 @@ class TestEliminationAgainstReference:
             # the kernel vector (2^40, 1) is wider than the lift bound
             rows = [[1, -(1 << 40)]]
         else:
-            # rank 5 of 6 with entries up to 2^12: the kernel entries are
-            # quotients of 5 x 5 minors, far wider than the lift bound
-            base = [[rng.randint(-(1 << 12), 1 << 12) for _ in range(6)]
+            # rank 5 of 6: the kernel entries are quotients of 5 x 5 minors,
+            # far wider than the lift bound of one prime (entries up to 2^12),
+            # or of two primes (entries up to 2^16)
+            bits = 12 if case == "wide_tall" else 16
+            base = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(6)]
                     for _ in range(5)]
             rows = base + [[sum(c * b[j] for c, b in zip(coefs, base))
                             for j in range(6)]
                            for coefs in ([rng.randint(-2, 2) for _ in base]
                                          for _ in range(55))]
             rng.shuffle(rows)
-        calls = []
-        def counted(selected):
-            calls.append(len(selected))
-            return rref(selected)
-        monkeypatch.setattr(linalg, "rref", counted)
-        assert kernel_basis(rows) == reference_kernel(rows, len(rows[0]))
-        assert calls
+        lifts = []
+        lifted_basis = linalg._lifted_basis
+        def counted(passes, cols, nb):
+            lifts.append([prime for prime, *_ in passes])
+            return lifted_basis(passes, cols, nb)
+        monkeypatch.setattr(linalg, "_lifted_basis", counted)
+        monkeypatch.setattr(linalg, "rref", None)
+        want = reference_kernel(rows, len(rows[0]))
+        assert kernel_basis(rows) == want
+        if case == "rank_drop":
+            # 2^61 - 1 gives one pivot where 2^61 - 31 gives two: it is unlucky
+            assert lifts == [[p], [q]]
+        elif case == "past_2_60":
+            widest = max(max(abs(v.numerator), v.denominator)
+                         for vec in want for v in vec)
+            assert widest > isqrt(p * q // 2) > 1 << 60
+            assert len(lifts[-1]) >= 3
+        else:
+            assert len(lifts[-1]) >= 2
 
     def test_lift_inverts_reduction(self, rng):
-        p, bound = (1 << 61) - 1, linalg._LIFT
-        assert bound * bound * 2 < p < (bound + 1) * (bound + 1) * 2
-        for a, b in [(0, 1), (-1, 1), (bound, 1), (-bound, bound), (1, bound)]:
-            assert linalg._lift(a * pow(b, -1, p) % p) == Fraction(a, b)
-        for _ in range(200):
-            a, b = rng.randint(-bound, bound), rng.randint(1, bound)
-            assert linalg._lift(a * pow(b, -1, p) % p) == Fraction(a, b)
+        # over one prime, and over a two-prime product with entries past 2^30
+        p, q = (1 << 61) - 1, (1 << 61) - 31
+        for m in (p, p * q):
+            bound = isqrt(m // 2)
+            assert bound * bound * 2 < m < (bound + 1) * (bound + 1) * 2
+            for a, b in [(0, 1), (-1, 1), (bound, 1), (-bound, bound), (1, bound)]:
+                assert linalg._lift(a * pow(b, -1, m) % m, m) == Fraction(a, b)
+            for _ in range(200):
+                a, b = rng.randint(-bound, bound), rng.randint(1, bound)
+                assert linalg._lift(a * pow(b, -1, m) % m, m) == Fraction(a, b)
+        # 2^40 lifts over p q, not over p alone
+        assert linalg._lift(1 << 40, p * q) == 1 << 40
+        assert linalg._lift(1 << 40, p) != 1 << 40
+
+    def test_prime_sequence(self):
+        # the published primes just below 2^61, as 2^61 - k
+        ks = [1, 31, 45, 229, 259, 283, 339, 391, 403, 465]
+        top = 1 << 61
+        assert list(islice(linalg._primes(), 10)) == [top - k for k in ks]
+        assert not any(linalg._is_prime(top - k)
+                       for k in range(1, 466, 2) if k not in ks)
+        # and against trial division on small numbers
+        for n in range(2000):
+            assert linalg._is_prime(n) == (n > 1 and all(n % d for d in
+                                                         range(2, isqrt(n) + 1)))
 
 
 class TestSolveSpace:
