@@ -103,6 +103,9 @@ def cmd_residual(args):
         res = rc_residual(psi)
         payload = {"residual": series_to_json(res), "zero": res.is_zero}
     elif args.check == "dmr":
+        if psi.max_weight > 10:  # a y-letter index is written as one digit
+            raise InputError("the dmr residual payload supports at most 10 "
+                             "y-letters, so maxWeight <= 10, got %d" % psi.max_weight)
         res = dmr_residual(psi)
         terms = [{"left": "".join(str(i) for i in l),
                   "right": "".join(str(i) for i in r),

@@ -1,28 +1,30 @@
-"""Exact rational linear algebra: fraction-free elimination and kernels.
+"""Exact rational linear algebra: one certified elimination, read two ways.
 
-``rref`` is the exact elimination: a Bareiss forward pass over big integers
-(rows are scaled to integers first) and a back pass that fills in the
-free columns of the reduced rows.  Canonical bases (and through them the
-span tests) and ``braid.express_chord`` read off it.
+``_reduced_form`` finds the reduced row echelon form R of a matrix: its
+pivots, its free columns, and each reduced row's free-column entries over
+one common denominator.  ``rref`` reads R as rows (for canonical bases, the
+span tests and ``braid.express_chord``); ``kernel_basis`` reads it as the
+reduced free-column kernel basis, 1 at free column fc and -R[c][fc] at each
+pivot c (for the solver).
 
-``kernel_basis`` does not eliminate a tall matrix whole, and it eliminates
-modulo primes: the primes below 2^61, taken downward from the Mersenne
-prime 2^61 - 1 (``_primes``, a fixed sequence).  It drops zero rows and rows
-that repeat up to sign; if m > k = cols + 8 distinct rows remain, it selects
-only every (m // k)-th of them.
+The elimination works modulo primes, those below 2^61 taken downward from
+the Mersenne prime 2^61 - 1 (``_primes``, a fixed sequence).  It drops zero
+rows and rows that repeat up to sign; if m > k = cols + 8 distinct rows
+remain, it selects only every (m // k)-th of them.
 
 - Mod-p pass.  Each selected row is packed into one int, one slot per
   column (17 bytes) holding its entry mod p, so a row operation is one
   big-int multiply-add (Kronecker substitution; Dumas, Fousse and Salvy,
   J. Symb. Comput. 46, 2011).  Slots never go negative and are reduced mod
-  p only when read.  Gauss-Jordan mod p gives the free-column kernel basis
-  mod p.  One echelon is kept per prime.
-- Lift.  The kernel bases mod the kept primes are combined by CRT into one
+  p only when read.  Gauss-Jordan mod p gives R mod p, and with it the
+  free-column kernel basis mod p.  One echelon is kept per prime.
+- Lift.  The reduced rows mod the kept primes are combined by CRT into one
   mod their product M, and each entry is lifted to a fraction a/b with
   |a|, b <= sqrt(M/2) by rational reconstruction (Wang, Guy and Davenport,
-  SIGSAM Bull. 16, 1982).  Over one prime the CRT is the identity.
-- Certificate.  Each lifted vector, scaled to integers, is checked exactly
-  against every distinct row.
+  SIGSAM Bull. 16, 1982).  Over one prime the CRT is the identity.  An
+  entry is first tried over the denominator found so far.
+- Certificate.  The kernel vectors, scaled by the common denominator, are
+  checked exactly against every distinct row without being built.
 
 Why the output is the one full elimination over Q gives, for every M: a
 rank mod p is at most the rank over Q, so nullity_Q(A) <= nullity_Q(A_S) <=
@@ -30,7 +32,8 @@ nullity_p(A_S), the number of lifted vectors.  They are independent (the
 vector for free column fc is 1 there and 0 at the other free columns), so if
 A annihilates them all they are a basis of ker_Q(A); and the vector for fc
 is also zero right of fc, a shape that only the reduced free-column basis of
-ker_Q(A) has.
+ker_Q(A) has.  Then the rows of R lie in ker_Q(A)^perp, the row space of
+A, and are rank many in reduced echelon shape: they are its reduced form.
 
 Rows that fail the check join the selection (at most k in the first repair
 round, a budget that doubles each round) and are reduced into the echelon
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -97,73 +101,6 @@ def _integer_rows(rows):
             g = gcd(*row)
         out.append([v // g for v in row] if g > 1 else list(row))
     return out
-
-
-def _bareiss_echelon(rows, cols):
-    """Fraction-free forward elimination; returns (echelon rows, pivot cols)."""
-    m = [r[:] for r in rows]
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            if not any(m[i][c:]):
-                continue
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c, cols):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (rows of Fractions, pivot cols).
-
-    Zero rows are dropped and pivots are normalized to 1, so the output is a
-    canonical basis of the row span.  With E the Bareiss echelon rows and d
-    its last pivot, every entry of the reduced form is an integer over d
-    (Cramer's rule), so the back pass finds the free-column numerators
-    N[i][fc] = (d E[i][fc] - sum_{k>i} E[i][p_k] N[k][fc]) / E[i][p_i] by
-    exact integer division, and each entry costs one Fraction.  N[i][p_i] is
-    d and N[i][p_k] is 0 for k != i.
-    """
-    cols = len(rows[0]) if rows else 0
-    ech, pivots = _bareiss_echelon(_integer_rows(rows), cols)
-    if not pivots:
-        return [], []
-    d = ech[-1][pivots[-1]]
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    nums = [None] * len(pivots)  # d times the reduced rows
-    for i in range(len(pivots) - 1, -1, -1):
-        row, p = ech[i], pivots[i]
-        later = [(row[pk], nums[k]) for k, pk in enumerate(pivots[i + 1:], i + 1)
-                 if row[pk]]
-        num = nums[i] = [0] * cols
-        num[p] = d
-        for fc in free:
-            if fc > p:
-                s = d * row[fc]
-                for e, nk in later:
-                    s -= e * nk[fc]
-                num[fc] = s // row[p]
-    return [[Fraction(v, d) if v else _ZERO for v in num] for num in nums], pivots
 
 
 def _distinct_rows(rows):
@@ -223,7 +160,7 @@ def _slot_bytes(cols):
 
 
 def _pack(values, nb):
-    """Values in [0, p) as one int, value j in slot j of nb bytes."""
+    """Values in [0, 2^(8 nb)) as one int, value j in slot j of nb bytes."""
     return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]),
                           "little")
 
@@ -231,8 +168,8 @@ def _pack(values, nb):
 def _unpack(x, n, nb, p):
     """The n slots of a packed int, each reduced mod p."""
     b = x.to_bytes(n * nb, "little")
-    return [int.from_bytes(b[i:i + nb], "little") % p
-            for i in range(0, n * nb, nb)]
+    from_bytes = int.from_bytes
+    return [from_bytes(b[i:i + nb], "little") % p for i in range(0, n * nb, nb)]
 
 
 def _eliminate_mod_p(echelon, rows, cols, nb, p):
@@ -283,8 +220,8 @@ def _back_pass(echelon, cols, nb, p):
 
     The pivots are taken from the right: the reduced row of c is its own
     free-column slots minus, for each later pivot k, its entry at k times
-    the reduced row of k, one multiply-add per pair.  The kernel vector for
-    free column fc is 1 at fc and -R_c[fc] at each pivot c.
+    the reduced row of k, one multiply-add per pair; a row with no later
+    pivot entry is already reduced.
     """
     pivots = sorted(echelon, reverse=True)
     free = [c for c in range(cols) if c not in echelon]
@@ -292,11 +229,10 @@ def _back_pass(echelon, cols, nb, p):
     for i, c in enumerate(pivots):
         row = _unpack(echelon[c], cols - c, nb, p)
         acc = _pack([row[fc - c] if fc > c else 0 for fc in free], nb)
-        for k in pivots[:i]:
-            e = row[k - c]
-            if e:
-                acc += (p - e) * packed[k]
-        packed[c] = _pack(_unpack(acc, len(free), nb, p), nb)
+        later = [(p - row[k - c], packed[k]) for k in pivots[:i] if row[k - c]]
+        for e, x in later:
+            acc += e * x
+        packed[c] = _pack(_unpack(acc, len(free), nb, p), nb) if later else acc
     return free, packed
 
 
@@ -315,10 +251,13 @@ def _lucky(passes):
     return [q for q, profile in zip(passes, profiles) if profile == best]
 
 
-def _lifted_basis(passes, cols, nb):
-    """The kernel vectors of the passes, which share one pivot set, combined
-    by CRT and with each entry lifted to a fraction, in free-column order;
-    None if an entry does not lift."""
+def _lifted_form(passes, nb):
+    """The reduced rows of the passes, which share one pivot set, combined
+    by CRT and lifted: (den, nums), nums[i] the free-column entries of the
+    i-th pivot's reduced row times their common denominator den; None if an
+    entry does not lift.  An entry u is first read over the den so far: if
+    u den mod m is within the bound, it is the numerator (lifts are unique).
+    """
     (m, _, free, packed), *rest = passes
     reduced = {c: _unpack(x, len(free), nb, m) for c, x in packed.items()}
     for p, _, _, other in rest:
@@ -327,17 +266,28 @@ def _lifted_basis(passes, cols, nb):
             reduced[c] = [u + m * ((v - u) * inv % p)
                           for u, v in zip(r, _unpack(other[c], len(free), nb, p))]
         m *= p
-    basis = []
-    for t, fc in enumerate(free):
-        vec = [_ZERO] * cols
-        vec[fc] = _ONE
-        for c, r in reduced.items():
-            if r[t]:
-                vec[c] = _lift(m - r[t], m)
-                if vec[c] is None:
+    bound = isqrt(m // 2)
+    den = 1
+    nums = []
+    for c in sorted(reduced):
+        row = []
+        nums.append(row)
+        for u in reduced[c]:
+            a = u * den % m
+            if a > bound:
+                a -= m
+            if a < -bound or den > bound:
+                f = _lift(u, m)
+                if f is None:
                     return None
-        basis.append(tuple(vec))
-    return basis
+                g = f.denominator // gcd(den, f.denominator)
+                if g > 1:
+                    for done in nums:
+                        done[:] = [v * g for v in done]
+                    den *= g
+                a = f.numerator * (den // f.denominator)
+            row.append(a)
+    return den, nums
 
 
 def _failing_mod_p(rows, free, packed, nb, p):
@@ -356,21 +306,32 @@ def _failing_mod_p(rows, free, packed, nb, p):
     return failing
 
 
-def _failing_exactly(rows, basis):
-    """The rows whose product with some basis vector is not 0."""
-    checks = _integer_rows(basis)
-    return [row for row in rows if any(sum(map(mul, row, v)) for v in checks)]
+def _failing_exactly(rows, pivots, free, den, nums):
+    """The rows whose product with some kernel vector is not 0.  Scaled by
+    den, the vector of the t-th free column is den there and -nums[i][t] at
+    the i-th pivot, so a row's products s_t are read at once as the sum of
+    s_t X^t, with the row's free entries and each nums[i] packed in base X.
+    Packing adds X/2 to each value, and X exceeds twice every |s_t|, so the
+    sum is 0 only if each s_t is."""
+    amax = max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
+    nmax = max((max(map(abs, num), default=0) for num in nums), default=0)
+    nb = (amax.bit_length() + (den + len(nums) * nmax).bit_length() + 9) // 8
+    half = 1 << (8 * nb - 1)
+    offset = _pack([half] * len(free), nb)
+    qs = [_pack([v + half for v in num], nb) - offset for num in nums]
+    pivset = set(pivots)
+    is_pivot = [c in pivset for c in range(len(pivots) + len(free))]
+    is_free = [not v for v in is_pivot]
+    return [row for row in rows
+            if den * (_pack([v + half for v in compress(row, is_free)], nb) - offset)
+            != sum(map(mul, compress(row, is_pivot), qs))]
 
 
-def kernel_basis(rows):
-    """Reduced basis of the right kernel of a matrix given as a row list.
-
-    The basis is the standard free-column parametrization: one vector per
-    free column fc of the reduced row echelon form R, with entry 1 there, 0
-    at the other free columns and -R[i][fc] at pivot p_i; vectors are
-    returned in free-column order as tuples of Fractions.  It is found by
-    the certified multimodular elimination of the module docstring.
-    """
+def _reduced_form(rows):
+    """The reduced row echelon form of a matrix given as a row list, by the
+    certified multimodular elimination of the module docstring: (pivots,
+    free columns, den, nums), nums[i] the entries of the reduced row of
+    pivots[i] at the free columns times their common denominator den."""
     cols = len(rows[0]) if rows else 0
     distinct = _distinct_rows(rows)
     k = cols + 8
@@ -382,19 +343,53 @@ def kernel_basis(rows):
     passes = [_reduce(next(primes), {}, selected, cols, nb)]
     while True:
         passes = _lucky(passes)
-        basis = _lifted_basis(passes, cols, nb)
-        if basis is not None:
-            failing = _failing_exactly(distinct, basis)
-        if basis is None or not set(failing).isdisjoint(selected):
-            p, _, free, packed = passes[0]
+        p, echelon, free, packed = passes[0]
+        pivots = sorted(echelon)
+        form = _lifted_form(passes, nb)
+        if form is not None:
+            failing = _failing_exactly(distinct, pivots, free, *form)
+        if form is None or not set(failing).isdisjoint(selected):
             failing = _failing_mod_p(distinct, free, packed, nb, p)
             if not failing:
                 passes.append(_reduce(next(primes), {}, selected, cols, nb))
                 continue
         if not failing:
-            return basis
+            return (pivots, free) + form
         added = failing[:budget]
         selected += added
         budget *= 2
         passes = [_reduce(p, echelon, added, cols, nb)
                   for p, echelon, _, _ in passes]
+
+
+def rref(rows):
+    """Reduced row echelon form: (rows of Fractions, pivot columns), zero
+    rows dropped and pivots normalized to 1, a canonical basis of the row
+    span."""
+    pivots, free, den, nums = _reduced_form(rows)
+    out = []
+    for c, num in zip(pivots, nums):
+        row = [_ZERO] * (len(pivots) + len(free))
+        row[c] = _ONE
+        for fc, v in zip(free, num):
+            if v:
+                row[fc] = Fraction(v, den)
+        out.append(row)
+    return out, pivots
+
+
+def kernel_basis(rows):
+    """Reduced basis of the right kernel of a matrix given as a row list:
+    per free column fc of its reduced row echelon form R, in order, the
+    tuple of Fractions with 1 at fc, 0 at the other free columns and
+    -R[c][fc] at each pivot c."""
+    pivots, free, den, nums = _reduced_form(rows)
+    basis = []
+    for t, fc in enumerate(free):
+        vec = [_ZERO] * (len(pivots) + len(free))
+        vec[fc] = _ONE
+        for c, num in zip(pivots, nums):
+            if num[t]:
+                vec[c] = Fraction(-num[t], den)
+        basis.append(tuple(vec))
+    return basis

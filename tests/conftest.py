@@ -197,3 +197,47 @@ random_lie = random_lie_series
 @pytest.fixture
 def rng():
     return random.Random(20240901)
+
+
+# -- reference elimination -------------------------------------------------------
+#
+# Textbook Gauss-Jordan over Fractions, sharing no code with ncds.linalg, whose
+# rref and kernel_basis both read one multimodular elimination.
+
+def reference_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fractions: (rows,
+    pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def reference_kernel(rows, cols):
+    """Free-column kernel basis solved one free column at a time: x_fc = 1,
+    the other free columns 0, and each pivot variable from its reference
+    rref row, summed over the columns solved so far (x is 0 elsewhere)."""
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * cols
+        x[fc] = Fraction(1)
+        solved = [fc]
+        for row, p in zip(red, pivots):
+            x[p] = -sum(row[j] * x[j] for j in solved)
+            solved.append(p)
+        basis.append(tuple(x))
+    return basis

@@ -512,6 +512,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "['x0', 'x1']" in err and "['a', 'b']" in err
 
+    def test_dmr_residual_past_ten_y_letters_is_input_error(self, tmp_path, capsys):
+        # y11 would be written "10", the same payload key as y2 y1: the Lyndon
+        # element of x0^10 x1 x1 (Lie, maxWeight 12) would give the keys
+        # ('0', '10') and ('10', '8')
+        from ncds.lie import lyndon_basis
+        word = bytes([0] * 10 + [1, 1])
+        psi = next(s for w, _, s in lyndon_basis(12).elements if w == word)
+        f = tmp_path / "w12.json"
+        f.write_text(json.dumps(series_to_json(psi)))
+        assert self.run("residual", "--check", "dmr", "--in", str(f)) == 2
+        err = capsys.readouterr().err
+        assert "maxWeight <= 10, got 12" in err and "Traceback" not in err
+
     def test_missing_file_is_input_error(self, capsys):
         assert self.run("residual", "--check", "rc", "--in", "/nonexistent") == 2
 

@@ -13,7 +13,7 @@ from ncds import linalg
 from ncds.linalg import rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
-from conftest import X, random_lie, x_series
+from conftest import X, random_lie, reference_kernel, reference_rref, x_series
 
 WITT_2_LETTERS = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
 
@@ -118,48 +118,13 @@ class TestKernelBasis:
             for v in basis:
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, v)) == 0
-            # rank-nullity
-            _, pivots = rref(rows)
+            # rank-nullity, against the independent Gauss-Jordan
+            _, pivots = reference_rref(rows)
             assert len(basis) == 6 - len(pivots)
+            assert basis == reference_kernel(rows, 6)
             # re-solving the same span is stable
             again = kernel_basis(rows + rows)
             assert again == basis
-
-
-def reference_rref(rows):
-    """Textbook Gauss-Jordan over Fractions, sharing no code with linalg."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return m[:len(pivots)], pivots
-
-
-def reference_kernel(rows, cols):
-    """Free-column kernel basis solved one free column at a time: x_fc = 1,
-    the other free columns 0, and each pivot variable from its reference
-    rref row."""
-    red, pivots = reference_rref(rows)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        x = [Fraction(0)] * cols
-        x[fc] = Fraction(1)
-        for row, p in zip(red, pivots):
-            x[p] = -sum(row[j] * x[j] for j in range(cols) if j != p)
-        basis.append(tuple(x))
-    return basis
 
 
 def random_matrix(rng, n_rows, cols, rank, entries):
@@ -196,6 +161,26 @@ class TestEliminationAgainstReference:
                 assert len(ref_pivots) == rank
                 assert rref(rows) == (ref, ref_pivots)
                 assert kernel_basis(rows) == reference_kernel(rows, cols)
+
+    def test_canonical_basis_shape_matches_gauss_jordan(self, rng):
+        # 3 x 2000 Fraction rows, the shape rref meets in canonical bases:
+        # free columns far outnumber the rank.  The kernel holds 4M entries,
+        # so every vector is compared on its free column and the pivots, and
+        # a spread of whole vectors (zero at the other free columns) with them
+        cols = 2000
+        for rank in range(4):
+            rows = random_matrix(rng, 3, cols, rank, "fraction")
+            ref, ref_pivots = reference_rref(rows)
+            assert len(ref_pivots) == rank
+            assert rref(rows) == (ref, ref_pivots)
+            basis, want = kernel_basis(rows), reference_kernel(rows, cols)
+            assert len(basis) == len(want) == cols - rank
+            free = [c for c in range(cols) if c not in ref_pivots]
+            for fc, vec, ref_vec in zip(free, basis, want):
+                support = [fc] + ref_pivots
+                assert [vec[j] for j in support] == [ref_vec[j] for j in support]
+            for i in range(0, len(want), 97):
+                assert basis[i] == want[i]
 
     def test_no_rows(self):
         assert rref([]) == ([], [])
@@ -264,7 +249,7 @@ class TestEliminationAgainstReference:
     def test_multimodular_lift_matches_reference(self, rng, monkeypatch, case):
         # each matrix defeats the elimination mod p = 2^61 - 1 alone, so
         # kernel_basis must eliminate mod further primes and lift by CRT;
-        # rref is never reached
+        # kernel_basis never calls rref, and rref reads the same lift
         p, q = (1 << 61) - 1, (1 << 61) - 31
         if case == "rank_drop":
             # the minor on columns 0, 1 is p: rank 2 over Q, 1 mod p
@@ -285,14 +270,19 @@ class TestEliminationAgainstReference:
                                          for _ in range(55))]
             rng.shuffle(rows)
         lifts = []
-        lifted_basis = linalg._lifted_basis
-        def counted(passes, cols, nb):
+        lifted_form = linalg._lifted_form
+        def counted(passes, nb):
             lifts.append([prime for prime, *_ in passes])
-            return lifted_basis(passes, cols, nb)
-        monkeypatch.setattr(linalg, "_lifted_basis", counted)
+            return lifted_form(passes, nb)
+        monkeypatch.setattr(linalg, "_lifted_form", counted)
         monkeypatch.setattr(linalg, "rref", None)
         want = reference_kernel(rows, len(rows[0]))
         assert kernel_basis(rows) == want
+        # rref reads the same reduced form, through the same primes
+        n = len(lifts)
+        assert rref(rows) == reference_rref(rows)
+        assert lifts[n:] == lifts[:n]
+        del lifts[n:]
         if case == "rank_drop":
             # 2^61 - 1 gives one pivot where 2^61 - 31 gives two: it is unlucky
             assert lifts == [[p], [q]]
