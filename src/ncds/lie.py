@@ -135,9 +135,37 @@ def primitivity_defect(f, coproduct=None):
     return terms
 
 
+def _dynkin(terms):
+    """The Dynkin map theta on words of one length n >= 1, by last-letter
+    recursion: theta(a) = a and theta(u a) = theta(u) a - a theta(u).  The
+    words ending in one letter a share theta of their prefixes, which is
+    taken once on the merged prefixes."""
+    if len(next(iter(terms))) == 1:
+        return terms
+    prefixes = {}
+    for w, c in terms.items():
+        prefixes.setdefault(w[-1:], {})[w[:-1]] = c
+    out = {}
+    for a, part in prefixes.items():
+        for u, c in _dynkin(part).items():
+            _iadd(out, u + a, c)
+            _iadd(out, a + u, -c)
+    return out
+
+
 def is_lie_series(f):
-    """True iff f is primitive for the shuffle coproduct in every weight."""
-    return not primitivity_defect(f)
+    """True iff f is a Lie series, by the Dynkin-Specht-Wever criterion
+    (Reutenauer, Free Lie Algebras, Thm 1.4): a homogeneous part P of degree
+    n >= 1 is Lie iff theta(P) = n P.  A constant term is not Lie.
+    primitivity_defect, the shuffle-coproduct test, is the second route that
+    shares no code with this one."""
+    parts = {}
+    for w, c in f.terms.items():
+        parts.setdefault(len(w), {})[w] = c
+    if 0 in parts:
+        return False
+    return all(_dynkin(p) == {w: n * c for w, c in p.items()}
+               for n, p in parts.items())
 
 
 def skew_constraint(s):

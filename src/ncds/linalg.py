@@ -179,11 +179,15 @@ def _eliminate_mod_p(echelon, rows, cols, nb, p):
     A row is read one column at a time from its low end, shifting the read
     slot out: a pivot column is cleared by adding p - v times the pivot row,
     and the first other column whose slot is not 0 mod p becomes a pivot.
+    A new pivot row that no multiply-add touched is normalized from the
+    row's own values instead of its unpacked slots.
     """
     width = 8 * nb
     mask = (1 << width) - 1
     for row in rows:
-        cur = _pack([v % p for v in row], nb)
+        values = [v % p for v in row]
+        cur = _pack(values, nb)
+        touched = False
         for c in range(cols):
             if not cur:
                 break
@@ -192,10 +196,11 @@ def _eliminate_mod_p(echelon, rows, cols, nb, p):
                 piv = echelon.get(c)
                 if piv is None:
                     inv = pow(v, -1, p)
-                    echelon[c] = _pack([x * inv % p
-                                        for x in _unpack(cur, cols - c, nb, p)], nb)
+                    tail = _unpack(cur, cols - c, nb, p) if touched else values[c:]
+                    echelon[c] = _pack([x * inv % p for x in tail], nb)
                     break
                 cur += (p - v) * piv
+                touched = True
             cur >>= width
 
 
@@ -221,18 +226,27 @@ def _back_pass(echelon, cols, nb, p):
     The pivots are taken from the right: the reduced row of c is its own
     free-column slots minus, for each later pivot k, its entry at k times
     the reduced row of k, one multiply-add per pair; a row with no later
-    pivot entry is already reduced.
+    pivot entry is already reduced.  Echelon slots are in [0, p), so a row's
+    free-column slots are cut from its bytes and its later pivot entries
+    read from them; only a row that took a multiply-add is unpacked.
     """
-    pivots = sorted(echelon, reverse=True)
+    pivots = sorted(echelon)
     free = [c for c in range(cols) if c not in echelon]
     packed = {}
-    for i, c in enumerate(pivots):
-        row = _unpack(echelon[c], cols - c, nb, p)
-        acc = _pack([row[fc - c] if fc > c else 0 for fc in free], nb)
-        later = [(p - row[k - c], packed[k]) for k in pivots[:i] if row[k - c]]
-        for e, x in later:
+    for j in range(len(pivots) - 1, -1, -1):
+        c = pivots[j]
+        b = echelon[c].to_bytes((cols - c) * nb, "little")
+        later = pivots[j + 1:]
+        cuts = [c] + later + [cols]
+        own = b"".join(b[(s - c + 1) * nb:(e - c) * nb] for s, e in zip(cuts, cuts[1:]))
+        # the c - j free columns left of c hold 0
+        acc = int.from_bytes(own, "little") << (8 * nb * (c - j))
+        entries = [int.from_bytes(b[(k - c) * nb:(k - c + 1) * nb], "little")
+                   for k in later]
+        adds = [(p - e, packed[k]) for e, k in zip(entries, later) if e]
+        for e, x in adds:
             acc += e * x
-        packed[c] = _pack(_unpack(acc, len(free), nb, p), nb) if later else acc
+        packed[c] = _pack(_unpack(acc, len(free), nb, p), nb) if adds else acc
     return free, packed
 
 

@@ -2,12 +2,14 @@ import importlib.util
 import itertools
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
+from ncds import braid, harness
 from ncds.cli import main as cli_main
 from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
                           alpha_pair_functionals, conjecture_scan,
@@ -15,11 +17,14 @@ from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
                           one_loop_equivalence, pentagon_functional,
                           prop_sum_failures, pulled_functional,
                           shifted_pair_functionals, space,
+                          lemma_cab23_failures, lemma_cabling34_failures,
+                          lemma_polylogs_failures, stuffle_identity_failures,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
                           verify_theorem_D, verify_theorem_E)
-from ncds.barwords import _bar_xy, bar_double, order_target, pair
+from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from ncds.braid import CHORD_NAMES, insert_triple
-from ncds.series import series_to_json
+from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1, Series,
+                         fox_derivative, series_to_json, substitute)
 
 from conftest import random_lie, src_env, x_series
 
@@ -267,6 +272,140 @@ class TestHarnessInvariants:
         # solver output, cross-checked by the dense solve in test_kv
         assert {w: space("krv2", w).dimension for w in range(1, 7)} == \
             {1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0}
+
+
+# -- the lemma suites against their per-sample loops --------------------------
+#
+# The suites take each sample-independent linear map once per weight; these
+# references apply it to every sample, as the suites did before.
+
+def _cab23_expected(psi):
+    from ncds.coaction import r_series, reduced_coaction
+    r = r_series(psi)
+    return {
+        "1,2,34": -1 * fox_derivative(psi, "x1", "right"),
+        "12,3,4": -1 * fox_derivative(psi, "x0", "left"),
+        "1,23,4": reduced_coaction(psi),
+        "2,3,4": substitute(r, S_AT_X1),
+        "1,2,3": -1 * substitute(r, S_AT_MINUS_X0),
+    }
+
+
+def _cabling34_expected(eta):
+    from ncds.coaction import reduced_coaction
+    dr1 = fox_derivative(eta, "x1", "right")
+    return {
+        "1,2,34": reduced_coaction(eta),
+        "2,3,4": -1 * substitute(dr1, AT_X1_ZERO),
+        "12,3,4": -1 * substitute(dr1, AT_SUM_ZERO),
+        "1,2,3": Series.zero(eta.alphabet, eta.max_weight),
+        "1,23,4": -1 * dr1,
+    }
+
+
+PI_SUITES = {
+    "cab23": (lemma_cab23_failures, "23", 2, True, _cab23_expected),
+    "cabling34": (lemma_cabling34_failures, "34", 1, False, _cabling34_expected),
+}
+
+
+def _reference_pi_failures(label, max_weight, samples, seed):
+    _, flavor, first_weight, skew, expected = PI_SUITES[label]
+    rng = random.Random(seed)
+    failures = []
+    for w in range(first_weight, max_weight + 1):
+        for i in range(samples):
+            psi = random_lie(w, rng, skew=skew)
+            for name, want in expected(psi).items():
+                if braid.pi_coface(psi, name, flavor).module_series() != want:
+                    failures.append((label, w, i, name))
+    return failures
+
+
+def _reference_polylogs_failures(max_weight, samples, seed):
+    rng = random.Random(seed)
+    failures = []
+    for w in range(2, max_weight + 1):
+        for i in range(samples):
+            psi = random_lie(w, rng)
+            for a, b in index_pairs(w):
+                byx = bar_double(a, b, ("y", "x"))
+                if pair(harness.pentagon_functional(byx, ((1, "543"),)), psi):
+                    failures.append(("543", w, i, a, b))
+                l_ab = pair(bar_single(a + b, "z"), psi)
+                if pair(harness.pentagon_functional(byx, ((1, "215"),)), psi) != l_ab:
+                    failures.append(("215", w, i, a, b))
+                if not (set(a) <= {1} and set(b) <= {1}):
+                    if pair(harness.pentagon_functional(byx, ((1, "432"),)), psi):
+                        failures.append(("432", w, i, a, b))
+                bxy = bar_double(a, b, ("x", "y"))
+                if pair(harness.pentagon_functional(bxy, PHI_LEGS), psi) != l_ab:
+                    failures.append(("451+123 double", w, i, a, b))
+            for a in harness._compositions(w):
+                got = pair(harness.pentagon_functional(bar_single(a, "xy"), PHI_LEGS), psi)
+                if got != pair(bar_single(a, "z"), psi):
+                    failures.append(("451+123 single", w, i, a))
+    return failures
+
+
+def _reference_stuffle_failures(max_weight, samples, seed):
+    from ncds.dshuffle import sh_le, sigma_compose
+    rng = random.Random(seed)
+    failures = []
+    for w in range(2, max_weight + 1):
+        for i in range(samples):
+            psi = random_lie(w, rng)
+            for a, b in index_pairs(w):
+                total = 0
+                for s in sh_le(len(a), len(b)):
+                    (first, second), tag = sigma_compose(s, a, b)
+                    if tag == "xy":
+                        bar = bar_single(first, "xy")
+                    elif tag == "x,y":
+                        bar = bar_double(first, second, ("x", "y"))
+                    else:
+                        bar = bar_double(first, second, ("y", "x"))
+                    total += pair(harness.pentagon_functional(bar, PHI_LEGS), psi)
+                if total:
+                    failures.append((w, i, a, b))
+    return failures
+
+
+class TestLemmaSuitesMatchPerSampleLoops:
+    @pytest.mark.parametrize("label", sorted(PI_SUITES))
+    def test_pi_suites(self, monkeypatch, label):
+        suite, flavor = PI_SUITES[label][:2]
+        for seed in (0, 1):
+            assert suite(5, 10, seed) == _reference_pi_failures(label, 5, 10, seed) == []
+        # a wrong pi letter image: x -> 2 (1 (x) x1) instead of 1 (x) x1
+        names, table, images = braid._FLAVORS[flavor]
+        letter = next(n for n, image in images.items() if image == ("right", b"\x01", 1))
+        monkeypatch.setitem(braid._FLAVORS, flavor,
+                            (names, table, dict(images, **{letter: ("right", b"\x01", 2)})))
+        for seed in (0, 1):
+            got = suite(5, 10, seed)
+            assert got and got == _reference_pi_failures(label, 5, 10, seed)
+
+    def test_pentagon_suites(self, monkeypatch):
+        suites = ((lemma_polylogs_failures, _reference_polylogs_failures),
+                  (stuffle_identity_failures, _reference_stuffle_failures))
+        for suite, reference in suites:
+            for seed in (0, 1, 2):
+                assert suite(5, 2, seed) == reference(5, 2, seed) == []
+        # a wrong functional: the psi_451 + psi_123 pullback gains x0^(w-1) x1
+        original = harness.pentagon_functional
+
+        def faulty(bar, legs):
+            f = original(bar, legs)
+            if legs != PHI_LEGS:
+                return f
+            return f + Series(f.alphabet, f.max_weight,
+                              {bytes(f.max_weight - 1) + b"\x01": 1})
+        monkeypatch.setattr(harness, "pentagon_functional", faulty)
+        for suite, reference in suites:
+            for seed in (0, 1, 2):
+                got = suite(5, 2, seed)
+                assert got and got == reference(5, 2, seed)
 
 
 class TestPaperPropositions:

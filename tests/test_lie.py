@@ -7,8 +7,8 @@ import pytest
 
 from ncds.lie import (TangentialDerivation, canonical_series_basis, is_lie_series,
                       is_skew, kernel_basis, lie_bracket, lyndon_basis,
-                      lyndon_words, series_span_contains, series_spans_equal,
-                      solve_space)
+                      lyndon_words, primitivity_defect, series_span_contains,
+                      series_spans_equal, solve_space)
 from ncds import linalg
 from ncds.linalg import rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
@@ -81,6 +81,32 @@ class TestIsLie:
 
     def test_zero(self):
         assert is_lie_series(Series.zero(X, 3))
+
+    def test_dynkin_matches_shuffle_coproduct(self):
+        # the Dynkin-Specht-Wever test against primitivity for the shuffle
+        # coproduct, which shares no code with it, on seeded series
+        rng = random.Random(20240911)
+
+        def check(f, lie):
+            assert is_lie_series(f) == (not primitivity_defect(f)) == lie
+
+        check(Series.zero(X, 4), True)
+        check(Series.unit(X, 4), False)
+        for w in range(1, 9):
+            for _ in range(2 if w > 6 else 4):
+                f = random_lie(w, rng)
+                check(f, True)
+                word = bytes(rng.randrange(2) for _ in range(w))
+                check(f + Series(X, w, {word: 1}), w == 1)
+                check(f + Series.unit(X, w), False)
+        for weights in ((1, 3), (2, 3, 5), (2, 4, 6)):
+            mw = max(weights)
+            f = Series.zero(X, mw)
+            for w in weights:
+                f = f + random_lie(w, rng, max_weight=mw)
+            check(f, True)
+            check(f + Series(X, mw, {b"\x00\x01": 1}), False)
+            check(f + Series.unit(X, mw), False)
 
 
 class TestIsSkew:
