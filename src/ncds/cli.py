@@ -43,12 +43,32 @@ def _parse_rational(text):
     return Fraction(num, den)
 
 
+def space(name, weight, lam=None):
+    """The named spaces: rc, rc0, dmr0, krv2, krv1skew, conj2.  Each loads
+    only the modules that compute it."""
+    if name in ("rc", "rc0"):
+        from .coaction import rc_space
+        return rc_space(weight, lam if name == "rc" else 0)
+    if name == "dmr0":
+        from .dshuffle import dmr_space
+        return dmr_space(weight)
+    if name == "krv2":
+        from .kv import krv2_space
+        return krv2_space(weight)
+    if name == "krv1skew":
+        from .kv import krv1skew_space
+        return krv1skew_space(weight)
+    if name == "conj2":
+        from .harness import conj2_space
+        return conj2_space(weight)
+    raise ValueError("unknown space %r" % (name,))
+
+
 def cmd_spaces(args):
     lam = _parse_rational(args.lam) if args.lam is not None else None
     if args.set != "rc" and lam is not None:
         raise InputError("--lambda only applies to the rc space")
     def compute():
-        from .harness import space
         return space(args.set, args.weight, lam)
     if lam is None:
         sol = cached_space(args.set, args.weight, compute,

@@ -10,7 +10,7 @@ that convention throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -137,13 +137,10 @@ def dmr_space(weight, chart="lyndon"):
 
 # -- quasi-shuffle permutation sets -----------------------------------------
 
-@dataclass(frozen=True)
-class StuffleSurjection:
+class StuffleSurjection(namedtuple("StuffleSurjection", "k l n values")):
     """Onto map {1..k+l} -> {1..n}, increasing on {1..k} and {k+1..k+l}."""
-    k: int
-    l: int
-    n: int
-    values: tuple
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

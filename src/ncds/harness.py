@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ from .coaction import (c4_residual, frak_b_check, ihara_bracket,
                        meta_abelian, rc_space)
 from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_alphabet,
                        y_functional, y_word)
-from .kv import (_krv1_linear, is_cyclic_invariant, krv2_space,
+from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
 from .lie import (lyndon_basis, series_span_contains, series_spans_equal,
                   series_to_json, skew_constraint, solve_space)
@@ -40,12 +39,14 @@ from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      two_letter_alphabet, _iadd)
 
 
-@dataclass
 class WeightEntry:
-    w: int
-    status: str  # pass | fail | report-only
-    dims: dict = field(default_factory=dict)
-    witness: object = None
+    """One weight of a report; status is pass, fail or report-only."""
+
+    def __init__(self, w, status, dims, witness=None):
+        self.w = w
+        self.status = status
+        self.dims = dims
+        self.witness = witness
 
     def to_json(self):
         out = {"w": self.w, "status": self.status,
@@ -55,13 +56,15 @@ class WeightEntry:
         return out
 
 
-@dataclass
 class CheckReport:
-    check: str
-    weights: list
-    seed: int = 0
-    version: str = KERNEL_VERSION
-    elapsed: float = 0.0  # not serialized: reports must be byte-stable
+    """A check's weight entries; elapsed is not serialized, so that reports
+    stay byte-stable."""
+
+    def __init__(self, check, weights, seed=0, elapsed=0.0):
+        self.check = check
+        self.weights = weights
+        self.seed = seed
+        self.elapsed = elapsed
 
     @property
     def ok(self):
@@ -71,7 +74,7 @@ class CheckReport:
         return {"check": self.check,
                 "weights": [e.to_json() for e in self.weights],
                 "seed": self.seed,
-                "version": self.version}
+                "version": KERNEL_VERSION}
 
     def summary_lines(self):
         for e in self.weights:
@@ -212,6 +215,15 @@ def shifted_pair_functionals(weight):
     return _Family(lambda: _shifted_pairs(weight))
 
 
+def conj2_space(weight):
+    """Skew Lie series of the given weight cut by the shifted-pair
+    functionals, the other side of the conjecture scan."""
+    if weight < 2:
+        raise InputError("conj2 space starts at weight 2")
+    return solve_space(weight, [skew_constraint, shifted_pair_functionals(weight)],
+                       space="conj2")
+
+
 def _alpha_keys(weight, depth_one=False):
     return [(a, b) for a, b in index_pairs(weight)
             if (len(b) == 1 if depth_one else not _all_ones(a, b))]
@@ -222,28 +234,6 @@ def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
     not all ones; depth_one restricts to dp(b) = 1 instead."""
     return _Family(lambda: (((a, b), pulled_functional(a, b, orders, ALPHA_LEGS))
                             for a, b in _alpha_keys(weight, depth_one)))
-
-
-# -- named spaces -------------------------------------------------------------
-
-def space(name, weight, lam=None):
-    """Registry behind the CLI: rc, rc0, dmr0, krv2, krv1skew, conj2."""
-    if name == "rc":
-        return rc_space(weight, lam)
-    if name == "rc0":
-        return rc_space(weight, 0)
-    if name == "dmr0":
-        return dmr_space(weight)
-    if name == "krv2":
-        return krv2_space(weight)
-    if name in ("krv1skew", "conj2") and weight < 2:
-        raise InputError("%s space starts at weight 2" % (name,))
-    if name == "krv1skew":
-        return solve_space(weight, [skew_constraint, _krv1_linear], space=name)
-    if name == "conj2":
-        cons = [skew_constraint, shifted_pair_functionals(weight)]
-        return solve_space(weight, cons, space=name)
-    raise ValueError("unknown space %r" % (name,))
 
 
 # -- theorem checks -----------------------------------------------------------
@@ -432,8 +422,8 @@ def conjecture_scan(max_weight, seed=0):
     t0 = time.perf_counter()
     entries = []
     for w in range(3, max_weight + 1):
-        d1 = space("krv1skew", w).dimension
-        d2 = space("conj2", w).dimension
+        d1 = krv1skew_space(w).dimension
+        d2 = conj2_space(w).dimension
         entries.append(WeightEntry(w, "report-only",
                                    {"krv1skew": d1, "conj2": d2,
                                     "equal": d1 == d2}))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coaction import change_of_variable, reduced_coaction
 from .lie import (TangentialDerivation, apply_derivation, is_lie_series,
-                  lie_bracket, solve_space)
+                  lie_bracket, skew_constraint, solve_space)
 from .series import (AT_MINUS_SUM_X0, S_AT_SUM, S_AT_X0, S_AT_X1,
                      CyclicSeries, InputError, Series, TensorSeries,
                      fox_derivative, one_letter_alphabet, shuffle_splits,
@@ -234,3 +234,11 @@ def krv2_space(weight):
     return solve_space(weight, [_sder_constraint, div_in_target_line,
                                 _pair_linear_constraint],
                        space="krv2", chart="pairs")
+
+
+def krv1skew_space(weight):
+    """Skew Lie series of the given weight that satisfy the krv1 equation,
+    one side of the conjecture scan."""
+    if weight < 2:
+        raise InputError("krv1skew space starts at weight 2")
+    return solve_space(weight, [skew_constraint, _krv1_linear], space="krv1skew")

@@ -12,11 +12,10 @@ import binascii
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .linalg import _integer_rows, kernel_basis, rref
 from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
                      letter_swap, two_letter_alphabet, series_from_json,
                      series_to_json, _iadd)
@@ -99,10 +98,11 @@ def _expand_bracketing(tree, alphabet, max_weight):
     return lie_bracket(left, right)
 
 
-@dataclass(frozen=True)
-class LyndonBasis:
-    weight: int
-    elements: tuple  # of (word bytes, bracketing tree, expanded Series)
+class LyndonBasis(namedtuple("LyndonBasis", "weight elements")):
+    """The Lyndon basis of one weight; ``elements`` is a tuple of (word
+    bytes, bracketing tree, expanded Series), one per Lyndon word."""
+
+    __slots__ = ()
 
     def series(self):
         return [s for _, _, s in self.elements]
@@ -237,8 +237,8 @@ class TangentialDerivation(SparseSeries):
 
 # -- generic homogeneous solver ---------------------------------------------
 
-@dataclass
-class SolutionSpace:
+class SolutionSpace(namedtuple("SolutionSpace", "space weight basis offset",
+                               defaults=(None,))):
     """Weight-graded basis of a linear subspace, reduced over rationals.
 
     Basis entries are Series or, for krv2, tangential derivations.
@@ -246,10 +246,7 @@ class SolutionSpace:
     problem and is None in the homogeneous case.
     """
 
-    space: str
-    weight: int
-    basis: list
-    offset: object = None
+    __slots__ = ()
 
     @property
     def dimension(self):
@@ -326,6 +323,7 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
 
     Rows are keyed (constraint index, output key) and sorted by key.
     """
+    from .linalg import _integer_rows, kernel_basis  # a cache hit never loads it
     alphabet = two_letter_alphabet()
     if isinstance(chart, SolutionSpace):
         if not chart.basis:
@@ -401,6 +399,7 @@ def canonical_series_basis(sols):
     sols = [s for s in sols if not s.is_zero]
     if not sols:
         return []
+    from .linalg import rref
     kind, alphabet = type(sols[0]), sols[0].alphabet
     mw = min(s.max_weight for s in sols)
     keys = sorted({k for s in sols for k in s.terms})
@@ -492,7 +491,7 @@ def cached_space(space_id, weight, compute, from_json, to_json):
 
     An entry that is not valid for (space id, weight), or whose stored CRC
     does not match its content, is recomputed and rewritten; writes are
-    atomic.
+    atomic, and a failed write leaves no temporary file behind.
     """
     d = cache_dir()
     if not d:
@@ -505,7 +504,11 @@ def cached_space(space_id, weight, compute, from_json, to_json):
     value = compute()
     entry = to_json(value)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(dict(entry, crc32=_entry_crc(entry)), fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(dict(entry, crc32=_entry_crc(entry)), fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return value

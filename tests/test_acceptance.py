@@ -14,10 +14,11 @@ from fractions import Fraction
 
 from ncds.barwords import bar_double, bar_single, integrable, pair
 from ncds.braid import chord_alphabet, insert_triple
+from ncds.cli import space
 from ncds.coaction import rc_residual, rc_space
 from ncds.harness import (_compositions, conjecture_scan, lemma_cab23_failures,
                           lemma_cabling34_failures, lemma_dihedral_failures,
-                          lemma_polylogs_failures, random_lie_series, space,
+                          lemma_polylogs_failures, random_lie_series,
                           stuffle_identity_failures, verify_theorem_A,
                           verify_theorem_B, verify_theorem_C, verify_theorem_D,
                           verify_theorem_E)
@@ -283,13 +284,13 @@ def test_golden_space_kernels_match_full_elimination(monkeypatch):
     # once up to sign, a route that shares no code with ncds.linalg; rc0 is
     # rc cut by one more constraint, a second matrix wherever rc is not
     # empty (w = 3, 5, 7, 8)
-    import ncds.lie
+    import ncds.linalg
     from ncds.linalg import kernel_basis
     captured = []
     def capture(rows):
         captured.append(rows)
         return kernel_basis(rows)
-    monkeypatch.setattr(ncds.lie, "kernel_basis", capture)
+    monkeypatch.setattr(ncds.linalg, "kernel_basis", capture)
     for key in json.loads(SPACES_GOLDEN.read_text()):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))
@@ -347,7 +348,7 @@ def test_solver_rows_match_per_element_reference(monkeypatch):
     # the rc basis as chart) and theorem B to weight 7 (a bar-functional
     # family per weight) equals, up to zero rows and repeats, the
     # per-element rows; a cut of an empty space builds no matrix
-    import ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv, ncds.lie
+    import ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv, ncds.lie, ncds.linalg
     from ncds.linalg import _distinct_rows, kernel_basis
     solve_space = ncds.lie.solve_space
     calls = []
@@ -361,7 +362,7 @@ def test_solver_rows_match_per_element_reference(monkeypatch):
         return kernel_basis(rows)
     for module in (ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv):
         monkeypatch.setattr(module, "solve_space", record)
-    monkeypatch.setattr(ncds.lie, "kernel_basis", capture)
+    monkeypatch.setattr(ncds.linalg, "kernel_basis", capture)
     for key in json.loads(SPACES_GOLDEN.read_text()):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))

@@ -10,13 +10,13 @@ import sys
 import pytest
 
 from ncds import braid, harness
-from ncds.cli import main as cli_main
+from ncds.cli import main as cli_main, space
 from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
                           alpha_pair_functionals, conjecture_scan,
                           coface_pullback, index_pairs, leg_target,
                           one_loop_equivalence, pentagon_functional,
                           prop_sum_failures, pulled_functional,
-                          shifted_pair_functionals, space,
+                          shifted_pair_functionals,
                           lemma_cab23_failures, lemma_cabling34_failures,
                           lemma_polylogs_failures, stuffle_identity_failures,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
@@ -779,22 +779,62 @@ class TestCli:
         assert first == second
         assert json.loads(first)["basis"][0].keys() == {"a1", "a2"}
 
+    @staticmethod
+    def loaded_by(code):
+        """The modules that code loads in a fresh interpreter, beyond those
+        loaded at start-up."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; before = set(sys.modules)\n" + code
+             + "\nprint(' '.join(sorted(set(sys.modules) - before)))"],
+            capture_output=True, text=True, check=True, env=src_env())
+        return set(proc.stdout.split())
+
     def test_warm_krv2_loads_no_computing_module(self, tmp_path, monkeypatch, capsys):
-        # reading a cached krv2 space rebuilds tangential pairs without kv
+        # reading a cached krv2 space rebuilds tangential pairs without kv,
+        # the elimination engine or dataclasses (which loads inspect, ast,
+        # dis and tokenize)
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path / "cache"))
         assert self.run("spaces", "--set", "krv2", "--weight", "3") == 0
         cold = capsys.readouterr().out
         out = tmp_path / "warm.json"
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from ncds.cli import main; "
-             "code = main(['spaces', '--set', 'krv2', '--weight', '3', '--out', %r]); "
-             "print(code, ' '.join(sorted(sys.modules)))" % str(out)],
-            capture_output=True, text=True, check=True, env=src_env())
-        code, *loaded = proc.stdout.split()
-        assert code == "0" and out.read_text() == cold
+        loaded = self.loaded_by(
+            "from ncds.cli import main\n"
+            "assert main(['spaces', '--set', 'krv2', '--weight', '3', '--out', %r]) == 0"
+            % str(out))
+        assert out.read_text() == cold
         for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
             assert "ncds." + name not in loaded
+        assert {m for m in loaded if m.split(".")[0] == "ncds"} == {
+            "ncds", "ncds.cli", "ncds.lie", "ncds.series"}
+        assert "dataclasses" not in loaded
+        assert "dataclasses" not in self.loaded_by("import ncds.harness")
+
+    @pytest.mark.parametrize("name", ["rc0", "dmr0", "krv2", "krv1skew"])
+    def test_cold_space_loads_no_bar_module(self, tmp_path, monkeypatch, name):
+        # a space computed against a fresh cache loads only the modules that
+        # compute it: not the theorem checks, the braid algebra or bar words
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(cache))
+        loaded = self.loaded_by(
+            "from ncds.cli import main\n"
+            "assert main(['spaces', '--set', %r, '--weight', '3', '--out', %r]) == 0"
+            % (name, str(tmp_path / "out.json")))
+        assert len(list(cache.iterdir())) == 1
+        for module in ("harness", "braid", "barwords"):
+            assert "ncds." + module not in loaded
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a disk that fills up during the write is an OSError: exit 2, and
+        # the cache directory holds no temporary file afterwards
+        import ncds.lie
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(ncds.lie.json, "dump", disk_full)
+        assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_entry_point_installed(self):
         # `python -m ncds` runs the main() that pyproject.toml declares as the

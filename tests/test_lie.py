@@ -6,11 +6,11 @@ from math import isqrt
 import pytest
 
 from ncds.lie import (TangentialDerivation, canonical_series_basis, is_lie_series,
-                      is_skew, kernel_basis, lie_bracket, lyndon_basis,
+                      is_skew, lie_bracket, lyndon_basis,
                       lyndon_words, primitivity_defect, series_span_contains,
                       series_spans_equal, solve_space)
 from ncds import linalg
-from ncds.linalg import rref
+from ncds.linalg import kernel_basis, rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
 from conftest import X, random_lie, reference_kernel, reference_rref, x_series
