@@ -104,11 +104,23 @@ def _insertion(alphabet, x0_chords, x1_chords):
                                   {"x0": image(x0_chords), "x1": image(x1_chords)})
 
 
-def insert_triple(psi, i, j, k):
-    """psi(x_ij, x_jk) as a chord-basis element."""
+def leg_insertion(leg):
+    """The letter map psi -> psi(x_ij, x_jk) of the leg named "ijk", over G."""
+    i, j, k = (int(s) for s in leg)
     if len({i, j, k}) != 3:
         raise ValueError("strand indices must be distinct")
-    return substitute(psi, _insertion(chord_alphabet(), ((i, j),), ((j, k),)))
+    return _insertion(chord_alphabet(), ((i, j),), ((j, k),))
+
+
+def insert_triple(psi, i, j, k):
+    """psi(x_ij, x_jk) as a chord-basis element."""
+    return substitute(psi, leg_insertion("%d%d%d" % (i, j, k)))
+
+
+# The legs of the pentagon defect alpha with their signs, by strand triple;
+# phi = psi_451 + psi_123 is its first two.
+ALPHA_LEGS = ((1, "451"), (1, "123"), (-1, "432"), (-1, "215"), (-1, "543"))
+PHI_LEGS = ALPHA_LEGS[:2]
 
 
 def defect(psi, form="alpha"):
@@ -123,9 +135,8 @@ def defect(psi, form="alpha"):
     if not is_lie_series(psi):
         raise ValueError("the pentagon defect is defined for Lie series")
     if form == "alpha":
-        out = insert_triple(psi, 4, 5, 1) + insert_triple(psi, 1, 2, 3)
-        out = out - insert_triple(psi, 4, 3, 2) - insert_triple(psi, 2, 1, 5)
-        return out - insert_triple(psi, 5, 4, 3)
+        legs = (substitute(psi, leg_insertion(leg)).scale(s) for s, leg in ALPHA_LEGS)
+        return sum(legs, Series.zero(chord_alphabet(), psi.max_weight))
     if form == "alpha_hat":
         def sub(u, v):
             return substitute(psi, _insertion(chord_alphabet(), u, v))
@@ -135,20 +146,21 @@ def defect(psi, form="alpha"):
     raise ValueError("unknown defect form %r" % (form,))
 
 
+# coface name -> the chords summed in the images of (x0, x1)
 _COFACE_23 = {
-    "1,2,3": ((("12",),), (("23",),)),
-    "2,3,4": ((("23",),), (("34",),)),
-    "12,3,4": ((("13",), ("23",)), (("34",),)),
-    "1,23,4": ((("12",), ("13",)), (("24",), ("34",))),
-    "1,2,34": ((("12",),), (("23",), ("24",))),
+    "1,2,3": (("12",), ("23",)),
+    "2,3,4": (("23",), ("34",)),
+    "12,3,4": (("13", "23"), ("34",)),
+    "1,23,4": (("12", "13"), ("24", "34")),
+    "1,2,34": (("12",), ("23", "24")),
 }
 
 _COFACE_34 = {
-    "1,2,34": ((("13",), ("14",)), (("23",), ("24",))),
-    "2,3,4": ((("24",),), (("34",),)),
-    "12,3,4": ((("14",), ("24",)), (("34",),)),
-    "1,2,3": ((("13",),), (("23",),)),
-    "1,23,4": ((("14",),), (("24",), ("34",))),
+    "1,2,34": (("13", "14"), ("23", "24")),
+    "2,3,4": (("24",), ("34",)),
+    "12,3,4": (("14", "24"), ("34",)),
+    "1,2,3": (("13",), ("23",)),
+    "1,23,4": (("14",), ("24", "34")),
 }
 
 
@@ -181,8 +193,7 @@ def coface_images(name, flavor):
     table = _flavor(flavor)[1]
     if name not in table:
         raise ValueError("unknown coface %r" % (name,))
-    img0, img1 = table[name]
-    return tuple(n for (n,) in img0), tuple(n for (n,) in img1)
+    return table[name]
 
 
 def coface(psi, name, flavor="23"):
@@ -452,16 +463,15 @@ def _relation_ideal_rows(weight):
     return tuple(rows)
 
 
-def in_relation_ideal(f, max_check_weight=5):
+def in_relation_ideal(f):
     """Whether a chord-basis element lies in the two-sided ideal generated by
     the disjoint-chord commutators, i.e. represents zero in the enveloping
     algebra.  Exponential in the weight; intended for small regression checks.
     """
     from .lie import series_span_contains
     for w in f.weights():
-        if w > max_check_weight:
-            raise ValueError("ideal membership check capped at weight %d"
-                             % max_check_weight)
+        if w > 5:
+            raise ValueError("ideal membership check capped at weight 5")
         if w < 2:
             return False
         part = f.homogeneous_part(w)

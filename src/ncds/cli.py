@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .lie import cached_space, is_lie_series, SolutionSpace
+from .lie import cached_space, is_lie_series
 from .series import InputError, series_from_json, series_to_json, two_letter_alphabet
 
 
@@ -71,8 +71,7 @@ def cmd_spaces(args):
     def compute():
         return space(args.set, args.weight, lam)
     if lam is None:
-        sol = cached_space(args.set, args.weight, compute,
-                           SolutionSpace.from_json, SolutionSpace.to_json)
+        sol = cached_space(args.set, args.weight, compute)
     else:
         sol = compute()
     _dump(sol.to_json(), args.out)

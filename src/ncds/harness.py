@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import __version__ as KERNEL_VERSION
 from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
-from .braid import CHORD_NAMES, chord_alphabet
+from .braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, chord_alphabet, leg_insertion
 from .coaction import (c4_residual, frak_b_check, ihara_bracket,
                        meta_abelian, rc_space)
 from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_alphabet,
@@ -33,7 +33,7 @@ from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_alphabet,
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
 from .lie import (lyndon_basis, series_span_contains, series_spans_equal,
-                  series_to_json, skew_constraint, solve_space)
+                  skew_constraint, solve_space)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      InputError, LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
@@ -84,43 +84,25 @@ class CheckReport:
 
 
 def _witness_json(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, Series):
-        return series_to_json(obj)
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    return str(obj)
+    return None if obj is None else obj.to_json()
 
 
 # -- pentagon pullback functionals -------------------------------------------
 
-# (x0 image, x1 image) of each insertion psi(x_ij, x_jk), over chord names
-PENTAGON_LEGS = {
-    "451": ({"45": 1}, {"23": 1, "24": 1, "34": 1}),
-    "123": ({"12": 1}, {"23": 1}),
-    "432": ({"34": 1}, {"23": 1}),
-    "215": ({"12": 1}, {"23": 1, "24": 1, "34": 1}),
-    "543": ({"45": 1}, {"34": 1}),
-}
-
-ALPHA_LEGS = ((1, "451"), (1, "123"), (-1, "432"), (-1, "215"), (-1, "543"))
-PHI_LEGS = ((1, "451"), (1, "123"))
-
-
 @lru_cache(maxsize=None)
 def leg_target(leg):
     """The leg's pullback as a letter target over the chord alphabet: chord
-    letter -> x0 (0), x1 (1) or None.  Both pullback paths rely on every leg
-    being a word morphism: each letter has at most one image, with
+    letter -> x0 (0), x1 (1) or None, the transpose of the leg's insertion
+    psi -> psi(x_ij, x_jk).  Both pullback paths rely on every leg being a
+    word morphism: each chord letter occurs in at most one image, with
     coefficient 1."""
-    images = {}
-    for x_letter, image in enumerate(PENTAGON_LEGS[leg]):
-        for name, c in image.items():
-            if c != 1 or name in images:
+    target = [None] * len(CHORD_NAMES)
+    for x_letter, image in enumerate(leg_insertion(leg).images):
+        for chord, c in image:
+            if c != 1 or target[chord[0]] is not None:
                 raise ValueError("leg %s is not a word morphism" % (leg,))
-            images[name] = x_letter
-    return tuple(images.get(name) for name in CHORD_NAMES)
+            target[chord[0]] = x_letter
+    return tuple(target)
 
 
 def _signed_sum(parts, max_weight):
@@ -315,9 +297,12 @@ def verify_theorem_D(max_weight, seed=0, weights=None):
     only even depth-one coefficient that can be nonzero is that of
     x0^(w-1) x1, for w even."""
     t0 = time.perf_counter()
-    bases = {w: rc_space(w, 0).basis for w in range(2, max_weight + 1)}
+    checked = list(weights) if weights is not None else range(3, max_weight + 1)
+    # each weight up to the largest checked; rc_space rejects one below 2
+    bases = {w: rc_space(w, 0).basis
+             for w in {*range(2, max(checked, default=2) + 1), *checked}}
     entries = []
-    for w in (weights if weights is not None else range(3, max_weight + 1)):
+    for w in checked:
         dims = {"rc0": len(bases[w])}
         status = "pass"
         witness = None
@@ -439,11 +424,11 @@ DEFAULT_CEILINGS = {"A": 8, "B": 7, "C": 8, "D": 8, "E": 8}
 
 # -- seeded lemma suites ------------------------------------------------------
 
-def random_lie_series(weight, rng, skew=False, max_weight=None, span=3):
-    mw = weight if max_weight is None else max_weight
-    out = Series.zero(two_letter_alphabet(), mw)
-    for _w, _tree, elt in lyndon_basis(weight, mw).elements:
-        c = rng.randint(-span, span)
+def random_lie_series(weight, rng, skew=False):
+    """A seeded combination of the weight's Lyndon basis, coefficients in [-3, 3]."""
+    out = Series.zero(two_letter_alphabet(), weight)
+    for _w, _tree, elt in lyndon_basis(weight).elements:
+        c = rng.randint(-3, 3)
         if c:
             out = out + elt.scale(c)
     if skew:

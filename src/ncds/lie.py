@@ -17,8 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
-                     letter_swap, two_letter_alphabet, series_from_json,
-                     series_to_json, _iadd)
+                     letter_swap, two_letter_alphabet, series_from_json, _iadd)
 
 
 def lie_bracket(f, g):
@@ -226,7 +225,7 @@ class TangentialDerivation(SparseSeries):
         return "TangentialDerivation(%r, %r)" % (self.a1, self.a2)
 
     def to_json(self):
-        return {"a1": series_to_json(self.a1), "a2": series_to_json(self.a2)}
+        return {"a1": self.a1.to_json(), "a2": self.a2.to_json()}
 
     def generator_images(self):
         """(u(x0), u(x1)) = ([x0, a1], [x1, a2]), one weight up; equality of
@@ -255,9 +254,9 @@ class SolutionSpace(namedtuple("SolutionSpace", "space weight basis offset",
     def to_json(self):
         out = {"space": self.space, "weight": self.weight,
                "dimension": self.dimension,
-               "basis": [_basis_entry_json(b) for b in self.basis]}
+               "basis": [b.to_json() for b in self.basis]}
         if self.offset is not None:
-            out["offset"] = _basis_entry_json(self.offset)
+            out["offset"] = self.offset.to_json()
         return out
 
     @classmethod
@@ -267,12 +266,6 @@ class SolutionSpace(namedtuple("SolutionSpace", "space weight basis offset",
         basis = [_basis_entry_from_json(b) for b in data["basis"]]
         offset = _basis_entry_from_json(data["offset"]) if "offset" in data else None
         return cls(data["space"], data["weight"], basis, offset=offset)
-
-
-def _basis_entry_json(entry):
-    if isinstance(entry, Series):
-        return series_to_json(entry)
-    return entry.to_json()
 
 
 def _basis_entry_from_json(data):
@@ -465,10 +458,10 @@ def _entry_crc(entry):
     return "%08x" % binascii.crc32(text.encode())
 
 
-def _cached_entry(path, space_id, weight, from_json):
+def _cached_entry(path, space_id, weight):
     """The space stored at path, or None unless the file holds a JSON object
     whose CRC matches, for this space and weight, whose dimension counts its
-    basis and which parses through from_json."""
+    basis and which parses as a SolutionSpace."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -481,12 +474,12 @@ def _cached_entry(path, space_id, weight, from_json):
             and data.get("dimension") == len(data["basis"])):
         return None
     try:
-        return from_json(data)
+        return SolutionSpace.from_json(data)
     except (KeyError, TypeError, ValueError):
         return None
 
 
-def cached_space(space_id, weight, compute, from_json, to_json):
+def cached_space(space_id, weight, compute):
     """Disk cache keyed by (space id, weight, source hash).
 
     An entry that is not valid for (space id, weight), or whose stored CRC
@@ -498,11 +491,11 @@ def cached_space(space_id, weight, compute, from_json, to_json):
         return compute()
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, "%s-w%d-%s.json" % (space_id, weight, source_hash()))
-    value = _cached_entry(path, space_id, weight, from_json)
+    value = _cached_entry(path, space_id, weight)
     if value is not None:
         return value
     value = compute()
-    entry = to_json(value)
+    entry = value.to_json()
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -210,6 +210,9 @@ class Series(SparseSeries):
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
 
+    def to_json(self):
+        return series_to_json(self)
+
     def __repr__(self):
         if not self.terms:
             return "<0>"
@@ -454,38 +457,9 @@ def _swap(alphabet):
     return LinearMorphism(alphabet, alphabet, (((1, 1),), ((0, 1),)))
 
 
-def substitute(f, images):
-    """Algebra-morphism extension of a linear letter map, truncated.
-
-    ``images`` is a LinearMorphism from f's alphabet, or a dict sending
-    letter names of f's alphabet to Series over a common target alphabet
-    whose terms are all single letters; the result is truncated to the
-    smallest max_weight among f and the images.
-    """
-    if isinstance(images, LinearMorphism):
-        return images.apply(f)
-    target = None
-    by_index = [()] * len(f.alphabet)
-    mw = f.max_weight
-    for name, img in images.items():
-        if target is None:
-            target = img.alphabet
-        elif target != img.alphabet:
-            raise ValueError("substitution images over different alphabets")
-        if any(len(w) != 1 for w in img.terms):
-            raise ValueError("substitution image of %s is not a combination of "
-                             "letters" % name)
-        by_index[f.alphabet.index(name)] = [(w[0], c) for w, c in img.terms.items()]
-        mw = min(mw, img.max_weight)
-    if target is None:
-        raise ValueError("no images given")
-    for i, name in enumerate(f.alphabet.letters):
-        if name not in images and any(i in w for w in f.terms):
-            raise ValueError("no image for letter %r" % (name,))
-    if mw < f.max_weight:
-        f = Series(f.alphabet, mw,
-                   {w: c for w, c in f.terms.items() if len(w) <= mw}, _clean=False)
-    return LinearMorphism(f.alphabet, target, by_index).apply(f)
+def substitute(f, morphism):
+    """f under a LinearMorphism from f's alphabet, with f's max_weight."""
+    return morphism.apply(f)
 
 
 def _onto_x(source, images):

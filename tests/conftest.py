@@ -190,8 +190,11 @@ def ref_pi_coface(psi, images, flavor):
     return ref_pi_fold(psi.terms, sums, mw)
 
 
-# the seeded generator the lemma suites use, so tests draw the same series
-random_lie = random_lie_series
+def random_lie(weight, rng, skew=False, max_weight=None):
+    """The seeded generator the lemma suites use, so tests draw the same
+    series; max_weight (at least the weight) only deepens its truncation."""
+    psi = random_lie_series(weight, rng, skew)
+    return psi if max_weight is None else Series(X, max_weight, psi.terms)
 
 
 @pytest.fixture

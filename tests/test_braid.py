@@ -134,10 +134,8 @@ class TestDefect:
 class TestCoface:
     def test_1_2_34_flavor23(self):
         psi = x_series({"01": 1}, 2)
-        p23 = pi_alphabet("23")
-        expected = substitute(psi, {
-            "x0": Series.letter(p23, "12", 2),
-            "x1": Series.letter(p23, "23", 2) + Series.letter(p23, "24", 2)})
+        expected = substitute(psi, LinearMorphism.by_name(X, pi_alphabet("23"), {
+            "x0": {"12": 1}, "x1": {"23": 1, "24": 1}}))
         assert coface(psi, "1,2,34", "23") == expected
 
     def test_2_3_4_flavor34(self):
@@ -151,9 +149,8 @@ class TestCoface:
     def test_identity_coface(self):
         psi = x_series({"01": 1, "001": -2}, 3)
         got = coface(psi, "1,2,3", "23")
-        p23 = pi_alphabet("23")
-        assert got == substitute(psi, {"x0": Series.letter(p23, "12", 3),
-                                       "x1": Series.letter(p23, "23", 3)})
+        assert got == substitute(psi, LinearMorphism.by_name(
+            X, pi_alphabet("23"), {"x0": {"12": 1}, "x1": {"23": 1}}))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -516,20 +513,16 @@ class TestCab23Identities:
     NAMES = ("1,2,34", "12,3,4", "1,23,4", "2,3,4", "1,2,3")
 
     def expected(self, psi, name):
-        x0 = Series.letter(X, "x0", psi.max_weight)
-        x1 = Series.letter(X, "x1", psi.max_weight)
         if name == "1,2,34":
             return -1 * fox_derivative(psi, "x1", "right")
         if name == "12,3,4":
             return -1 * fox_derivative(psi, "x0", "left")
         if name == "1,23,4":
             return reduced_coaction(psi)
-        if name == "2,3,4":
-            r = r_series(psi)
-            return substitute(r, {"s": x1}) if not r.is_zero else Series.zero(X, psi.max_weight)
-        r = r_series(psi)
-        out = substitute(r, {"s": -1 * x0}) if not r.is_zero else Series.zero(X, psi.max_weight)
-        return -1 * out
+        s_at = {"2,3,4": {"x1": 1}, "1,2,3": {"x0": -1}}[name]
+        out = substitute(r_series(psi),
+                         LinearMorphism.by_name(one_letter_alphabet(), X, {"s": s_at}))
+        return out if name == "2,3,4" else -1 * out
 
     def test_on_skew_lie_series(self, rng):
         for w in (2, 3, 4, 5):
@@ -542,18 +535,14 @@ class TestCab23Identities:
 
 class TestCabling34Identities:
     def expected(self, eta, name):
-        x0 = Series.letter(X, "x0", eta.max_weight)
-        x1 = Series.letter(X, "x1", eta.max_weight)
-        zero = Series.zero(X, eta.max_weight)
         dr1 = fox_derivative(eta, "x1", "right")
         if name == "1,2,34":
             return reduced_coaction(eta)
-        if name == "2,3,4":
-            return -1 * (substitute(dr1, {"x0": x1, "x1": zero}) if not dr1.is_zero else zero)
-        if name == "12,3,4":
-            return -1 * (substitute(dr1, {"x0": x0 + x1, "x1": zero}) if not dr1.is_zero else zero)
+        if name in ("2,3,4", "12,3,4"):
+            x0_at = {"2,3,4": {"x1": 1}, "12,3,4": {"x0": 1, "x1": 1}}[name]
+            return -1 * substitute(dr1, LinearMorphism.by_name(X, X, {"x0": x0_at}))
         if name == "1,2,3":
-            return zero
+            return Series.zero(X, eta.max_weight)
         return -1 * dr1
 
     def test_on_lie_series(self, rng):
@@ -591,9 +580,7 @@ class TestRelations:
         # in the span of the fifteen disjoint-chord commutators
         from ncds.braid import in_relation_ideal
         p23 = pi_alphabet("23")
-        images = {}
-        for name in p23.letters:
-            i, j = int(name[0]), int(name[1])
-            images[name] = chord_series(i, j, 2)
+        images = LinearMorphism.by_name(p23, G, {
+            name: rewrite_chord(int(name[0]), int(name[1])) for name in p23.letters})
         for rel in r23_relations():
             assert in_relation_ideal(substitute(rel, images))

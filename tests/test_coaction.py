@@ -109,17 +109,15 @@ class TestRcSpace:
         # replacing r(-x0) by r(x0) leaves rc0 unchanged (even-coefficient
         # vanishing makes both equations agree on the solution space)
         from ncds.lie import solve_space
-        from ncds.series import fox_derivative, substitute
+        from ncds.series import S_AT_X0, S_AT_X1, fox_derivative, substitute
 
         def variant_residual(eta):
             if eta.is_zero:
                 return eta
-            x0 = Series.letter(X, "x0", eta.max_weight)
-            x1 = Series.letter(X, "x1", eta.max_weight)
             r = r_series(eta)
             out = reduced_coaction(eta)
             if not r.is_zero:
-                out = out + substitute(r, {"s": x1}) - substitute(r, {"s": x0})
+                out = out + substitute(r, S_AT_X1) - substitute(r, S_AT_X0)
             return out + fox_derivative(eta, "x0", "left") + fox_derivative(eta, "x1", "right")
 
         skew = lambda s: letter_swap(s) + s

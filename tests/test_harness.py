@@ -11,8 +11,7 @@ import pytest
 
 from ncds import braid, harness
 from ncds.cli import main as cli_main, space
-from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
-                          alpha_pair_functionals, conjecture_scan,
+from ncds.harness import (alpha_pair_functionals, conjecture_scan,
                           coface_pullback, index_pairs, leg_target,
                           one_loop_equivalence, pentagon_functional,
                           prop_sum_failures, pulled_functional,
@@ -22,27 +21,27 @@ from ncds.harness import (ALPHA_LEGS, PENTAGON_LEGS, PHI_LEGS,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
                           verify_theorem_D, verify_theorem_E)
 from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
-from ncds.braid import CHORD_NAMES, insert_triple
-from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1, Series,
-                         fox_derivative, series_to_json, substitute)
+from ncds.braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, leg_insertion
+from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
+                         InputError, Series, fox_derivative, series_to_json,
+                         substitute)
 
 from conftest import random_lie, src_env, x_series
 
 
 RESIDUAL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "residual_payloads.json"
 
-LEG_STRANDS = {"451": (4, 5, 1), "123": (1, 2, 3), "432": (4, 3, 2),
-               "215": (2, 1, 5), "543": (5, 4, 3)}
+LEGS = [leg for _sign, leg in ALPHA_LEGS]
 ORDERS = (("x", "y"), ("y", "x"))
 
 
 class TestPullback:
     def test_matches_direct_pairing(self, rng):
         # every pullback route against pairing the bar word with the chord
-        # expansion insert_triple(psi, i, j, k), which shares no code with it
+        # expansion psi(x_ij, x_jk): the insertion itself, not its transpose
         for w in (3, 4, 5):
             psi = random_lie(w, rng)
-            images = {leg: insert_triple(psi, *ijk) for leg, ijk in LEG_STRANDS.items()}
+            images = {leg: substitute(psi, leg_insertion(leg)) for leg in LEGS}
 
             def direct(a, b, order, legs):
                 bar = bar_double(a, b, order)
@@ -50,7 +49,7 @@ class TestPullback:
 
             for a, b in index_pairs(w):
                 for order in ORDERS:
-                    for leg in LEG_STRANDS:
+                    for leg in LEGS:
                         want = direct(a, b, order, ((1, leg),))
                         assert pair(coface_pullback(bar_double(a, b, order), leg),
                                    psi) == want
@@ -70,26 +69,27 @@ class TestPullback:
             for a, b in index_pairs(w):
                 for order in ORDERS:
                     bar = bar_double(a, b, order)
-                    for leg in LEG_STRANDS:
+                    for leg in LEGS:
                         assert pulled_functional(a, b, order, ((1, leg),)) \
                             == coface_pullback(bar, leg), (a, b, order, leg)
                     assert pulled_functional(a, b, order, ALPHA_LEGS) \
                         == pentagon_functional(bar, ALPHA_LEGS), (a, b, order)
 
-    def test_every_leg_is_a_word_morphism(self, monkeypatch):
+    def test_every_leg_is_a_word_morphism(self):
         # both pullback paths need each chord letter to have at most one
-        # image among x0, x1, with coefficient 1
-        assert set(PENTAGON_LEGS) == set(LEG_STRANDS)
-        for leg, (img0, img1) in PENTAGON_LEGS.items():
+        # image among x0, x1, with coefficient 1: the target sends a chord to
+        # the x letter whose image under psi -> psi(x_ij, x_jk) holds it
+        for leg in LEGS:
+            img0, img1 = (braid.rewrite_chord(int(leg[a]), int(leg[a + 1]))
+                          for a in (0, 1))
             assert set(img0.values()) | set(img1.values()) == {1}, leg
             assert not set(img0) & set(img1), leg
             assert leg_target(leg) == tuple(
                 0 if n in img0 else 1 if n in img1 else None for n in CHORD_NAMES)
-        monkeypatch.setitem(PENTAGON_LEGS, "twice", ({"12": 1}, {"12": 1}))
-        monkeypatch.setitem(PENTAGON_LEGS, "scaled", ({"12": 2}, {"23": 1}))
-        for leg in ("twice", "scaled"):
-            with pytest.raises(ValueError):
-                leg_target(leg)
+        # x13 = -x12 - x23 + x45 and x35 = x12 - x34 - x45 share x12, with
+        # coefficient -1 in the first
+        with pytest.raises(ValueError):
+            leg_target("135")
 
     def test_lemma_432_1_anchor(self):
         # pullback through 432 of l^{y,x}_{(1..1)_k,(1)} is exactly
@@ -102,7 +102,7 @@ class TestPullback:
         # heavyweight route: pair every bar word against the fully expanded
         # pentagon defect and compare with the pullback functional
         from ncds.braid import defect
-        from ncds.harness import ALPHA_LEGS, pentagon_functional
+        from ncds.harness import pentagon_functional
         for w in (3, 4, 5):
             psi = random_lie(w, rng)
             alpha = defect(psi)
@@ -221,6 +221,14 @@ class TestVerifiers:
         rep = verify_theorem_D(5)
         assert rep.ok
         assert {e.w: e.dims["rc0"] for e in rep.weights} == {3: 1, 4: 0, 5: 1}
+
+    def test_theorem_D_weights_above_max_weight(self):
+        # the bases reach the largest checked weight, not max_weight
+        got = verify_theorem_D(3, weights=[5]).to_json()["weights"]
+        assert got == verify_theorem_D(5, weights=[5]).to_json()["weights"]
+        assert got[0]["w"] == 5 and got[0]["status"] == "pass"
+        with pytest.raises(InputError):  # as A, B, C and E do, not KeyError
+            verify_theorem_D(3, weights=[1])
 
     def test_theorem_E_small(self):
         rep = verify_theorem_E(4)
@@ -412,7 +420,7 @@ class TestPaperPropositions:
     def test_all_ones_alpha_vanishing_for_skew(self, rng):
         # for skew Lie psi with no linear terms, the all-ones pairings of the
         # pentagon defect vanish even without the double-shuffle hypothesis
-        from ncds.harness import ALPHA_LEGS, pentagon_functional, _all_ones
+        from ncds.harness import pentagon_functional, _all_ones
         for w in (4, 5, 6):
             psi = random_lie(w, rng, skew=True)
             for k in range(1, w):
@@ -422,7 +430,7 @@ class TestPaperPropositions:
     def test_alpha_pairings_vanish_on_skew_dmr(self):
         # theorem: for skew dmr_0 elements all y,x pairings of alpha vanish,
         # all-ones pairs included
-        from ncds.harness import ALPHA_LEGS, pentagon_functional
+        from ncds.harness import pentagon_functional
         from ncds.dshuffle import dmr_space
         for w in (3, 5):
             for psi in dmr_space(w).basis:
@@ -434,7 +442,7 @@ class TestPaperPropositions:
 
     def test_depth_one_evaluation_on_dmr(self):
         # l^{y,x}_{(1..1)_k,(1)}(psi_451 + psi_123) = (-1)^(k+1) c_{x0^k x1}(psi)
-        from ncds.harness import PHI_LEGS, pentagon_functional
+        from ncds.harness import pentagon_functional
         from ncds.dshuffle import dmr_space
         for w in (3, 5):
             for psi in dmr_space(w).basis:
