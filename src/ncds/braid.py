@@ -92,12 +92,12 @@ def express_chord(i, j, base_names):
 
 @lru_cache(maxsize=None)
 def _insertion(alphabet, x0_chords, x1_chords):
-    """The letter map x0 -> sum of x_ij over the (i, j) in x0_chords, and x1
-    likewise, written over a basis alphabet of five chords."""
+    """The letter map x0 -> the sum of the chords in x0_chords ("14 24" is
+    x14 + x24), and x1 likewise, over a basis alphabet of five chords."""
     def image(chords):
         out = {}
-        for i, j in chords:
-            for name, c in express_chord(i, j, alphabet.letters).items():
+        for i, j in chords.split():
+            for name, c in express_chord(int(i), int(j), alphabet.letters).items():
                 _iadd(out, name, c)
         return out
     return LinearMorphism.by_name(two_letter_alphabet(), alphabet,
@@ -106,10 +106,9 @@ def _insertion(alphabet, x0_chords, x1_chords):
 
 def leg_insertion(leg):
     """The letter map psi -> psi(x_ij, x_jk) of the leg named "ijk", over G."""
-    i, j, k = (int(s) for s in leg)
-    if len({i, j, k}) != 3:
+    if len(set(leg)) != 3:
         raise ValueError("strand indices must be distinct")
-    return _insertion(chord_alphabet(), ((i, j),), ((j, k),))
+    return _insertion(chord_alphabet(), leg[:2], leg[1:])
 
 
 def insert_triple(psi, i, j, k):
@@ -117,32 +116,35 @@ def insert_triple(psi, i, j, k):
     return substitute(psi, leg_insertion("%d%d%d" % (i, j, k)))
 
 
-# The legs of the pentagon defect alpha with their signs, by strand triple;
-# phi = psi_451 + psi_123 is its first two.
+# Signed pentagon legs.  Those of alpha and of the cyclic defect are strand
+# triples "ijk", for psi(x_ij, x_jk); phi = psi_451 + psi_123 is alpha's first
+# two.  alpha_hat's are (sign, x0 image, x1 image), an image a sum of chords.
 ALPHA_LEGS = ((1, "451"), (1, "123"), (-1, "432"), (-1, "215"), (-1, "543"))
 PHI_LEGS = ALPHA_LEGS[:2]
+CYCLIC_LEGS = ((1, "123"), (1, "234"), (1, "345"), (1, "451"), (1, "512"))
+ALPHA_HAT_LEGS = ((1, "13", "23"), (1, "14", "24 34"), (1, "24", "34"),
+                  (-1, "14 24", "34"), (-1, "13 14", "23 24"))
+
+
+def _leg_sum(psi, alphabet, legs):
+    """Sum of sign * psi(x0 image, x1 image) over the legs, over the alphabet."""
+    out = Series.zero(alphabet, psi.max_weight)
+    for sign, x0, x1 in legs:
+        out = out + substitute(psi, _insertion(alphabet, x0, x1)).scale(sign)
+    return out
 
 
 def defect(psi, form="alpha"):
-    """Signed five-term pentagon defect of a Lie series.
-
-    form "alpha" is psi_451 + psi_123 - psi_432 - psi_215 - psi_543;
-    form "alpha_hat" is the change-of-variable defect built from the
-    second coface family, eta(x13,x23) + eta(x14,x24+x34) + eta(x24,x34)
-    - eta(x14+x24,x34) - eta(x13+x14,x23+x24), rewritten over G.
-    """
+    """Signed five-term pentagon defect of a Lie series over G: form "alpha"
+    sums ALPHA_LEGS, form "alpha_hat" the change of variable ALPHA_HAT_LEGS."""
     from .lie import is_lie_series
     if not is_lie_series(psi):
         raise ValueError("the pentagon defect is defined for Lie series")
     if form == "alpha":
-        legs = (substitute(psi, leg_insertion(leg)).scale(s) for s, leg in ALPHA_LEGS)
-        return sum(legs, Series.zero(chord_alphabet(), psi.max_weight))
+        legs = ((s, leg[:2], leg[1:]) for s, leg in ALPHA_LEGS)
+        return _leg_sum(psi, chord_alphabet(), legs)
     if form == "alpha_hat":
-        def sub(u, v):
-            return substitute(psi, _insertion(chord_alphabet(), u, v))
-        out = sub(((1, 3),), ((2, 3),)) + sub(((1, 4),), ((2, 4), (3, 4)))
-        out = out + sub(((2, 4),), ((3, 4),)) - sub(((1, 4), (2, 4)), ((3, 4),))
-        return out - sub(((1, 3), (1, 4)), ((2, 3), (2, 4)))
+        return _leg_sum(psi, chord_alphabet(), ALPHA_HAT_LEGS)
     raise ValueError("unknown defect form %r" % (form,))
 
 
@@ -402,11 +404,8 @@ def pi_coface(psi, name, flavor="23"):
 def cyclic_defect_pi23(psi):
     """The cyclic pentagon defect expressed over the pi^{2,3} presentation
     letters (x45 and x15 are linear in them), then pushed through pi^{2,3}."""
-    alphabet = pi_alphabet("23")
-    total = Series.zero(alphabet, psi.max_weight)
-    for i, j, k in ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)):
-        total = total + substitute(psi, _insertion(alphabet, ((i, j),), ((j, k),)))
-    return pi_decompose(total, "23")
+    legs = ((s, leg[:2], leg[1:]) for s, leg in CYCLIC_LEGS)
+    return pi_decompose(_leg_sum(psi, pi_alphabet("23"), legs), "23")
 
 
 # -- defining quadratic relations -------------------------------------------
@@ -424,7 +423,7 @@ def p5_relations(max_weight=2):
     return tuple(out)
 
 
-def r23_relations(max_weight=2):
+def r23_relations():
     """The R^{2,3} presentation relations as elements of the free algebra on
     the pi^{2,3} letters (each must map to zero under pi^{2,3}).
 
@@ -433,7 +432,7 @@ def r23_relations(max_weight=2):
     variant is killed by neither that projection nor the pi map.
     """
     alphabet = pi_alphabet("23")
-    L = lambda n: Series.letter(alphabet, n, max_weight)
+    L = lambda n: Series.letter(alphabet, n, 2)
     br = lambda a, b: L(a) * L(b) - L(b) * L(a)
     return (
         br("13", "23") - br("23", "12"),

@@ -2,9 +2,9 @@
 
     ncds spaces --set {rc|rc0|dmr0|krv2|krv1skew|conj2} --weight W
                 [--lambda p/q] [--out FILE]
-    ncds verify --theorem {A|B|C|D|E} [--max-weight W] [--seed S] [--out FILE]
+    ncds verify --theorem {A|B|C|D|E} [--max-weight W] [--out FILE]
     ncds residual --check {rc|dmr|krv1|nckrv2} --in series.json
-    ncds conjecture [--max-weight W] [--seed S] [--out FILE]
+    ncds conjecture [--max-weight W] [--out FILE]
 
 Exit codes: 0 all pass, 1 a check failed or a residual is nonzero, 2 input
 error, 3 an internal error (a traceback is printed).  NCDS_CACHE_DIR enables
@@ -94,14 +94,14 @@ def cmd_verify(args):
     max_weight = args.max_weight
     if max_weight is None:
         max_weight = DEFAULT_CEILINGS[args.theorem]
-    report = VERIFIERS[args.theorem](max_weight, args.seed)
+    report = VERIFIERS[args.theorem](max_weight)
     _report(report, args)
     return 0 if report.ok else 1
 
 
 def cmd_conjecture(args):
     from .harness import conjecture_scan
-    _report(conjecture_scan(args.max_weight, args.seed), args)
+    _report(conjecture_scan(args.max_weight), args)
     return 0
 
 
@@ -166,7 +166,6 @@ def build_parser():
     vp = sub.add_parser("verify", help="machine-check one of the theorems")
     vp.add_argument("--theorem", required=True, choices=tuple("ABCDE"))
     vp.add_argument("--max-weight", type=int, default=None)
-    vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--out", default=None)
     vp.set_defaults(fn=cmd_verify)
 
@@ -179,7 +178,6 @@ def build_parser():
 
     cp = sub.add_parser("conjecture", help="report-only dimension scan")
     cp.add_argument("--max-weight", type=int, default=7)
-    cp.add_argument("--seed", type=int, default=0)
     cp.add_argument("--out", default=None)
     cp.set_defaults(fn=cmd_conjecture)
     return p

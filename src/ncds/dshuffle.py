@@ -41,7 +41,7 @@ def y_alphabet(max_weight):
     return Alphabet(tuple("y%d" % n for n in range(1, max_weight + 1)))
 
 
-def y_word(alphabet, index):
+def y_word(index):
     """The word y_{a_k} ... y_{a_1} attached to an index."""
     return bytes(n - 1 for n in reversed(index))
 
@@ -194,7 +194,7 @@ def sigma_compose(sigma, a, b):
 
 def y_functional(index, f):
     """l_index on a y-series: the coefficient of the attached y-word."""
-    return f.coeff(y_word(f.alphabet, index))
+    return f.coeff(y_word(index))
 
 
 def stuffle_product_words(u, v):

@@ -10,7 +10,7 @@ coefficient 1), so the theorem checks run the bar-word recursion directly on
 the leg's letter target (`pulled_functional`) and never form a five-letter
 word; `coface_pullback` translates an arbitrary bar series the same way.
 
-Weight 2 is reported separately and never asserted: [x0, x1] satisfies the
+Weight 2 is report-only in every check (`_check`): [x0, x1] satisfies the
 double-shuffle conditions but has commutator coefficient 1, so the theorem
 comparisons start at weight 3.
 """
@@ -28,8 +28,8 @@ from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from .braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, chord_alphabet, leg_insertion
 from .coaction import (c4_residual, frak_b_check, ihara_bracket,
                        meta_abelian, rc_space)
-from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_alphabet,
-                       y_functional, y_word)
+from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
+                       y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
 from .lie import (lyndon_basis, series_span_contains, series_spans_equal,
@@ -60,10 +60,9 @@ class CheckReport:
     """A check's weight entries; elapsed is not serialized, so that reports
     stay byte-stable."""
 
-    def __init__(self, check, weights, seed=0, elapsed=0.0):
+    def __init__(self, check, weights, elapsed=0.0):
         self.check = check
         self.weights = weights
-        self.seed = seed
         self.elapsed = elapsed
 
     @property
@@ -73,7 +72,7 @@ class CheckReport:
     def to_json(self):
         return {"check": self.check,
                 "weights": [e.to_json() for e in self.weights],
-                "seed": self.seed,
+                "seed": 0,  # no check is random; kept so reports stay byte-stable
                 "version": KERNEL_VERSION}
 
     def summary_lines(self):
@@ -81,10 +80,6 @@ class CheckReport:
             dims = " ".join("%s=%s" % (k, e.dims[k]) for k in sorted(e.dims))
             yield "%s w=%d %s %s" % (self.check, e.w, e.status, dims)
         yield "%s elapsed %.3f s" % (self.check, self.elapsed)
-
-
-def _witness_json(obj):
-    return None if obj is None else obj.to_json()
 
 
 # -- pentagon pullback functionals -------------------------------------------
@@ -220,117 +215,100 @@ def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
 
 # -- theorem checks -----------------------------------------------------------
 
-def _entry_for_equality(w, name_a, space_a, name_b, space_b, report_only=False):
-    equal, witness = series_spans_equal(space_a.basis, space_b.basis)
-    dims = {name_a: space_a.dimension, name_b: space_b.dimension}
-    if report_only:
-        dims["equal"] = equal
-        return WeightEntry(w, "report-only", dims)
-    if equal:
-        return WeightEntry(w, "pass", dims)
-    return WeightEntry(w, "fail", dims, witness=_witness_json(witness))
+def _check(check, first_weight, max_weight, weights, entry):
+    """The one check loop.  entry(w) gives a weight's dims and its failures,
+    each a witness series or None.  Weight 2 is report-only; a weight with a
+    failure fails and carries its first witness."""
+    t0 = time.perf_counter()
+    entries = []
+    for w in (weights if weights is not None else range(first_weight, max_weight + 1)):
+        dims, failures = entry(w)
+        witness = next((f.to_json() for f in failures if f is not None), None)
+        status = "report-only" if w == 2 else "fail" if failures else "pass"
+        entries.append(WeightEntry(w, status, dims,
+                                   witness if status == "fail" else None))
+    return CheckReport(check, entries, elapsed=time.perf_counter() - t0)
 
 
-def verify_theorem_A(max_weight, seed=0, weights=None):
+def _spans_entry(w, spaces):
+    """Dims of named spaces that must all equal the first, and a witness for
+    each that does not."""
+    (_, base), *rest = spaces.items()
+    witnesses = (series_spans_equal(base.basis, s.basis)[1] for _, s in rest)
+    return ({k: s.dimension for k, s in spaces.items()},
+            [f for f in witnesses if f is not None])
+
+
+def verify_theorem_A(max_weight, weights=None):
     """dmr_0 with skew symmetry equals rc_0 cut by the shifted-pair bar
     functionals, weight by weight: each side is its base space cut by the
     added condition."""
-    t0 = time.perf_counter()
-    entries = []
-    for w in (weights if weights is not None else range(2, max_weight + 1)):
-        s1 = solve_space(w, [skew_constraint], space="dmr0skew", chart=dmr_space(w))
-        s2 = solve_space(w, [shifted_pair_functionals(w)], space="rc0shifted",
-                         chart=rc_space(w))
-        entries.append(_entry_for_equality(w, "dmr0_skew", s1, "rc0_shifted", s2,
-                                           report_only=(w == 2)))
-    return CheckReport("theorem_A", entries, seed, elapsed=time.perf_counter() - t0)
+    def entry(w):
+        dims, failures = _spans_entry(w, {
+            "dmr0_skew": solve_space(w, [skew_constraint], space="dmr0skew",
+                                     chart=dmr_space(w)),
+            "rc0_shifted": solve_space(w, [shifted_pair_functionals(w)],
+                                       space="rc0shifted", chart=rc_space(w))})
+        if w == 2:
+            dims["equal"] = not failures
+        return dims, failures
+    return _check("theorem_A", 2, max_weight, weights, entry)
 
 
-def verify_theorem_B(max_weight, seed=0, weights=None):
+def verify_theorem_B(max_weight, weights=None):
     """dmr_0 equals the kernel of the bar pairings against the pentagon
     defect over non-all-ones index pairs."""
-    t0 = time.perf_counter()
-    entries = []
-    for w in (weights if weights is not None else range(2, max_weight + 1)):
-        s1 = dmr_space(w)
-        s2 = solve_space(w, [alpha_pair_functionals(w)], space="barkernel")
-        entry = _entry_for_equality(w, "dmr0", s1, "bar_kernel", s2,
-                                    report_only=(w == 2))
-        entry.dims["constraints"] = len(_alpha_keys(w))
-        entries.append(entry)
-    return CheckReport("theorem_B", entries, seed, elapsed=time.perf_counter() - t0)
+    def entry(w):
+        dims, failures = _spans_entry(w, {
+            "dmr0": dmr_space(w),
+            "bar_kernel": solve_space(w, [alpha_pair_functionals(w)],
+                                      space="barkernel")})
+        if w == 2:
+            dims["equal"] = not failures
+        dims["constraints"] = len(_alpha_keys(w))
+        return dims, failures
+    return _check("theorem_B", 2, max_weight, weights, entry)
 
 
-def verify_theorem_C(max_weight, seed=0, weights=None):
+def verify_theorem_C(max_weight, weights=None):
     """Four descriptions of rc_0 coincide: the residual equation, the y,x and
     x,y depth-one bar kernels, and the change-of-variable equation."""
-    t0 = time.perf_counter()
-    entries = []
-    for w in (weights if weights is not None else range(2, max_weight + 1)):
-        spaces = {
-            "i_rc0": rc_space(w),
-            "ii_yx": solve_space(w, [skew_constraint, alpha_pair_functionals(
-                w, ("y", "x"), depth_one=True)], space="c2"),
-            "iii_xy": solve_space(w, [skew_constraint, alpha_pair_functionals(
-                w, ("x", "y"), depth_one=True)], space="c3"),
-            "iv_mu": solve_space(w, [skew_constraint, c4_residual], space="c4"),
-        }
-        dims = {k: v.dimension for k, v in spaces.items()}
-        status = "report-only" if w == 2 else "pass"
-        witness = None
-        if w > 2:
-            base = spaces["i_rc0"]
-            for key in ("ii_yx", "iii_xy", "iv_mu"):
-                equal, bad = series_spans_equal(base.basis, spaces[key].basis)
-                if not equal:
-                    status = "fail"
-                    witness = _witness_json(bad)
-                    break
-        entries.append(WeightEntry(w, status, dims, witness=witness))
-    return CheckReport("theorem_C", entries, seed, elapsed=time.perf_counter() - t0)
+    return _check("theorem_C", 2, max_weight, weights, lambda w: _spans_entry(w, {
+        "i_rc0": rc_space(w),
+        "ii_yx": solve_space(w, [skew_constraint, alpha_pair_functionals(
+            w, ("y", "x"), depth_one=True)], space="c2"),
+        "iii_xy": solve_space(w, [skew_constraint, alpha_pair_functionals(
+            w, ("x", "y"), depth_one=True)], space="c3"),
+        "iv_mu": solve_space(w, [skew_constraint, c4_residual], space="c4"),
+    }))
 
 
-def verify_theorem_D(max_weight, seed=0, weights=None):
+def verify_theorem_D(max_weight, weights=None):
     """rc_0 basis elements have vanishing even depth-one coefficients, their
     meta-abelian quotients come from a gamma cocycle, and the Ihara brackets
     of basis elements stay in rc_0.  For a homogeneous psi of weight w the
     only even depth-one coefficient that can be nonzero is that of
-    x0^(w-1) x1, for w even."""
-    t0 = time.perf_counter()
-    checked = list(weights) if weights is not None else range(3, max_weight + 1)
-    # each weight up to the largest checked; rc_space rejects one below 2
-    bases = {w: rc_space(w, 0).basis
-             for w in {*range(2, max(checked, default=2) + 1), *checked}}
-    entries = []
-    for w in checked:
-        dims = {"rc0": len(bases[w])}
-        status = "pass"
-        witness = None
-        for psi in bases[w]:
+    x0^(w-1) x1, for w even.  Each rc_0 basis is solved once per report."""
+    basis = lru_cache(maxsize=None)(lambda w: rc_space(w, 0).basis)
+
+    def entry(w):
+        failures = []
+        for psi in basis(w):
             if w % 2 == 0 and psi.coeff(b"\x00" * (w - 1) + b"\x01"):
-                status = "fail"
-                witness = _witness_json(psi)
-            ok, _gamma = frak_b_check(meta_abelian(psi))
-            if not ok:
-                status = "fail"
-                witness = _witness_json(psi)
+                failures.append(psi)
+            if not frak_b_check(meta_abelian(psi))[0]:
+                failures.append(psi)
         brackets = 0
-        for w1 in range(2, w - 1):
-            w2 = w - w1
-            if w2 < 2 or w2 < w1:
-                continue
-            for p1 in bases[w1]:
-                for p2 in bases[w2]:
-                    lifted1 = Series(p1.alphabet, w, p1.terms, _clean=False)
-                    lifted2 = Series(p2.alphabet, w, p2.terms, _clean=False)
-                    br = ihara_bracket(lifted1, lifted2)
+        for w1 in range(2, w // 2 + 1):
+            for p1 in basis(w1):
+                for p2 in basis(w - w1):
+                    br = ihara_bracket(Series(p1.alphabet, w, p1.terms, _clean=False),
+                                       Series(p2.alphabet, w, p2.terms, _clean=False))
                     brackets += 1
-                    if not series_span_contains(bases[w], br):
-                        status = "fail"
-                        witness = _witness_json(br)
-        dims["brackets"] = brackets
-        entries.append(WeightEntry(w, status, dims, witness=witness))
-    return CheckReport("theorem_D", entries, seed, elapsed=time.perf_counter() - t0)
+                    if not series_span_contains(basis(w), br):
+                        failures.append(br)
+        return {"rc0": len(basis(w)), "brackets": brackets}, failures
+    return _check("theorem_D", 3, max_weight, weights, entry)
 
 
 def nonadmissible_sum_value(psi, k, l):
@@ -347,61 +325,44 @@ def nonadmissible_sum_value(psi, k, l):
     return total
 
 
-def verify_theorem_E(max_weight, seed=0, weights=None):
+def verify_theorem_E(max_weight, weights=None):
     """Pipeline: dmr_0 + skew + krv1 sits inside rc_0 + krv1, and the
     tangential pair of every member lands in krv_2; plus the all-ones
     quasi-shuffle coefficient formula on dmr_0 bases for k+l <= 6.  Both
     cuts are taken on the solved dmr_0 and rc spaces."""
-    t0 = time.perf_counter()
-    entries = []
-    for w in (weights if weights is not None else range(3, max_weight + 1)):
+    def entry(w):
         dmr0 = dmr_space(w)
         s1 = solve_space(w, [skew_constraint, _krv1_linear], space="dmr0skewkrv1",
                          chart=dmr0)
         s2 = solve_space(w, [_krv1_linear], space="rc0krv1", chart=rc_space(w))
-        dims = {"dmr0_skew_krv1": s1.dimension, "rc0_krv1": s2.dimension}
-        status = "pass"
-        witness = None
-        for psi in s1.basis:
-            if not series_span_contains(s2.basis, psi):
-                status = "fail"
-                witness = _witness_json(psi)
+        failures = [psi for psi in s1.basis if not series_span_contains(s2.basis, psi)]
         krv2 = krv2_space(w)
-        dims["krv2"] = krv2.dimension
+        dims = {"dmr0_skew_krv1": s1.dimension, "rc0_krv1": s2.dimension,
+                "krv2": krv2.dimension}
         cyc_ok = True
         for psi in s2.basis:
             u = tangential_pair_of(psi)
             cyc_ok = cyc_ok and is_cyclic_invariant(potential(u))
-            residual, _f = nc_krv2_fit(u)
-            if not residual.is_zero:
-                status = "fail"
-                witness = _witness_json(psi)
+            if not nc_krv2_fit(u)[0].is_zero:
+                failures.append(psi)
             u = u.normalized()
             if not u.is_zero and not series_span_contains(krv2.basis, u):
-                status = "fail"
-                witness = _witness_json(psi)
+                failures.append(psi)
         dims["h_cyclic_invariant"] = cyc_ok
         if w <= 6:
-            ok = True
-            for psi in dmr0.basis:
-                for k in range(1, w):
-                    l = w - k
-                    got = nonadmissible_sum_value(psi, k, l)
-                    # (l+k-1)!/(k! l!) need not be an integer; stay exact
-                    coeff = Fraction(math.factorial(k + l - 1),
-                                     math.factorial(k) * math.factorial(l))
-                    expected = ((-1) ** (k + l)) * coeff \
-                        * psi.coeff(b"\x00" * (k + l - 1) + b"\x01")
-                    if got != expected:
-                        ok = False
+            # (w-1)!/(k! (w-k)!) need not be an integer; stay exact
+            depth_one = b"\x00" * (w - 1) + b"\x01"
+            ok = all(nonadmissible_sum_value(psi, k, w - k) == (-1) ** w * psi.coeff(depth_one)
+                     * Fraction(math.factorial(w - 1), math.factorial(k) * math.factorial(w - k))
+                     for psi in dmr0.basis for k in range(1, w))
             dims["nonadmissible1111"] = ok
             if not ok:
-                status = "fail"
-        entries.append(WeightEntry(w, status, dims, witness=witness))
-    return CheckReport("theorem_E", entries, seed, elapsed=time.perf_counter() - t0)
+                failures.append(None)
+        return dims, failures
+    return _check("theorem_E", 3, max_weight, weights, entry)
 
 
-def conjecture_scan(max_weight, seed=0):
+def conjecture_scan(max_weight):
     """Dimension pairs of the krv1 cut versus the shifted-pair cut of the
     skew Lie space; reported, never asserted."""
     t0 = time.perf_counter()
@@ -412,7 +373,7 @@ def conjecture_scan(max_weight, seed=0):
         entries.append(WeightEntry(w, "report-only",
                                    {"krv1skew": d1, "conj2": d2,
                                     "equal": d1 == d2}))
-    return CheckReport("conjecture", entries, seed, elapsed=time.perf_counter() - t0)
+    return CheckReport("conjecture", entries, elapsed=time.perf_counter() - t0)
 
 
 VERIFIERS = {"A": verify_theorem_A, "B": verify_theorem_B,
@@ -616,13 +577,12 @@ def one_loop_equivalence(max_weight=7):
     for w in range(2, max_weight + 1):
         s1 = solve_space(w, [alpha_pair_functionals(w, ("y", "x"), depth_one=True)],
                          space="oneloop1")
-        ys = y_alphabet(w)
 
         def stuffle_sum(a, b):
             terms = {}
             for sg in sh_le(len(a), len(b)):
                 (first, second), _tag = sigma_compose(sg, a, b)
-                _iadd(terms, y_word(ys, first + second), 1)
+                _iadd(terms, y_word(first + second), 1)
             return terms
 
         funcs = []

@@ -54,8 +54,8 @@ def apply_derivation(images, f, max_weight):
     return Series(f.alphabet, max_weight, out, _clean=False)
 
 
-def lyndon_words(weight, n_letters=2):
-    """All Lyndon words of the given length via Duval's algorithm."""
+def lyndon_words(weight):
+    """All Lyndon words in x0, x1 of the given length via Duval's algorithm."""
     if weight < 1:
         raise InputError("weight must be >= 1")
     out = []
@@ -67,7 +67,7 @@ def lyndon_words(weight, n_letters=2):
             out.append(bytes(w))
         while len(w) < weight:
             w.append(w[-m])
-        while w and w[-1] == n_letters - 1:
+        while w and w[-1] == 1:
             w.pop()
     return sorted(out)
 

@@ -166,9 +166,9 @@ class Series(SparseSeries):
         return cls(alphabet, max_weight, {bytes((i,)): 1})
 
     @classmethod
-    def word(cls, alphabet, letters, max_weight, coef=1):
+    def word(cls, alphabet, letters, max_weight):
         w = bytes(alphabet.index(n) for n in letters)
-        return cls(alphabet, max_weight, {w: coef})
+        return cls(alphabet, max_weight, {w: 1})
 
     # -- basic queries -----------------------------------------------------
 

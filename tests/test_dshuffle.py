@@ -145,14 +145,14 @@ class TestSigmaCompose:
     def test_composition_against_word_stuffle(self):
         # concatenated composed indices reproduce the y-word quasi-shuffle
         for a, b in (((1, 2), (2,)), ((1, 1), (2, 1))):
-            ya = y_word(y_alphabet(8), a)
-            yb = y_word(y_alphabet(8), b)
+            ya = y_word(a)
+            yb = y_word(b)
             direct = stuffle_product_words(ya, yb)
             via_sigma = {}
             from ncds.series import _iadd
             for s in sh_le(len(a), len(b)):
                 (first, second), _ = sigma_compose(s, a, b)
-                _iadd(via_sigma, y_word(y_alphabet(8), first + second), 1)
+                _iadd(via_sigma, y_word(first + second), 1)
             assert via_sigma == direct
 
 

@@ -22,9 +22,12 @@ from ncds.harness import (alpha_pair_functionals, conjecture_scan,
                           verify_theorem_D, verify_theorem_E)
 from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from ncds.braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, leg_insertion
+from ncds.coaction import rc_space
+from ncds.kv import _krv1_linear
+from ncds.lie import lyndon_basis, series_span_contains, solve_space
 from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                          InputError, Series, fox_derivative, series_to_json,
-                         substitute)
+                         substitute, two_letter_alphabet)
 
 from conftest import random_lie, src_env, x_series
 
@@ -241,22 +244,83 @@ class TestVerifiers:
 
     def test_failure_carries_witness(self):
         # unequal spaces must produce a fail entry with a witness series
-        from ncds.harness import _entry_for_equality
-        from ncds.lie import SolutionSpace, lyndon_basis
+        from ncds.harness import _check, _spans_entry
+        from ncds.lie import SolutionSpace
         basis = lyndon_basis(3).series()
         s1 = SolutionSpace("a", 3, [basis[0]])
         s2 = SolutionSpace("b", 3, [basis[1]])
-        entry = _entry_for_equality(3, "a", s1, "b", s2)
-        assert entry.status == "fail"
+        rep = _check("x", 3, 3, None, lambda w: _spans_entry(w, {"a": s1, "b": s2}))
+        entry, = rep.weights
+        assert entry.status == "fail" and entry.dims == {"a": 1, "b": 1}
         assert entry.witness is not None
         assert entry.to_json()["witness"]["terms"]
-        from ncds.harness import CheckReport
-        assert not CheckReport("x", [entry]).ok
+        assert not rep.ok
 
     def test_weights_parameter(self):
         full = verify_theorem_A(4)
         part = verify_theorem_A(4, weights=[4])
         assert part.weights[0].to_json() == full.weights[-1].to_json()
+
+
+class TestFailingChecks:
+    # faults injected into the names the checks call, so that each failing
+    # path of the check loop is driven end to end
+
+    def test_theorem_C_fail(self, monkeypatch):
+        # a change-of-variable equation that kills rc_0
+        monkeypatch.setattr(harness, "c4_residual", lambda s: s)
+        rep = verify_theorem_C(3)
+        assert [e.status for e in rep.weights] == ["report-only", "fail"]
+        entry = rep.weights[1]
+        assert entry.dims["iv_mu"] == 0 and entry.dims["i_rc0"] == 1
+        assert entry.witness == rc_space(3).basis[0].to_json()
+
+    def test_theorem_D_fail_carries_first_witness(self, monkeypatch):
+        monkeypatch.setattr(harness, "frak_b_check", lambda q: (False, None))
+        rep = verify_theorem_D(3)
+        entry, = rep.weights
+        assert entry.status == "fail" and not rep.ok
+        assert entry.witness == rc_space(3, 0).basis[0].to_json()
+        # at w=8 the bracket of the weight-3 and weight-5 elements fails
+        # too, after the gamma cocycle condition on the rc_0 element
+        outside = lyndon_basis(8).series()[0]
+        assert not series_span_contains(rc_space(8, 0).basis, outside)
+        monkeypatch.setattr(harness, "ihara_bracket", lambda a, b: outside)
+        entry, = verify_theorem_D(8, weights=[8]).weights
+        assert entry.status == "fail" and entry.dims == {"rc0": 1, "brackets": 1}
+        assert entry.witness == rc_space(8, 0).basis[0].to_json()
+
+    def test_theorem_E_fail_on_krv2_fit(self, monkeypatch):
+        residual = Series.letter(two_letter_alphabet(), "x0", 3)
+        monkeypatch.setattr(harness, "nc_krv2_fit", lambda u: (residual, None))
+        entry, = verify_theorem_E(3).weights
+        assert entry.status == "fail"
+        rc0_krv1 = solve_space(3, [_krv1_linear], space="rc0krv1", chart=rc_space(3))
+        assert entry.witness == rc0_krv1.basis[0].to_json()
+
+    def test_theorem_E_fail_on_nonadmissible_sum(self, monkeypatch):
+        value = harness.nonadmissible_sum_value
+        monkeypatch.setattr(harness, "nonadmissible_sum_value",
+                            lambda psi, k, l: value(psi, k, l) + 1)
+        rep = verify_theorem_E(3)
+        entry, = rep.weights
+        assert entry.status == "fail" and not rep.ok
+        assert entry.dims["nonadmissible1111"] is False
+        assert "witness" not in entry.to_json()
+
+    @pytest.mark.parametrize("check", [verify_theorem_D, verify_theorem_E],
+                             ids=["D", "E"])
+    def test_weight_2_is_report_only(self, check):
+        entry, = check(2, weights=[2]).weights
+        assert entry.status == "report-only"
+
+    def test_cli_exit_codes(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "frak_b_check", lambda q: (False, None))
+        assert cli_main(["verify", "--theorem", "D", "--max-weight", "3"]) == 1
+        assert json.loads(capsys.readouterr().out)["weights"][0]["status"] == "fail"
+        with pytest.raises(SystemExit) as exc:  # the seed option is gone
+            cli_main(["verify", "--theorem", "A", "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestHarnessInvariants:
@@ -521,7 +585,7 @@ class TestCli:
     def test_internal_error_exits_3(self, monkeypatch, capsys, exc):
         from ncds import harness
 
-        def broken(max_weight, seed=0):
+        def broken(max_weight):
             raise exc("broken verifier")
         monkeypatch.setitem(harness.VERIFIERS, "A", broken)
         assert self.run("verify", "--theorem", "A", "--max-weight", "3") == 3
