@@ -157,15 +157,35 @@ def ihara_bracket(psi1, psi2):
 
 
 def change_of_variable(psi):
-    """psi(-x0-x1, x1)."""
+    """psi(-x0-x1, x1).  The map x0 -> -x0-x1, x1 -> x1 is its own inverse
+    and an automorphism of the free Lie algebra, so eta = psi(-x0-x1, x1)
+    and psi = eta(-x0-x1, x1)."""
     return substitute(psi, AT_MINUS_SUM_X1)
 
 
-def c4_residual(psi):
-    """Residual of the change-of-variable form of the coaction equation:
-    mu(eta) - g(x0+x1, 0) + g + g(x1, 0) for eta = psi(-x0-x1, x1) and
-    g = d^R_1(eta)."""
-    eta = change_of_variable(psi)
+def _c4_in_eta(eta):
+    """mu(eta) - g(x0+x1, 0) + g + g(x1, 0) with g = d^R_1(eta): the
+    change-of-variable form of the coaction equation, written on eta."""
     g = fox_derivative(eta, "x1", "right")
     return (reduced_coaction(eta) - substitute(g, AT_SUM_ZERO) + g
             + substitute(g, AT_X1_ZERO))
+
+
+def c4_residual(psi):
+    """Residual of the change-of-variable form of the coaction equation on
+    psi, through eta = psi(-x0-x1, x1)."""
+    return _c4_in_eta(change_of_variable(psi))
+
+
+def solve_in_eta(weight, constraints, space):
+    """The skew Lie series psi of a weight whose eta = psi(-x0-x1, x1)
+    satisfies the given constraints, as a canonical SolutionSpace.
+
+    The constraints are solved on eta in Lyndon coordinates, where a unit
+    word is never expanded through the change of variable; only the few
+    solutions are mapped back to psi, and skew symmetry (which the change of
+    variable does not preserve) cuts that space.  This is the space the
+    joint solve of skew_constraint and the psi-form constraints returns."""
+    etas = solve_space(weight, constraints, space=space)
+    psis = SolutionSpace(space, weight, [change_of_variable(e) for e in etas.basis])
+    return solve_space(weight, [skew_constraint], space=space, chart=psis)

@@ -26,8 +26,8 @@ from functools import lru_cache
 from . import __version__ as KERNEL_VERSION
 from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from .braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, chord_alphabet, leg_insertion
-from .coaction import (c4_residual, frak_b_check, ihara_bracket,
-                       meta_abelian, rc_space)
+from .coaction import (_c4_in_eta, frak_b_check, ihara_bracket,
+                       meta_abelian, rc_space, solve_in_eta)
 from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
                        y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
@@ -279,7 +279,7 @@ def verify_theorem_C(max_weight, weights=None):
             w, ("y", "x"), depth_one=True)], space="c2"),
         "iii_xy": solve_space(w, [skew_constraint, alpha_pair_functionals(
             w, ("x", "y"), depth_one=True)], space="c3"),
-        "iv_mu": solve_space(w, [skew_constraint, c4_residual], space="c4"),
+        "iv_mu": solve_in_eta(w, [_c4_in_eta], "c4"),
     }))
 
 

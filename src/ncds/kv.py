@@ -13,14 +13,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coaction import change_of_variable, reduced_coaction
+from .coaction import change_of_variable, reduced_coaction, solve_in_eta
 from .lie import (TangentialDerivation, apply_derivation, is_lie_series,
-                  lie_bracket, skew_constraint, solve_space)
-from .series import (AT_MINUS_SUM_X0, S_AT_SUM, S_AT_X0, S_AT_X1,
-                     CyclicSeries, InputError, Series, TensorSeries,
-                     fox_derivative, one_letter_alphabet, shuffle_splits,
-                     substitute, symmetrize, two_letter_alphabet,
-                     _canonical_rotation, _iadd)
+                  lie_bracket, solve_space)
+from .series import (S_AT_SUM, S_AT_X0, S_AT_X1, CyclicSeries, InputError,
+                     Series, TensorSeries, fox_derivative, letter_swap,
+                     one_letter_alphabet, shuffle_splits, substitute, symmetrize,
+                     two_letter_alphabet, _canonical_rotation, _iadd)
 
 
 def tder_apply(u, f):
@@ -69,16 +68,28 @@ def krv1_residual(psi):
 
 def _krv1_linear(psi):
     """[x0, psi(-x0-x1, x0)] + [x1, psi(-x0-x1, x1)], one weight up."""
-    return _sder_constraint(tangential_pair_of(psi))
+    return _krv1_in_eta(change_of_variable(psi))
+
+
+def _eta_pair(eta):
+    """(eta(x1, x0), eta): for eta = psi(-x0-x1, x1) this is the pair
+    (psi(-x0-x1, x0), psi(-x0-x1, x1))."""
+    return TangentialDerivation.of(letter_swap(eta), eta, normalize=False)
+
+
+def _krv1_in_eta(eta):
+    """The krv1 equation written on eta = psi(-x0-x1, x1): the pair
+    (eta(x1, x0), eta) is special."""
+    return _sder_constraint(_eta_pair(eta))
 
 
 def tangential_pair_of(psi):
     """u_psi = (psi(-x0-x1, x0), psi(-x0-x1, x1)), the pair attached to a
     Lie series, with its linear terms kept (``.normalized()`` strips them);
     krv1_residual(psi) = 0 iff this pair is special.  This is the one place
-    psi(-x0-x1, .) is computed: potential and nc_krv2_fit read it off."""
-    return TangentialDerivation.of(substitute(psi, AT_MINUS_SUM_X0),
-                                   change_of_variable(psi), normalize=False)
+    psi(-x0-x1, .) is computed, by one substitution: the first slot is the
+    second with its letters swapped.  potential and nc_krv2_fit read it off."""
+    return _eta_pair(change_of_variable(psi))
 
 
 def potential(u):
@@ -238,7 +249,8 @@ def krv2_space(weight):
 
 def krv1skew_space(weight):
     """Skew Lie series of the given weight that satisfy the krv1 equation,
-    one side of the conjecture scan."""
+    one side of the conjecture scan: the equation is solved on eta =
+    psi(-x0-x1, x1), then cut by skew symmetry."""
     if weight < 2:
         raise InputError("krv1skew space starts at weight 2")
-    return solve_space(weight, [skew_constraint, _krv1_linear], space="krv1skew")
+    return solve_in_eta(weight, [_krv1_in_eta], "krv1skew")

@@ -369,7 +369,7 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
             row[j] += c * v
     combos = kernel_basis([rows[k] for k in sorted(rows)] or [[0] * len(columns)])
     sols = []
-    for vec in combos:
+    for vec in _integer_rows(combos):  # canonical_series_basis rescales them
         coords = {}
         for c, terms in zip(vec, columns):
             if c:
@@ -406,8 +406,13 @@ def canonical_series_basis(sols):
 def _outside_span(basis, objs):
     """The first of objs outside the span of basis, or None.  Each is reduced
     sparsely against the canonical basis: subtracting c e for the
-    coefficient c of e's pivot clears that pivot and touches no other."""
-    reducers = [(min(e.terms), e.terms) for e in canonical_series_basis(basis)]
+    coefficient c of e's pivot clears that pivot and touches no other.  A
+    basis that is canonical already (every SolutionSpace basis: each least
+    key has coefficient 1 and is in no other element) is used as given."""
+    reducers = [(min(e.terms), e.terms) for e in basis if e.terms]
+    if not all(terms[pivot] == 1 and sum(pivot in t for _p, t in reducers) == 1
+               for pivot, terms in reducers):
+        reducers = [(min(e.terms), e.terms) for e in canonical_series_basis(basis)]
     for obj in objs:
         rest = dict(obj.terms)
         for pivot, terms in reducers:

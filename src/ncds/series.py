@@ -467,12 +467,10 @@ def _onto_x(source, images):
 
 
 # Fixed maps onto the two-letter algebra, named by where they send (x0, x1)
-# or the one-variable letter s: psi(-x0-x1, x1), psi(-x0-x1, x0),
-# g(x0+x1, 0), g(x1, 0), and r(x1), r(-x0), f(x0), f(x0+x1).
+# or the one-variable letter s: psi(-x0-x1, x1), g(x0+x1, 0), g(x1, 0), and
+# r(x1), r(-x0), f(x0), f(x0+x1).
 AT_MINUS_SUM_X1 = _onto_x(two_letter_alphabet(),
                           {"x0": {"x0": -1, "x1": -1}, "x1": {"x1": 1}})
-AT_MINUS_SUM_X0 = _onto_x(two_letter_alphabet(),
-                          {"x0": {"x0": -1, "x1": -1}, "x1": {"x0": 1}})
 AT_SUM_ZERO = _onto_x(two_letter_alphabet(), {"x0": {"x0": 1, "x1": 1}})
 AT_X1_ZERO = _onto_x(two_letter_alphabet(), {"x0": {"x1": 1}})
 S_AT_X1 = _onto_x(one_letter_alphabet(), {"s": {"x1": 1}})

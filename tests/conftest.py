@@ -8,11 +8,15 @@ import pytest
 from ncds.braid import CocycleElement, cocycle_mul
 from ncds.harness import random_lie_series
 from ncds.lie import lie_bracket
-from ncds.series import (AT_MINUS_SUM_X0, AT_MINUS_SUM_X1, CyclicSeries, Series,
+from ncds.series import (AT_MINUS_SUM_X1, CyclicSeries, LinearMorphism, Series,
                          abelianize, cyclic_project, fox_derivative, substitute,
                          two_letter_alphabet, _iadd)
 
 X = two_letter_alphabet()
+# psi -> psi(-x0-x1, x0), written out; ncds itself reaches this series as
+# psi(-x0-x1, x1) with its letters swapped
+AT_MINUS_SUM_X0 = LinearMorphism.by_name(X, X, {"x0": {"x0": -1, "x1": -1},
+                                               "x1": {"x0": 1}})
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 

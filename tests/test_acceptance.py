@@ -283,7 +283,9 @@ def test_golden_space_kernels_match_full_elimination(monkeypatch):
     # textbook Gauss-Jordan on all of its nonzero rows at once, each taken
     # once up to sign, a route that shares no code with ncds.linalg; rc0 is
     # rc cut by one more constraint, a second matrix wherever rc is not
-    # empty (w = 3, 5, 7, 8)
+    # empty (w = 3, 5, 7, 8), and krv1skew is a Lyndon solve on eta cut by
+    # skew symmetry, a second matrix wherever the eta space is not empty
+    # (w = 3, 5, 7, 8)
     import ncds.linalg
     from ncds.linalg import kernel_basis
     captured = []
@@ -294,7 +296,7 @@ def test_golden_space_kernels_match_full_elimination(monkeypatch):
     for key in json.loads(SPACES_GOLDEN.read_text()):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))
-    assert len(captured) == 34
+    assert len(captured) == 38
     for rows in captured:
         distinct = {}
         for row in rows:
@@ -345,9 +347,11 @@ def _per_element_rows(weight, constraints, chart):
 def test_solver_rows_match_per_element_reference(monkeypatch):
     # every matrix solve_space hands to kernel_basis while it builds the 30
     # golden spaces (rc0 is rc cut by one more constraint: 6 more solves, on
-    # the rc basis as chart) and theorem B to weight 7 (a bar-functional
-    # family per weight) equals, up to zero rows and repeats, the
-    # per-element rows; a cut of an empty space builds no matrix
+    # the rc basis as chart; krv1skew is a Lyndon solve on eta cut by skew
+    # symmetry: 6 more solves, on the mapped-back eta basis as chart) and
+    # theorem B to weight 7 (a bar-functional family per weight) equals, up
+    # to zero rows and repeats, the per-element rows; a cut of an empty space
+    # builds no matrix
     import ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv, ncds.lie, ncds.linalg
     from ncds.linalg import _distinct_rows, kernel_basis
     solve_space = ncds.lie.solve_space
@@ -367,7 +371,7 @@ def test_solver_rows_match_per_element_reference(monkeypatch):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))
     verify_theorem_B(7)
-    assert len(calls) == 30 + 6 + 2 * 6
+    assert len(calls) == 30 + 6 + 6 + 2 * 6
     for weight, constraints, chart, rows in calls:
         if isinstance(chart, SolutionSpace) and not chart.basis:
             assert rows is None

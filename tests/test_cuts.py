@@ -12,15 +12,20 @@ cut itself: the chart, its integer scaling and the columns each element
 feeds."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import ncds.harness as harness
-from ncds.coaction import _rc_residual_linear, rc_space
+from ncds.coaction import (_c4_in_eta, _rc_residual_linear, c4_residual,
+                           change_of_variable, rc_space, solve_in_eta)
 from ncds.dshuffle import _dmr_residual_linear
-from ncds.kv import _krv1_linear
+from ncds.kv import _krv1_linear, krv1skew_space
 from ncds.lie import SolutionSpace, lyndon_basis, skew_constraint, solve_space
+from ncds.series import Series, letter_swap, substitute
+
+from conftest import AT_MINUS_SUM_X0, X
 
 WEIGHTS = range(2, 9)
 
@@ -114,3 +119,62 @@ def test_empty_chart():
     cut = solve_space(5, [never], space="cut", chart=SolutionSpace("none", 5, []))
     assert cut.to_json() == {"space": "cut", "weight": 5, "dimension": 0,
                              "basis": []}
+
+
+# -- the eta route ----------------------------------------------------------
+#
+# Theorem C's change-of-variable description and krv1skew are solved on
+# eta = psi(-x0-x1, x1), mapped back and cut by skew symmetry; the joint
+# Lyndon solves of the psi-form constraints are the reference.
+
+ETA_ROUTE = {
+    "c4": (lambda w: solve_in_eta(w, [_c4_in_eta], "c4"), c4_residual),
+    "krv1skew": (krv1skew_space, _krv1_linear),
+}
+
+
+@pytest.mark.parametrize("w", range(2, 10))
+@pytest.mark.parametrize("name", sorted(ETA_ROUTE))
+def test_eta_route_equals_joint_solve(name, w):
+    route, psi_form = ETA_ROUTE[name]
+    joint = solve_space(w, [skew_constraint, psi_form], space=name)
+    assert _bytes(route(w)) == _bytes(joint)
+
+
+def test_theorem_C_solves_iv_in_eta(monkeypatch):
+    calls = []
+
+    def record(weight, constraints, space):
+        calls.append((weight, constraints, space))
+        return solve_in_eta(weight, constraints, space)
+    monkeypatch.setattr(harness, "solve_in_eta", record)
+    harness.verify_theorem_C(4)
+    assert calls == [(w, [_c4_in_eta], "c4") for w in (2, 3, 4)]
+
+
+def _fraction_series(rng, max_weight, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        w = bytes(rng.randint(0, 1) for _ in range(rng.randint(0, max_weight)))
+        terms[w] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Series(X, max_weight, terms)
+
+
+def test_change_of_variable_is_an_involution():
+    rng = random.Random(22)
+    for mw in (0, 1, 4, 7):
+        for n_terms in (1, 3, 30):
+            f = _fraction_series(rng, mw, n_terms)
+            back = change_of_variable(change_of_variable(f))
+            assert back.terms == f.terms and back.max_weight == mw
+
+
+def test_swapped_eta_is_psi_at_minus_sum_x0():
+    # psi(-x0-x1, x0) = eta(x1, x0) for eta = psi(-x0-x1, x1)
+    rng = random.Random(23)
+    for mw in (0, 1, 4, 7):
+        for n_terms in (1, 3, 30):
+            f = _fraction_series(rng, mw, n_terms)
+            got = letter_swap(change_of_variable(f))
+            want = substitute(f, AT_MINUS_SUM_X0)
+            assert got.terms == want.terms and got.max_weight == mw

@@ -267,8 +267,8 @@ class TestFailingChecks:
     # path of the check loop is driven end to end
 
     def test_theorem_C_fail(self, monkeypatch):
-        # a change-of-variable equation that kills rc_0
-        monkeypatch.setattr(harness, "c4_residual", lambda s: s)
+        # a change-of-variable equation, written on eta, that kills rc_0
+        monkeypatch.setattr(harness, "_c4_in_eta", lambda s: s)
         rep = verify_theorem_C(3)
         assert [e.status for e in rep.weights] == ["report-only", "fail"]
         entry = rep.weights[1]

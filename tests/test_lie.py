@@ -481,6 +481,35 @@ class TestSparseSpanReduction:
             sides.add("equal" if want[0] else "b" if any(o is want[1] for o in b) else "a")
         assert sides == {"equal", "a", "b"}
 
+    @pytest.mark.parametrize("kind", ["series", "pairs"])
+    def test_canonical_basis_is_used_as_given(self, kind, monkeypatch):
+        # a canonical basis is reduced against as it is, with no rref; the
+        # same basis scaled and shuffled is not canonical, and goes through
+        # canonical_series_basis to the same verdicts
+        rng = random.Random(9)
+        rrefs = []
+
+        def counting(rows):
+            rrefs.append(rows)
+            return rref(rows)
+        monkeypatch.setattr(linalg, "rref", counting)
+        shortcuts = 0
+        for _ in range(60):
+            basis, candidates = _seeded_span_case(rng, kind)
+            canon = canonical_series_basis(basis)
+            scrambled = [e.scale(Fraction(rng.choice([-3, -2, -1, 2, 3]),
+                                          rng.choice([1, 5, 7]))) for e in canon]
+            rng.shuffle(scrambled)
+            for cand in candidates:
+                want = reference_contains(basis, cand)
+                del rrefs[:]
+                assert series_span_contains(canon, cand) == want
+                assert not rrefs
+                assert series_span_contains(scrambled, cand) == want
+                assert len(rrefs) == (1 if canon else 0)
+                shortcuts += bool(canon)
+        assert shortcuts
+
     def test_empty_basis(self):
         zero = Series.zero(X, 3)
         assert series_span_contains([], zero)

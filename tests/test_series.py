@@ -259,8 +259,8 @@ class TestLetterMapRecursion:
     def test_named_maps(self, rng):
         from ncds import series
         maps = [getattr(series, name) for name in
-                ("AT_MINUS_SUM_X0", "AT_MINUS_SUM_X1", "AT_SUM_ZERO",
-                 "AT_X1_ZERO", "S_AT_X1", "S_AT_MINUS_X0", "S_AT_X0", "S_AT_SUM")]
+                ("AT_MINUS_SUM_X1", "AT_SUM_ZERO", "AT_X1_ZERO", "S_AT_X1",
+                 "S_AT_MINUS_X0", "S_AT_X0", "S_AT_SUM")]
         for m in maps:
             for w in range(0, 7):
                 for word in itertools.product(range(len(m.source)), repeat=w):
