@@ -128,24 +128,37 @@ ALPHA_HAT_LEGS = ((1, "13", "23"), (1, "14", "24 34"), (1, "24", "34"),
 
 def _leg_sum(psi, alphabet, legs):
     """Sum of sign * psi(x0 image, x1 image) over the legs, over the alphabet."""
-    out = Series.zero(alphabet, psi.max_weight)
+    out = {}
     for sign, x0, x1 in legs:
-        out = out + substitute(psi, _insertion(alphabet, x0, x1)).scale(sign)
-    return out
+        for w, c in substitute(psi, _insertion(alphabet, x0, x1)).terms.items():
+            _iadd(out, w, sign * c)
+    return Series(alphabet, psi.max_weight, out, _clean=False)
 
 
-def defect(psi, form="alpha"):
+def _relabel(chords, perm):
+    """A sum of chords ("14 24") with each strand i relabelled perm[i]."""
+    return " ".join("%d%d" % (perm[int(c[0])], perm[int(c[1])]) for c in chords.split())
+
+
+def defect(psi, form="alpha", perm=None):
     """Signed five-term pentagon defect of a Lie series over G: form "alpha"
-    sums ALPHA_LEGS, form "alpha_hat" the change of variable ALPHA_HAT_LEGS."""
+    sums ALPHA_LEGS, form "alpha_hat" the change of variable ALPHA_HAT_LEGS.
+
+    A strand permutation perm relabels the chords of every leg, which gives
+    permute_strands(defect(psi, form), perm): relabelling strands is an
+    algebra map, and it sends x_ij to x_perm(i)perm(j) on the chord span."""
     from .lie import is_lie_series
     if not is_lie_series(psi):
         raise ValueError("the pentagon defect is defined for Lie series")
     if form == "alpha":
-        legs = ((s, leg[:2], leg[1:]) for s, leg in ALPHA_LEGS)
-        return _leg_sum(psi, chord_alphabet(), legs)
-    if form == "alpha_hat":
-        return _leg_sum(psi, chord_alphabet(), ALPHA_HAT_LEGS)
-    raise ValueError("unknown defect form %r" % (form,))
+        legs = [(s, leg[:2], leg[1:]) for s, leg in ALPHA_LEGS]
+    elif form == "alpha_hat":
+        legs = ALPHA_HAT_LEGS
+    else:
+        raise ValueError("unknown defect form %r" % (form,))
+    if perm is not None:
+        legs = [(s, _relabel(x0, perm), _relabel(x1, perm)) for s, x0, x1 in legs]
+    return _leg_sum(psi, chord_alphabet(), legs)
 
 
 # coface name -> the chords summed in the images of (x0, x1)

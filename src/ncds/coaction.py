@@ -185,7 +185,15 @@ def solve_in_eta(weight, constraints, space):
     word is never expanded through the change of variable; only the few
     solutions are mapped back to psi, and skew symmetry (which the change of
     variable does not preserve) cuts that space.  This is the space the
-    joint solve of skew_constraint and the psi-form constraints returns."""
-    etas = solve_space(weight, constraints, space=space)
-    psis = SolutionSpace(space, weight, [change_of_variable(e) for e in etas.basis])
+    joint solve of skew_constraint and the psi-form constraints returns.
+    Each solution is scaled to integer coefficients before it is mapped
+    back, as the solved-space chart scales its columns; the canonical basis
+    rescales, so the space is unchanged."""
+    from .linalg import _integer_rows
+    etas = solve_space(weight, constraints, space=space).basis
+    ints = _integer_rows([list(e.terms.values()) for e in etas])
+    psis = SolutionSpace(space, weight, [
+        change_of_variable(Series(e.alphabet, e.max_weight, dict(zip(e.terms, row)),
+                                  _clean=False))
+        for e, row in zip(etas, ints)])
     return solve_space(weight, [skew_constraint], space=space, chart=psis)

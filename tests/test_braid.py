@@ -211,6 +211,16 @@ class TestPermuteStrands:
             assert permute_strands(alpha, SIGMA) == alpha
             assert permute_strands(alpha, TAU) == -alpha
 
+    def test_relabelled_legs_equal_permuted_defect(self, rng):
+        # the lemma suite's alpha^sigma (the legs relabelled before psi is
+        # inserted) against relabelling the expanded defect afterwards
+        for w in range(2, 7):
+            psi = random_lie(w, rng, skew=True)
+            for form in ("alpha", "alpha_hat"):
+                for perm in (SIGMA, TAU):
+                    assert defect(psi, form, perm=perm) == \
+                        permute_strands(defect(psi, form), perm), (w, form, perm)
+
 
 class TestRhoKks:
     def test_diagonal(self):

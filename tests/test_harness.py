@@ -17,7 +17,8 @@ from ncds.harness import (alpha_pair_functionals, conjecture_scan,
                           prop_sum_failures, pulled_functional,
                           shifted_pair_functionals,
                           lemma_cab23_failures, lemma_cabling34_failures,
-                          lemma_polylogs_failures, stuffle_identity_failures,
+                          lemma_dihedral_failures, lemma_polylogs_failures,
+                          random_lie_series, stuffle_identity_failures,
                           verify_theorem_A, verify_theorem_B, verify_theorem_C,
                           verify_theorem_D, verify_theorem_E)
 from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
@@ -26,8 +27,8 @@ from ncds.coaction import rc_space
 from ncds.kv import _krv1_linear
 from ncds.lie import lyndon_basis, series_span_contains, solve_space
 from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
-                         InputError, Series, fox_derivative, series_to_json,
-                         substitute, two_letter_alphabet)
+                         InputError, Series, fox_derivative, letter_swap,
+                         series_to_json, substitute, two_letter_alphabet, _iadd)
 
 from conftest import random_lie, src_env, x_series
 
@@ -394,6 +395,20 @@ def _reference_pi_failures(label, max_weight, samples, seed):
     return failures
 
 
+def _reference_dihedral_failures(max_weight, samples, seed, skew=True):
+    # alpha^sigma by relabelling the expanded defect, not its legs
+    rng = random.Random(seed)
+    failures = []
+    for w in range(2, max_weight + 1):
+        for i in range(samples):
+            alpha = braid.defect(random_lie(w, rng, skew=skew))
+            if braid.permute_strands(alpha, braid.SIGMA) != alpha:
+                failures.append(("sigma", w, i))
+            if braid.permute_strands(alpha, braid.TAU) != -alpha:
+                failures.append(("tau", w, i))
+    return failures
+
+
 def _reference_polylogs_failures(max_weight, samples, seed):
     rng = random.Random(seed)
     failures = []
@@ -458,6 +473,42 @@ class TestLemmaSuitesMatchPerSampleLoops:
             got = suite(5, 10, seed)
             assert got and got == _reference_pi_failures(label, 5, 10, seed)
 
+    @pytest.mark.parametrize("label", sorted(PI_SUITES))
+    def test_pi_suites_catch_an_expected_side_fault(self, monkeypatch, label):
+        # mu without the contraction of each word's first two letters
+        import ncds.coaction
+        original = ncds.coaction.reduced_coaction
+
+        def dropped(f):
+            lost = {}
+            for w, c in f.terms.items():
+                if len(w) > 1 and w[0] == w[1]:
+                    _iadd(lost, w[1:], c)
+            return original(f) - Series(f.alphabet, f.max_weight, lost)
+        monkeypatch.setattr(ncds.coaction, "reduced_coaction", dropped)
+        suite = PI_SUITES[label][0]
+        for seed in (0, 1):
+            got = suite(5, 10, seed)
+            assert got and got == _reference_pi_failures(label, 5, 10, seed)
+
+    def test_dihedral_suite(self, monkeypatch):
+        for seed in (0, 1):
+            assert lemma_dihedral_failures(6, 3, seed) == \
+                _reference_dihedral_failures(6, 3, seed) == []
+        # a non-skew psi
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "random_lie_series",
+                       lambda w, rng, skew=False: random_lie_series(w, rng))
+            for seed in (0, 1):
+                got = lemma_dihedral_failures(6, 3, seed)
+                assert got and got == _reference_dihedral_failures(6, 3, seed, skew=False)
+        # one leg's sign flipped
+        (sign, leg), *rest = braid.ALPHA_LEGS
+        monkeypatch.setattr(braid, "ALPHA_LEGS", ((-sign, leg), *rest))
+        for seed in (0, 1):
+            got = lemma_dihedral_failures(6, 3, seed)
+            assert got and got == _reference_dihedral_failures(6, 3, seed)
+
     def test_pentagon_suites(self, monkeypatch):
         suites = ((lemma_polylogs_failures, _reference_polylogs_failures),
                   (stuffle_identity_failures, _reference_stuffle_failures))
@@ -478,6 +529,22 @@ class TestLemmaSuitesMatchPerSampleLoops:
             for seed in (0, 1, 2):
                 got = suite(5, 2, seed)
                 assert got and got == reference(5, 2, seed)
+
+
+def test_random_lie_series_keeps_its_samples():
+    # against the sum of scaled Lyndon elements it replaced, drawing alike
+    for skew in (False, True):
+        for w in range(1, 8):
+            rng, old_rng = random.Random(w), random.Random(w)
+            old = Series.zero(two_letter_alphabet(), w)
+            for _w, _tree, elt in lyndon_basis(w).elements:
+                c = old_rng.randint(-3, 3)
+                if c:
+                    old = old + elt.scale(c)
+            if skew:
+                old = old - letter_swap(old)
+            assert random_lie_series(w, rng, skew) == old, (w, skew)
+            assert rng.random() == old_rng.random()
 
 
 class TestPaperPropositions:
