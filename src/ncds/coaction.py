@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .lie import (apply_derivation, is_lie_series, letter_bracket,
-                  lie_bracket, primitivity_defect, skew_constraint,
-                  solve_space, SolutionSpace)
+                  lie_bracket, skew_constraint, solve_space, SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
                      InputError, one_letter_alphabet, substitute,
@@ -70,7 +69,7 @@ def rc_residual(eta):
     return _rc_residual_linear(eta)
 
 
-def rc_space(weight, lam=None, chart="lyndon"):
+def rc_space(weight, lam=None):
     """Skew-symmetric solutions of the reduced coaction equation at a weight.
 
     lam constrains the coefficient of [x0, x1]; it only bites at weight 2
@@ -81,10 +80,7 @@ def rc_space(weight, lam=None, chart="lyndon"):
     """
     if weight < 2:
         raise InputError("rc space starts at weight 2")
-    constraints = [skew_constraint, _rc_residual_linear]
-    if chart == "words":
-        constraints = [primitivity_defect] + constraints
-    space = solve_space(weight, constraints, space="rc", chart=chart)
+    space = solve_space(weight, [skew_constraint, _rc_residual_linear], space="rc")
     if lam is None:
         return space
     rc0 = solve_space(weight, [lambda s: {"lam": s.coeff(b"\x00\x01")}],

@@ -124,15 +124,12 @@ def _dmr_residual_linear(psi):
                         primitivity_defect(star, stuffle_coproduct), _clean=False)
 
 
-def dmr_space(weight, chart="lyndon"):
+def dmr_space(weight):
     """Lie series with vanishing linear terms whose corrected image is
     primitive for the stuffle coproduct."""
     if weight < 2:
         raise InputError("dmr space starts at weight 2")
-    constraints = [_dmr_residual_linear]
-    if chart == "words":
-        constraints = [primitivity_defect] + constraints
-    return solve_space(weight, constraints, space="dmr0", chart=chart)
+    return solve_space(weight, [_dmr_residual_linear], space="dmr0")
 
 
 # -- quasi-shuffle permutation sets -----------------------------------------

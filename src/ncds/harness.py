@@ -216,17 +216,19 @@ def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
 # -- theorem checks -----------------------------------------------------------
 
 def _check(check, first_weight, max_weight, weights, entry):
-    """The one check loop.  entry(w) gives a weight's dims and its failures,
-    each a witness series or None.  Weight 2 is report-only; a weight with a
-    failure fails and carries its first witness."""
+    """The one check loop, which builds every report.  entry(w) gives a
+    weight's dims and its failures, each a witness series or None, or None
+    for no verdict.  Weight 2 and a weight with no verdict are report-only;
+    a weight with a failure fails and carries its first witness."""
     t0 = time.perf_counter()
     entries = []
     for w in (weights if weights is not None else range(first_weight, max_weight + 1)):
         dims, failures = entry(w)
-        witness = next((f.to_json() for f in failures if f is not None), None)
-        status = "report-only" if w == 2 else "fail" if failures else "pass"
-        entries.append(WeightEntry(w, status, dims,
-                                   witness if status == "fail" else None))
+        status = ("report-only" if w == 2 or failures is None
+                  else "fail" if failures else "pass")
+        witness = (next((f.to_json() for f in failures if f is not None), None)
+                   if status == "fail" else None)
+        entries.append(WeightEntry(w, status, dims, witness))
     return CheckReport(check, entries, elapsed=time.perf_counter() - t0)
 
 
@@ -365,15 +367,11 @@ def verify_theorem_E(max_weight, weights=None):
 def conjecture_scan(max_weight):
     """Dimension pairs of the krv1 cut versus the shifted-pair cut of the
     skew Lie space; reported, never asserted."""
-    t0 = time.perf_counter()
-    entries = []
-    for w in range(3, max_weight + 1):
+    def entry(w):
         d1 = krv1skew_space(w).dimension
         d2 = conj2_space(w).dimension
-        entries.append(WeightEntry(w, "report-only",
-                                   {"krv1skew": d1, "conj2": d2,
-                                    "equal": d1 == d2}))
-    return CheckReport("conjecture", entries, elapsed=time.perf_counter() - t0)
+        return {"krv1skew": d1, "conj2": d2, "equal": d1 == d2}, None
+    return _check("conjecture", 3, max_weight, None, entry)
 
 
 VERIFIERS = {"A": verify_theorem_A, "B": verify_theorem_B,

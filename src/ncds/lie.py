@@ -108,14 +108,13 @@ class LyndonBasis(namedtuple("LyndonBasis", "weight elements")):
 
 
 @lru_cache(maxsize=None)
-def lyndon_basis(weight, max_weight=None):
+def lyndon_basis(weight):
     """Standard-bracketing Lyndon basis of the free Lie algebra on x0, x1."""
     alphabet = two_letter_alphabet()
-    mw = weight if max_weight is None else max_weight
     elems = []
     for w in lyndon_words(weight):
         tree = _bracketing(w)
-        elems.append((w, tree, _expand_bracketing(tree, alphabet, mw)))
+        elems.append((w, tree, _expand_bracketing(tree, alphabet, weight)))
     return LyndonBasis(weight, tuple(elems))
 
 

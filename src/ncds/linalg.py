@@ -16,8 +16,10 @@ remain, it selects only every (m // k)-th of them.
   column (17 bytes) holding its entry mod p, so a row operation is one
   big-int multiply-add (Kronecker substitution; Dumas, Fousse and Salvy,
   J. Symb. Comput. 46, 2011).  Slots never go negative and are reduced mod
-  p only when read.  Gauss-Jordan mod p gives R mod p, and with it the
-  free-column kernel basis mod p.  One echelon is kept per prime.
+  p only when read: a row becomes a pivot row, and an echelon row is
+  reduced, from its unpacked slots.  Gauss-Jordan mod p gives R mod p, and
+  with it the free-column kernel basis mod p.  One echelon is kept per
+  prime.
 - Lift.  The reduced rows mod the kept primes are combined by CRT into one
   mod their product M, and each entry is lifted to a fraction a/b with
   |a|, b <= sqrt(M/2) by rational reconstruction (Wang, Guy and Davenport,
@@ -178,16 +180,13 @@ def _eliminate_mod_p(echelon, rows, cols, nb, p):
 
     A row is read one column at a time from its low end, shifting the read
     slot out: a pivot column is cleared by adding p - v times the pivot row,
-    and the first other column whose slot is not 0 mod p becomes a pivot.
-    A new pivot row that no multiply-add touched is normalized from the
-    row's own values instead of its unpacked slots.
+    and the first other column whose slot is not 0 mod p becomes a pivot,
+    its row normalized from its unpacked slots.
     """
     width = 8 * nb
     mask = (1 << width) - 1
     for row in rows:
-        values = [v % p for v in row]
-        cur = _pack(values, nb)
-        touched = False
+        cur = _pack([v % p for v in row], nb)
         for c in range(cols):
             if not cur:
                 break
@@ -196,11 +195,10 @@ def _eliminate_mod_p(echelon, rows, cols, nb, p):
                 piv = echelon.get(c)
                 if piv is None:
                     inv = pow(v, -1, p)
-                    tail = _unpack(cur, cols - c, nb, p) if touched else values[c:]
+                    tail = _unpack(cur, cols - c, nb, p)
                     echelon[c] = _pack([x * inv % p for x in tail], nb)
                     break
                 cur += (p - v) * piv
-                touched = True
             cur >>= width
 
 
@@ -223,30 +221,22 @@ def _back_pass(echelon, cols, nb, p):
     """The free columns and, per pivot c, the free-column slots of the
     reduced row of c mod p, packed.
 
-    The pivots are taken from the right: the reduced row of c is its own
-    free-column slots minus, for each later pivot k, its entry at k times
-    the reduced row of k, one multiply-add per pair; a row with no later
-    pivot entry is already reduced.  Echelon slots are in [0, p), so a row's
-    free-column slots are cut from its bytes and its later pivot entries
-    read from them; only a row that took a multiply-add is unpacked.
+    The pivots are taken from the right: the echelon row of c is unpacked,
+    and its reduced row is its own free-column slots minus, for each later
+    pivot k, its entry at k times the reduced row of k, one multiply-add per
+    pair, reduced mod p and packed once.
     """
     pivots = sorted(echelon)
     free = [c for c in range(cols) if c not in echelon]
     packed = {}
     for j in range(len(pivots) - 1, -1, -1):
         c = pivots[j]
-        b = echelon[c].to_bytes((cols - c) * nb, "little")
-        later = pivots[j + 1:]
-        cuts = [c] + later + [cols]
-        own = b"".join(b[(s - c + 1) * nb:(e - c) * nb] for s, e in zip(cuts, cuts[1:]))
+        row = _unpack(echelon[c], cols - c, nb, p)
+        acc = sum((p - row[k - c]) * packed[k] for k in pivots[j + 1:] if row[k - c])
         # the c - j free columns left of c hold 0
-        acc = int.from_bytes(own, "little") << (8 * nb * (c - j))
-        entries = [int.from_bytes(b[(k - c) * nb:(k - c + 1) * nb], "little")
-                   for k in later]
-        adds = [(p - e, packed[k]) for e, k in zip(entries, later) if e]
-        for e, x in adds:
-            acc += e * x
-        packed[c] = _pack(_unpack(acc, len(free), nb, p), nb) if adds else acc
+        own = [0] * (c - j) + [row[fc - c] for fc in free[c - j:]]
+        packed[c] = _pack([(u + v) % p for u, v in
+                           zip(own, _unpack(acc, len(free), nb, p))], nb)
     return free, packed
 
 

@@ -378,18 +378,10 @@ def _expand_terms(terms, images, times=_concat_times, unit=EMPTY):
     i to images[i], by first-letter recursion: phi(f) = sum_a phi(a) phi(f_a),
     where f_a holds the words of f that start with a, that letter removed.
     Equal keys merge at every level, so a letter map costs one factor at a
-    time instead of one expansion per word; one word alone is multiplied out
-    from its last letter.  ``times(image, tail, out)`` is out + image * tail
-    in the target (in place, or a new dict for an empty out); ``unit`` is
-    the target key of the empty word.  Concatenation is the default."""
-    if len(terms) == 1:
-        ((w, c),) = terms.items()
-        out = {unit: c}
-        for i in reversed(w):
-            out = times(images[i], out, {})
-            if not out:
-                break
-        return out
+    time instead of one expansion per word.  ``times(image, tail, out)`` is
+    out + image * tail in the target (in place, or a new dict for an empty
+    out); ``unit`` is the target key of the empty word.  Concatenation is
+    the default."""
     out = {}
     by_first = {}
     for w, c in terms.items():

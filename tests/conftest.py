@@ -7,7 +7,7 @@ import pytest
 
 from ncds.braid import CocycleElement, cocycle_mul
 from ncds.harness import random_lie_series
-from ncds.lie import lie_bracket
+from ncds.lie import lie_bracket, primitivity_defect, solve_space
 from ncds.series import (AT_MINUS_SUM_X1, CyclicSeries, LinearMorphism, Series,
                          abelianize, cyclic_project, fox_derivative, substitute,
                          two_letter_alphabet, _iadd)
@@ -204,6 +204,19 @@ def random_lie(weight, rng, skew=False, max_weight=None):
 @pytest.fixture
 def rng():
     return random.Random(20240901)
+
+
+def commutator(s):
+    """The coefficient of x0 x1, the constraint that cuts rc to rc0."""
+    return {"lam": s.coeff(b"\x00\x01")}
+
+
+def words_space(weight, constraints, space="words"):
+    """The brute-force route to a space of Lie series: the constraints with
+    primitivity (the shuffle-coproduct Lie test) solved over every word of
+    the weight, sharing no Lyndon coordinates with the route under test."""
+    return solve_space(weight, [primitivity_defect] + constraints, space=space,
+                       chart="words")
 
 
 # -- reference elimination -------------------------------------------------------

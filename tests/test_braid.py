@@ -435,7 +435,8 @@ class TestPiMaps:
                 assert got.max_weight == mw
 
     def test_one_word_inputs(self):
-        # one word alone takes the engine's single-word path
+        # one word alone goes through the engine's first-letter recursion like
+        # any other input; each is checked against the per-word references
         coefs = (1, -2, Fraction(3, 4))
         for flavor in ("23", "34"):
             p = pi_alphabet(flavor)
@@ -454,9 +455,10 @@ class TestPiMaps:
                         assert got == want, (flavor, name, word)
 
     def test_single_word_path_merges_equal_keys(self):
-        # under the coface 1,23,4 of pi^{2,3}, x0 maps to x0 (x) 1 + 1 (x) x0,
-        # so x0 x0 reaches x0 (x) x0 twice within one word, besides the rho
-        # term x0 in the module
+        # one word, through the recursion: under the coface 1,23,4 of
+        # pi^{2,3}, x0 maps to x0 (x) 1 + 1 (x) x0, so x0 x0 reaches
+        # x0 (x) x0 twice and the two merge, besides the rho term x0 in the
+        # module
         psi = x_series({"00": 1}, 2)
         got = pi_coface(psi, "1,23,4", "23")
         assert got == ref_pi_coface(psi, coface_images("1,23,4", "23"), "23")

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.coaction import (c4_residual, change_of_variable, frak_b_check,
-                           ihara_bracket, meta_abelian, r_series, rc_residual,
-                           rc_space, reduced_coaction)
-from ncds.lie import is_lie_series, is_skew, lyndon_basis, series_spans_equal
+from ncds.coaction import (_rc_residual_linear, c4_residual,
+                           change_of_variable, frak_b_check, ihara_bracket,
+                           meta_abelian, r_series, rc_residual, rc_space,
+                           reduced_coaction)
+from ncds.lie import (is_lie_series, is_skew, lyndon_basis, series_spans_equal,
+                      skew_constraint)
 from ncds.series import Series, letter_swap, one_letter_alphabet
 
-from conftest import X, random_lie, x_series
+from conftest import X, commutator, random_lie, words_space, x_series
 
 
 def psi3():
@@ -92,7 +94,7 @@ class TestRcSpace:
         # weights 3..8; weight 8 is a 2179 x 256 words chart
         dims = []
         for w in range(3, 9):
-            brute = rc_space(w, 0, chart="words")
+            brute = words_space(w, [skew_constraint, _rc_residual_linear, commutator])
             eq, _ = series_spans_equal(brute.basis, rc_space(w, 0).basis)
             assert eq, w
             dims.append(brute.dimension)

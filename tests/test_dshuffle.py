@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.dshuffle import (dmr_residual, dmr_space, index_depth, index_weight,
-                           is_admissible, pi_y, psi_corr, psi_star, sh_le,
-                           sigma_compose, stuffle_coproduct,
-                           stuffle_product_words, y_alphabet, y_functional,
-                           y_word)
+from ncds.dshuffle import (_dmr_residual_linear, dmr_residual, dmr_space,
+                           index_depth, index_weight, is_admissible, pi_y,
+                           psi_corr, psi_star, sh_le, sigma_compose,
+                           stuffle_coproduct, stuffle_product_words,
+                           y_alphabet, y_functional, y_word)
 from ncds.harness import _compositions as compositions
 from ncds.lie import lyndon_basis, series_spans_equal
 from ncds.series import Series
 
-from conftest import X, x_series
+from conftest import X, words_space, x_series
 
 
 def psi3():
@@ -176,7 +176,7 @@ class TestDmrSpace:
     def test_words_chart_agrees(self):
         for w in range(3, 9):
             eq, _ = series_spans_equal(dmr_space(w).basis,
-                                       dmr_space(w, chart="words").basis)
+                                       words_space(w, [_dmr_residual_linear]).basis)
             assert eq
 
 

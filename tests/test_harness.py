@@ -11,7 +11,7 @@ import pytest
 
 from ncds import braid, harness
 from ncds.cli import main as cli_main, space
-from ncds.harness import (alpha_pair_functionals, conjecture_scan,
+from ncds.harness import (alpha_pair_functionals, conj2_space, conjecture_scan,
                           coface_pullback, index_pairs, leg_target,
                           one_loop_equivalence, pentagon_functional,
                           prop_sum_failures, pulled_functional,
@@ -24,19 +24,24 @@ from ncds.harness import (alpha_pair_functionals, conjecture_scan,
 from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from ncds.braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, leg_insertion
 from ncds.coaction import rc_space
-from ncds.kv import _krv1_linear
-from ncds.lie import lyndon_basis, series_span_contains, solve_space
+from ncds.kv import _krv1_linear, krv1skew_space
+from ncds.lie import (lyndon_basis, series_span_contains, skew_constraint,
+                      solve_space)
 from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                          InputError, Series, fox_derivative, letter_swap,
                          series_to_json, substitute, two_letter_alphabet, _iadd)
 
-from conftest import random_lie, src_env, x_series
+from conftest import random_lie, ref_krv1, src_env, words_space, x_series
 
 
 RESIDUAL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "residual_payloads.json"
 
 LEGS = [leg for _sign, leg in ALPHA_LEGS]
 ORDERS = (("x", "y"), ("y", "x"))
+
+
+def _basis_json(solved):
+    return [b.to_json() for b in solved.basis]
 
 
 class TestPullback:
@@ -257,10 +262,36 @@ class TestVerifiers:
         assert entry.to_json()["witness"]["terms"]
         assert not rep.ok
 
+    def test_no_verdict_is_report_only(self):
+        # None failures: no verdict, report-only at every weight
+        from ncds.harness import _check
+        rep = _check("x", 2, 4, None, lambda w: ({"w": w}, None))
+        assert [e.status for e in rep.weights] == ["report-only"] * 3
+        assert all(e.witness is None for e in rep.weights) and rep.ok
+        rep = _check("x", 2, 3, None, lambda w: ({}, []))
+        assert [e.status for e in rep.weights] == ["report-only", "pass"]
+        entry, = _check("x", 3, 3, None, lambda w: ({}, [None])).weights
+        assert entry.status == "fail" and entry.witness is None
+
     def test_weights_parameter(self):
         full = verify_theorem_A(4)
         part = verify_theorem_A(4, weights=[4])
         assert part.weights[0].to_json() == full.weights[-1].to_json()
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+class TestConjectureSpacesOnTheWordsChart:
+    """Both sides of the conjecture scan against the brute-force words chart,
+    basis for basis.  The krv1 side uses conftest's ref_krv1, which shares no
+    ncds.kv code with krv1skew_space."""
+
+    def test_krv1skew(self, w):
+        want = words_space(w, [skew_constraint, ref_krv1])
+        assert _basis_json(krv1skew_space(w)) == _basis_json(want)
+
+    def test_conj2(self, w):
+        want = words_space(w, [skew_constraint, shifted_pair_functionals(w)])
+        assert _basis_json(conj2_space(w)) == _basis_json(want)
 
 
 class TestFailingChecks:

@@ -23,8 +23,8 @@ def cyc(terms, mw):
 
 
 def psi3(mw=3):
-    b = lyndon_basis(3, mw).series()
-    return b[0] - b[1]
+    b = lyndon_basis(3).series()
+    return (b[0] - b[1]).truncated(mw)
 
 
 def pair(t1, t2, mw):
