@@ -161,21 +161,21 @@ def defect(psi, form="alpha", perm=None):
     return _leg_sum(psi, chord_alphabet(), legs)
 
 
-# coface name -> the chords summed in the images of (x0, x1)
+# coface name -> the chord sums of the images of (x0, x1), as in ALPHA_HAT_LEGS
 _COFACE_23 = {
-    "1,2,3": (("12",), ("23",)),
-    "2,3,4": (("23",), ("34",)),
-    "12,3,4": (("13", "23"), ("34",)),
-    "1,23,4": (("12", "13"), ("24", "34")),
-    "1,2,34": (("12",), ("23", "24")),
+    "1,2,3": ("12", "23"),
+    "2,3,4": ("23", "34"),
+    "12,3,4": ("13 23", "34"),
+    "1,23,4": ("12 13", "24 34"),
+    "1,2,34": ("12", "23 24"),
 }
 
 _COFACE_34 = {
-    "1,2,34": (("13", "14"), ("23", "24")),
-    "2,3,4": (("24",), ("34",)),
-    "12,3,4": (("14", "24"), ("34",)),
-    "1,2,3": (("13",), ("23",)),
-    "1,23,4": (("14",), ("24", "34")),
+    "1,2,34": ("13 14", "23 24"),
+    "2,3,4": ("24", "34"),
+    "12,3,4": ("14 24", "34"),
+    "1,2,3": ("13", "23"),
+    "1,23,4": ("14", "24 34"),
 }
 
 
@@ -204,7 +204,7 @@ def _flavor(flavor):
 
 
 def coface_images(name, flavor):
-    """Letter names of the images of (x0, x1) under a coface map."""
+    """The chord sums ("13 23") of the images of (x0, x1) under a coface map."""
     table = _flavor(flavor)[1]
     if name not in table:
         raise ValueError("unknown coface %r" % (name,))
@@ -213,10 +213,7 @@ def coface_images(name, flavor):
 
 def coface(psi, name, flavor="23"):
     """Coface substitution, kept over the five-letter pi presentation."""
-    img0, img1 = coface_images(name, flavor)
-    return substitute(psi, LinearMorphism.by_name(
-        two_letter_alphabet(), pi_alphabet(flavor),
-        {"x0": dict.fromkeys(img0, 1), "x1": dict.fromkeys(img1, 1)}))
+    return substitute(psi, _insertion(pi_alphabet(flavor), *coface_images(name, flavor)))
 
 
 def permute_strands(e, perm):
@@ -410,7 +407,7 @@ def pi_coface(psi, name, flavor="23"):
     if psi.alphabet != two_letter_alphabet():
         raise ValueError("psi is not over the letters x0, x1")
     letter_images = _flavor(flavor)[2]
-    return _pi_apply(psi, [tuple(letter_images[n] for n in img)
+    return _pi_apply(psi, [tuple(letter_images[n] for n in img.split())
                            for img in coface_images(name, flavor)])
 
 

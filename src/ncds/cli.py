@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import __version__
 from .lie import cached_space, is_lie_series
-from .series import InputError, series_from_json, series_to_json, two_letter_alphabet
+from .series import (InputError, series_from_json, series_to_json,
+                     two_letter_alphabet, _coef_num_den)
 
 
 def _dump(data, path):
@@ -126,11 +127,11 @@ def cmd_residual(args):
             raise InputError("the dmr residual payload supports at most 10 "
                              "y-letters, so maxWeight <= 10, got %d" % psi.max_weight)
         res = dmr_residual(psi)
-        terms = [{"left": "".join(str(i) for i in l),
-                  "right": "".join(str(i) for i in r),
-                  "num": str(c.numerator if isinstance(c, Fraction) else c),
-                  "den": str(c.denominator if isinstance(c, Fraction) else 1)}
-                 for (l, r), c in sorted(res.terms.items())]
+        terms = []
+        for (l, r), c in sorted(res.terms.items()):
+            num, den = _coef_num_den(c)
+            terms.append({"left": "".join(str(i) for i in l),
+                          "right": "".join(str(i) for i in r), "num": num, "den": den})
         payload = {"residual": {"terms": terms}, "zero": res.is_zero}
     elif args.check == "krv1":
         res = krv1_residual(psi)

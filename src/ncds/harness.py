@@ -383,67 +383,74 @@ DEFAULT_CEILINGS = {"A": 8, "B": 7, "C": 8, "D": 8, "E": 8}
 
 # -- seeded lemma suites ------------------------------------------------------
 
-def random_lie_series(weight, rng, skew=False):
-    """A seeded combination of the weight's Lyndon basis, coefficients in
-    [-3, 3], summed into one terms dict."""
-    terms = {}
-    for _w, _tree, elt in lyndon_basis(weight).elements:
+def _lie_generators(weight, skew=False):
+    """The Lie elements a seeded sample combines, in draw order: the weight's
+    Lyndon elements l, or l - l(x1, x0) for skew samples."""
+    return [elt - letter_swap(elt) if skew else elt
+            for _w, _tree, elt in lyndon_basis(weight).elements]
+
+
+def _draw(rng, values):
+    """The terms dict sum of c * value over the values, one
+    c = rng.randint(-3, 3) drawn per value in order."""
+    out = {}
+    for value in values:
         c = rng.randint(-3, 3)
         if c:
-            for word, v in elt.terms.items():
-                _iadd(terms, word, c * v)
-    out = Series(two_letter_alphabet(), weight, terms, _clean=False)
-    if skew:
-        out = out - letter_swap(out)
+            for k, v in value.items():
+                _iadd(out, k, c * v)
     return out
 
 
-def _pi_differences(word, weight, flavor, expected):
-    """(coface, terms) of the module part of pi_coface minus expected[coface]
-    on the unit series of a word, in expected's coface order."""
-    from .braid import pi_coface
-    unit = Series(two_letter_alphabet(), weight, {word: 1}, _clean=False)
-    out = []
-    for name, want in expected(unit).items():
-        diff = pi_coface(unit, name, flavor).module
-        for m, v in want.terms.items():
-            _iadd(diff, m, -v)
-        out.append((name, diff))
-    return out
+def random_lie_series(weight, rng, skew=False):
+    """A seeded sample: a combination of the weight's generators
+    (_lie_generators) with coefficients in [-3, 3]."""
+    return Series(two_letter_alphabet(), weight,
+                  _draw(rng, [g.terms for g in _lie_generators(weight, skew)]),
+                  _clean=False)
 
 
-def _pi_lemma_failures(label, flavor, first_weight, skew, expected,
-                       max_weight, samples, seed):
-    """(label, weight, sample, coface) wherever the module part of pi_coface
-    on a seeded random Lie series psi differs from expected(psi)[coface].
+def _lemma_failures(first_weight, max_weight, samples, seed, skew, identity):
+    """(w, i, key) wherever sample i of weight w (random_lie_series, drawn in
+    turn from one rng) fails a key of the weight's identity.
 
-    Both sides are linear in psi, so their difference on psi is the sum of
-    c_w times their difference on the word w.  The samples of one weight
-    share their words, so each word's differences (one per coface) are
-    taken once, through pi_coface and expected on the unit series of the
-    word, kept in a table for that weight and dropped with it.  A sample
-    fails a coface exactly when its combination of differences is nonzero."""
+    identity(w) gives the weight's check, psi -> {key: terms dict}, empty
+    where the identity holds; a scalar identity gives {(): value}.  The
+    check is linear in psi, so it is evaluated once on each generator, and
+    a sample fails a key exactly when its combination of the generators'
+    values is nonzero there.  Failures follow the check's key order."""
     rng = random.Random(seed)
     failures = []
     for w in range(first_weight, max_weight + 1):
-        table = {}
+        check = identity(w)
+        values = [check(g) for g in _lie_generators(w, skew)]
+        keys = list(values[0])
+        flat = [{(key, m): v for key, terms in value.items() for m, v in terms.items()}
+                for value in values]
         for i in range(samples):
-            psi = random_lie_series(w, rng, skew=skew)
-            sums = {}
-            for word, c in psi.terms.items():
-                diffs = table.get(word)
-                if diffs is None:
-                    diffs = table[word] = _pi_differences(word, w, flavor, expected)
-                for name, diff in diffs:
-                    got = sums.setdefault(name, {})
-                    for m, v in diff.items():
-                        _iadd(got, m, c * v)
-            failures.extend((label, w, i, name) for name, got in sums.items() if got)
+            failed = {key for key, _m in _draw(rng, flat)}
+            failures.extend((w, i, key) for key in keys if key in failed)
     return failures
 
 
+def _pi_check(flavor, expected):
+    """psi -> {coface: module part of pi_coface minus expected(psi)[coface]},
+    in expected's coface order."""
+    from .braid import pi_coface
+
+    def check(psi):
+        out = {}
+        for name, want in expected(psi).items():
+            diff = out[name] = pi_coface(psi, name, flavor).module
+            for m, v in want.terms.items():
+                _iadd(diff, m, -v)
+        return out
+    return check
+
+
 def lemma_cab23_failures(max_weight=6, samples=100, seed=0):
-    """pi^{2,3} coface identities on seeded random skew Lie series."""
+    """pi^{2,3} coface identities on seeded random skew Lie series, at a
+    cost per Lyndon generator, not per sample."""
     from .coaction import r_series, reduced_coaction
     from .series import fox_derivative
     def expected(psi):
@@ -455,12 +462,14 @@ def lemma_cab23_failures(max_weight=6, samples=100, seed=0):
             "2,3,4": substitute(r, S_AT_X1),
             "1,2,3": -1 * substitute(r, S_AT_MINUS_X0),
         }
-    return _pi_lemma_failures("cab23", "23", 2, True, expected,
-                              max_weight, samples, seed)
+    check = _pi_check("23", expected)
+    return [("cab23",) + row for row in _lemma_failures(
+        2, max_weight, samples, seed, True, lambda w: check)]
 
 
 def lemma_cabling34_failures(max_weight=6, samples=100, seed=0):
-    """pi^{3,4} coface identities on seeded random Lie series."""
+    """pi^{3,4} coface identities on seeded random Lie series, at a cost per
+    Lyndon generator, not per sample."""
     from .coaction import reduced_coaction
     from .series import fox_derivative
     def expected(eta):
@@ -472,29 +481,32 @@ def lemma_cabling34_failures(max_weight=6, samples=100, seed=0):
             "1,2,3": Series.zero(two_letter_alphabet(), eta.max_weight),
             "1,23,4": -1 * dr1,
         }
-    return _pi_lemma_failures("cabling34", "34", 1, False, expected,
-                              max_weight, samples, seed)
+    check = _pi_check("34", expected)
+    return [("cabling34",) + row for row in _lemma_failures(
+        1, max_weight, samples, seed, False, lambda w: check)]
 
 
 def lemma_dihedral_failures(max_weight=6, samples=3, seed=0):
-    """alpha^sigma = alpha and alpha^tau = -alpha for seeded skew series.
+    """alpha^sigma = alpha and alpha^tau = -alpha for seeded skew series,
+    checked once per Lyndon generator.
 
     alpha^sigma is the defect summed over the sigma-relabelled legs
     (defect's perm), so alpha is never re-expanded through sigma's chord
     rewrite, where x45 and x24 become three-term sums; tau permutes the
     letters of G, so alpha^tau stays permute_strands(alpha, TAU)."""
     from .braid import SIGMA, TAU, defect, permute_strands
-    rng = random.Random(seed)
-    failures = []
-    for w in range(2, max_weight + 1):
-        for i in range(samples):
-            psi = random_lie_series(w, rng, skew=True)
-            alpha = defect(psi)
-            if defect(psi, perm=SIGMA) != alpha:
-                failures.append(("sigma", w, i))
-            if permute_strands(alpha, TAU) != -alpha:
-                failures.append(("tau", w, i))
-    return failures
+
+    def check(psi):
+        alpha = defect(psi)
+        return {"sigma": (defect(psi, perm=SIGMA) - alpha).terms,
+                "tau": (permute_strands(alpha, TAU) + alpha).terms}
+    return [(key, w, i) for w, i, key in _lemma_failures(
+        2, max_weight, samples, seed, True, lambda w: check)]
+
+
+def _pairings(checks):
+    """psi -> {key: {(): <F, psi>}} over (key, F) functionals."""
+    return lambda psi: {key: {(): pair(F, psi)} for key, F in checks}
 
 
 def _polylog_functionals(w):
@@ -519,17 +531,10 @@ def _polylog_functionals(w):
 def lemma_polylogs_failures(max_weight=6, samples=2, seed=0):
     """The compilation of polylogarithm identities on the pentagon legs, via
     the pullback functionals.  The functionals do not depend on psi, so they
-    are built once per weight and every sample is paired against them."""
-    rng = random.Random(seed)
-    failures = []
-    for w in range(2, max_weight + 1):
-        checks = _polylog_functionals(w)
-        for i in range(samples):
-            psi = random_lie_series(w, rng)
-            for (tag, *key), F in checks:
-                if pair(F, psi):
-                    failures.append((tag, w, i, *key))
-    return failures
+    are built once per weight and paired once per Lyndon generator."""
+    return [(tag, w, i, *key) for w, i, (tag, *key) in _lemma_failures(
+        2, max_weight, samples, seed, False,
+        lambda w: _pairings(_polylog_functionals(w)))]
 
 
 def _stuffle_functional(a, b):
@@ -550,17 +555,11 @@ def _stuffle_functional(a, b):
 def stuffle_identity_failures(max_weight=6, samples=2, seed=0):
     """The two-variable quasi-shuffle identity evaluated on the primitive
     element psi_451 + psi_123.  Each identity is one functional, built once
-    per weight before the samples are paired against it."""
-    rng = random.Random(seed)
-    failures = []
-    for w in range(2, max_weight + 1):
-        checks = [((a, b), _stuffle_functional(a, b)) for a, b in index_pairs(w)]
-        for i in range(samples):
-            psi = random_lie_series(w, rng)
-            for (a, b), F in checks:
-                if pair(F, psi):
-                    failures.append((w, i, a, b))
-    return failures
+    per weight and paired once per Lyndon generator."""
+    return [(w, i, a, b) for w, i, (a, b) in _lemma_failures(
+        2, max_weight, samples, seed, False,
+        lambda w: _pairings([((a, b), _stuffle_functional(a, b))
+                             for a, b in index_pairs(w)]))]
 
 
 def prop_sum_failures(max_weight=6):

@@ -183,12 +183,13 @@ def ref_pi_decompose(e, flavor):
 
 
 def ref_pi_coface(psi, images, flavor):
-    """images: the pi-letter names of the coface images of x0 and x1."""
+    """images: the chord sums ("13 23") of the coface images of x0 and x1,
+    each chord a pi letter."""
     mw = psi.max_weight
     sums = []
     for names in images:
         total = CocycleElement.of(mw)
-        for n in names:
+        for n in names.split():
             total = total + ref_pi_letter(flavor, n, mw)
         sums.append(total)
     return ref_pi_fold(psi.terms, sums, mw)

@@ -380,8 +380,8 @@ class TestHarnessInvariants:
 
 # -- the lemma suites against their per-sample loops --------------------------
 #
-# The suites take each sample-independent linear map once per weight; these
-# references apply it to every sample, as the suites did before.
+# The suites evaluate each identity once per Lyndon generator; these
+# references evaluate it on every sample.
 
 def _cab23_expected(psi):
     from ncds.coaction import r_series, reduced_coaction
@@ -426,13 +426,13 @@ def _reference_pi_failures(label, max_weight, samples, seed):
     return failures
 
 
-def _reference_dihedral_failures(max_weight, samples, seed, skew=True):
+def _reference_dihedral_failures(max_weight, samples, seed):
     # alpha^sigma by relabelling the expanded defect, not its legs
     rng = random.Random(seed)
     failures = []
     for w in range(2, max_weight + 1):
         for i in range(samples):
-            alpha = braid.defect(random_lie(w, rng, skew=skew))
+            alpha = braid.defect(random_lie(w, rng, skew=True))
             if braid.permute_strands(alpha, braid.SIGMA) != alpha:
                 failures.append(("sigma", w, i))
             if braid.permute_strands(alpha, braid.TAU) != -alpha:
@@ -526,13 +526,15 @@ class TestLemmaSuitesMatchPerSampleLoops:
         for seed in (0, 1):
             assert lemma_dihedral_failures(6, 3, seed) == \
                 _reference_dihedral_failures(6, 3, seed) == []
-        # a non-skew psi
+        # a non-skew psi: the generators ignore skew, in the suite and in the
+        # reference's samples alike
+        generators = harness._lie_generators
         with monkeypatch.context() as mp:
-            mp.setattr(harness, "random_lie_series",
-                       lambda w, rng, skew=False: random_lie_series(w, rng))
+            mp.setattr(harness, "_lie_generators",
+                       lambda w, skew=False: generators(w))
             for seed in (0, 1):
                 got = lemma_dihedral_failures(6, 3, seed)
-                assert got and got == _reference_dihedral_failures(6, 3, seed, skew=False)
+                assert got and got == _reference_dihedral_failures(6, 3, seed)
         # one leg's sign flipped
         (sign, leg), *rest = braid.ALPHA_LEGS
         monkeypatch.setattr(braid, "ALPHA_LEGS", ((-sign, leg), *rest))
@@ -560,6 +562,22 @@ class TestLemmaSuitesMatchPerSampleLoops:
             for seed in (0, 1, 2):
                 got = suite(5, 2, seed)
                 assert got and got == reference(5, 2, seed)
+
+
+@pytest.mark.parametrize("samples", [10, 100])
+def test_pi_suite_cost_is_per_generator(monkeypatch, samples):
+    # five cofaces on each of the 21 skew generators of weights 2..6, however
+    # many samples are drawn
+    calls = []
+    pi_coface = braid.pi_coface
+
+    def counted(*args):
+        calls.append(args)
+        return pi_coface(*args)
+    monkeypatch.setattr(braid, "pi_coface", counted)
+    assert sum(len(lyndon_basis(w).elements) for w in range(2, 7)) == 21
+    assert lemma_cab23_failures(6, samples, 3) == []
+    assert len(calls) == 5 * 21
 
 
 def test_random_lie_series_keeps_its_samples():
@@ -763,7 +781,8 @@ class TestCli:
     def test_residual_payload_matches_golden(self, case, tmp_path, capsys):
         # krv1 and nckrv2 stdout, byte for byte, for psi3, [x0, x1] and
         # x1 + [x0, x1]; the last has a linear term, which the tangential
-        # pair keeps
+        # pair keeps.  dmr and rc stdout for psi3, [x0, x1] and the halved
+        # Lyndon element of 011, whose residual terms have den "2"
         want = json.loads(RESIDUAL_GOLDEN.read_text())[case]
         f = tmp_path / "psi.json"
         f.write_text(json.dumps(want["input"]))

@@ -1,13 +1,17 @@
-"""The benchmark tracer wraps ncds functions by name, so a rename would
-surface only as a crash in a traced benchmark run.  This reads the tracer's
-name tables as literals (without importing or changing it) and checks that
-every name still resolves."""
+"""The benchmark tracer wraps ncds functions by name, and the benchmark
+worker calls ncds.harness by name and position, so a rename or a changed
+signature would surface only as a failed benchmark run.  This reads the
+tracer's name tables as literals and the worker's calls as syntax (importing
+and changing neither) and checks that every name still resolves and every
+call still binds."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKER = TRACER.with_name("worker.py")
 
 
 def _table(name):
@@ -35,3 +39,38 @@ def test_every_lru_cache_has_cache_info():
     for prefix, module, fname in caches:
         fn = getattr(importlib.import_module("ncds." + module), fname, None)
         assert callable(getattr(fn, "cache_info", None)), (prefix, fname)
+
+
+def _worker_harness_uses():
+    """The h.<name> attribute nodes of worker.py and the calls among them,
+    h being its name for ncds.harness."""
+    tree = ast.parse(WORKER.read_text())
+    attrs = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "h"]
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node.func in attrs]
+    return attrs, calls
+
+
+def test_every_worker_call_binds():
+    harness = importlib.import_module("ncds.harness")
+    _attrs, calls = _worker_harness_uses()
+    assert calls
+    for call in calls:
+        name = call.func.attr
+        fn = getattr(harness, name, None)
+        assert callable(fn), name
+        assert not any(isinstance(a, ast.Starred) for a in call.args), name
+        assert all(k.arg is not None for k in call.keywords), name
+        try:
+            inspect.signature(fn).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError("worker.py line %d: h.%s: %s"
+                                 % (call.lineno, name, exc)) from None
+
+
+def test_worker_ceilings_cover_every_theorem():
+    harness = importlib.import_module("ncds.harness")
+    attrs, _calls = _worker_harness_uses()
+    assert "DEFAULT_CEILINGS" in {a.attr for a in attrs}
+    assert sorted(harness.DEFAULT_CEILINGS) == ["A", "B", "C", "D", "E"]
