@@ -11,17 +11,12 @@ error, 3 an internal error (a traceback is printed).  NCDS_CACHE_DIR enables
 the on-disk solution-space cache.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import __version__
-from .lie import cached_space, is_lie_series
-from .series import (InputError, series_from_json, series_to_json,
-                     two_letter_alphabet, _coef_num_den)
+from . import InputError, __version__
+from .cache import cached_space
 
 
 def _dump(data, path):
@@ -34,6 +29,7 @@ def _dump(data, path):
 
 
 def _parse_rational(text):
+    from fractions import Fraction
     num, slash, den = text.partition("/")
     try:
         num, den = int(num), (int(den) if slash else 1)
@@ -72,10 +68,10 @@ def cmd_spaces(args):
     def compute():
         return space(args.set, args.weight, lam)
     if lam is None:
-        sol = cached_space(args.set, args.weight, compute)
+        doc = cached_space(args.set, args.weight, compute)
     else:
-        sol = compute()
-    _dump(sol.to_json(), args.out)
+        doc = compute().to_json()
+    _dump(doc, args.out)
     return 0
 
 
@@ -112,20 +108,21 @@ def cmd_residual(args):
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise InputError("%s is not JSON: %s" % (args.infile, exc)) from None
+    from .series import (_coef_num_den, series_from_json, series_to_json,
+                         two_letter_alphabet)
     psi = series_from_json(data)
     if psi.alphabet != two_letter_alphabet():
         raise InputError("residual needs the alphabet ['x0', 'x1'], got %s"
                          % (list(psi.alphabet.letters),))
-    from .coaction import rc_residual
-    from .dshuffle import dmr_residual
-    from .kv import krv1_residual, nc_krv2_fit, tangential_pair_of
     if args.check == "rc":
+        from .coaction import rc_residual
         res = rc_residual(psi)
         payload = {"residual": series_to_json(res), "zero": res.is_zero}
     elif args.check == "dmr":
         if psi.max_weight > 10:  # a y-letter index is written as one digit
             raise InputError("the dmr residual payload supports at most 10 "
                              "y-letters, so maxWeight <= 10, got %d" % psi.max_weight)
+        from .dshuffle import dmr_residual
         res = dmr_residual(psi)
         terms = []
         for (l, r), c in sorted(res.terms.items()):
@@ -134,9 +131,12 @@ def cmd_residual(args):
                           "right": "".join(str(i) for i in r), "num": num, "den": den})
         payload = {"residual": {"terms": terms}, "zero": res.is_zero}
     elif args.check == "krv1":
+        from .kv import krv1_residual
         res = krv1_residual(psi)
         payload = {"residual": series_to_json(res), "zero": res.is_zero}
     elif args.check == "nckrv2":
+        from .kv import nc_krv2_fit, tangential_pair_of
+        from .lie import is_lie_series
         if not is_lie_series(psi):
             raise InputError("the nc krv2 fit is defined for Lie series")
         res, f = nc_krv2_fit(tangential_pair_of(psi))

@@ -17,12 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from . import InputError
 from .lie import (apply_derivation, is_lie_series, letter_bracket,
                   lie_bracket, skew_constraint, solve_space, SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
-                     InputError, one_letter_alphabet, substitute,
-                     _iadd)
+                     one_letter_alphabet, substitute, _iadd)
 
 
 def reduced_coaction(f):

@@ -14,8 +14,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from . import InputError
 from .lie import is_lie_series, primitivity_defect, solve_space
-from .series import Alphabet, InputError, Series, TensorSeries, _iadd
+from .series import Alphabet, Series, TensorSeries, _iadd
 
 
 def index_weight(a):

@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from . import __version__ as KERNEL_VERSION
+from . import InputError, __version__ as KERNEL_VERSION
 from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from .braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, chord_alphabet, leg_insertion
 from .coaction import (_c4_in_eta, frak_b_check, ihara_bracket,
@@ -35,7 +35,7 @@ from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
 from .lie import (lyndon_basis, series_span_contains, series_spans_equal,
                   skew_constraint, solve_space)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
-                     InputError, LinearMorphism, Series, letter_swap, substitute,
+                     LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
 
 

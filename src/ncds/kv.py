@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import InputError
 from .coaction import change_of_variable, reduced_coaction, solve_in_eta
 from .lie import (TangentialDerivation, apply_derivation, is_lie_series,
                   lie_bracket, solve_space)
-from .series import (S_AT_SUM, S_AT_X0, S_AT_X1, CyclicSeries, InputError,
-                     Series, TensorSeries, fox_derivative, letter_swap,
+from .series import (S_AT_SUM, S_AT_X0, S_AT_X1, CyclicSeries, Series,
+                     TensorSeries, fox_derivative, letter_swap,
                      one_letter_alphabet, shuffle_splits, substitute, symmetrize,
                      two_letter_alphabet, _canonical_rotation, _iadd)
 

@@ -8,16 +8,15 @@ about act on word coefficients.
 
 from __future__ import annotations
 
-import binascii
-import json
-import os
-import tempfile
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .series import (InputError, Series, SparseSeries, conc_mul, shuffle_coproduct,
-                     letter_swap, two_letter_alphabet, series_from_json, _iadd)
+from . import InputError
+# perfbench/tracer.py wraps the disk cache as `lie.cached_space`, found here
+from .cache import cached_space  # noqa: F401
+from .series import (Series, SparseSeries, conc_mul, shuffle_coproduct,
+                     letter_swap, two_letter_alphabet, _iadd)
 
 
 def lie_bracket(f, g):
@@ -258,22 +257,6 @@ class SolutionSpace(namedtuple("SolutionSpace", "space weight basis offset",
             out["offset"] = self.offset.to_json()
         return out
 
-    @classmethod
-    def from_json(cls, data):
-        """Inverse of to_json; ValueError, KeyError or TypeError on a
-        malformed document."""
-        basis = [_basis_entry_from_json(b) for b in data["basis"]]
-        offset = _basis_entry_from_json(data["offset"]) if "offset" in data else None
-        return cls(data["space"], data["weight"], basis, offset=offset)
-
-
-def _basis_entry_from_json(data):
-    if "a1" in data:
-        return TangentialDerivation.of(series_from_json(data["a1"]),
-                                       series_from_json(data["a2"]),
-                                       normalize=False)
-    return series_from_json(data)
-
 
 def _constraint_items(value):
     """Normalize a constraint evaluation to an iterable of (key, coeff)."""
@@ -315,7 +298,7 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
 
     Rows are keyed (constraint index, output key) and sorted by key.
     """
-    from .linalg import _integer_rows, kernel_basis  # a cache hit never loads it
+    from .linalg import _integer_rows, kernel_basis  # `ncds residual` never loads it
     alphabet = two_letter_alphabet()
     if isinstance(chart, SolutionSpace):
         if not chart.basis:
@@ -435,77 +418,3 @@ def series_spans_equal(basis_a, basis_b):
         witness = _outside_span(basis_b, basis_a)
     return witness is None, witness
 
-
-# -- optional on-disk cache --------------------------------------------------
-
-def cache_dir():
-    return os.environ.get("NCDS_CACHE_DIR") or None
-
-
-@lru_cache(maxsize=None)
-def source_hash():
-    """CRC-32 of the package's *.py sources, so that a kernel change never
-    serves a space cached by other code.  (hashlib would load OpenSSL, about
-    3 MB of resident memory in every `ncds` process.)"""
-    pkg = os.path.dirname(os.path.abspath(__file__))
-    crc = 0
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), "rb") as fh:
-                crc = binascii.crc32(name.encode() + b"\0" + fh.read() + b"\0", crc)
-    return "%08x" % crc
-
-
-def _entry_crc(entry):
-    """CRC-32 of an entry's canonical JSON, stored in the file as "crc32"."""
-    text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-    return "%08x" % binascii.crc32(text.encode())
-
-
-def _cached_entry(path, space_id, weight):
-    """The space stored at path, or None unless the file holds a JSON object
-    whose CRC matches, for this space and weight, whose dimension counts its
-    basis and which parses as a SolutionSpace."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (FileNotFoundError, ValueError):  # missing, or not JSON
-        return None
-    if not (isinstance(data, dict) and data.pop("crc32", None) == _entry_crc(data)
-            and data.get("space") == space_id
-            and data.get("weight") == weight
-            and isinstance(data.get("basis"), list)
-            and data.get("dimension") == len(data["basis"])):
-        return None
-    try:
-        return SolutionSpace.from_json(data)
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def cached_space(space_id, weight, compute):
-    """Disk cache keyed by (space id, weight, source hash).
-
-    An entry that is not valid for (space id, weight), or whose stored CRC
-    does not match its content, is recomputed and rewritten; writes are
-    atomic, and a failed write leaves no temporary file behind.
-    """
-    d = cache_dir()
-    if not d:
-        return compute()
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, "%s-w%d-%s.json" % (space_id, weight, source_hash()))
-    value = _cached_entry(path, space_id, weight)
-    if value is not None:
-        return value
-    value = compute()
-    entry = value.to_json()
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(dict(entry, crc32=_entry_crc(entry)), fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return value

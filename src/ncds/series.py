@@ -16,11 +16,6 @@ from functools import lru_cache
 EMPTY = b""
 
 
-class InputError(ValueError):
-    """Bad input from outside the program: a malformed document, a violated
-    precondition or an out-of-range parameter.  The CLI exits 2 on it."""
-
-
 class Alphabet:
     """Ordered list of letter names; every letter weighs 1, so a word's
     weight is its length."""
@@ -554,63 +549,16 @@ def series_to_json(f):
             "terms": terms}
 
 
-def _field(obj, name):
-    if name not in obj:
-        raise InputError("series JSON lacks the field %r" % name)
-    return obj[name]
-
-
-def _integer(value, name):
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InputError("series JSON field %r must be an integer or an integer "
-                     "string, got %r" % (name, value))
-
-
 def series_from_json(data):
-    """Inverse of series_to_json; InputError on a malformed document.
-
-    A "weights" list is accepted only when it gives every letter weight 1.
-    """
-    if not isinstance(data, dict):
-        raise InputError("a series must be a JSON object")
-    letters = _field(data, "alphabet")
-    if (not isinstance(letters, list) or not all(isinstance(n, str) for n in letters)
-            or len(set(letters)) != len(letters)):
-        raise InputError("series alphabet must be a list of distinct letter names")
-    weights = data.get("weights")
-    if weights is not None and weights != [1] * len(letters):
-        raise InputError("every letter weighs 1, got weights %r" % (weights,))
-    alphabet = Alphabet(letters)
-    max_weight = _integer(_field(data, "maxWeight"), "maxWeight")
-    if max_weight < 0:
-        raise InputError("maxWeight must be >= 0, got %d" % max_weight)
-    raw = _field(data, "terms")
-    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
-        raise InputError("series terms must be a list of objects")
+    """Inverse of series_to_json; InputError on a malformed document (the
+    rules are `jsonformat.series_parts`)."""
+    from .jsonformat import series_parts  # a cold `spaces` request never loads it
+    letters, max_weight, parts = series_parts(data)
     terms = {}
-    seen = set()
-    for t in raw:
-        word = _field(t, "word")
-        if not isinstance(word, str) or not all("0" <= ch <= "9" for ch in word):
-            raise InputError("word %r is not a string of digits" % (word,))
-        w = bytes(int(ch) for ch in word)
-        if any(i >= len(alphabet) for i in w):
-            raise InputError("word %r uses a letter outside the alphabet" % word)
-        if len(w) > max_weight:
-            raise InputError("word %r is heavier than maxWeight %d" % (word, max_weight))
-        if w in seen:
-            raise InputError("duplicate word %r" % word)
-        seen.add(w)
-        den = _integer(t.get("den", "1"), "den")
-        if not den:
-            raise InputError("zero denominator for word %r" % word)
-        c = Fraction(_integer(_field(t, "num"), "num"), den)
+    for w, num, den in parts:
+        c = Fraction(num, den)
         if c.denominator == 1:
             c = int(c)
         if c:
             terms[w] = c
-    return Series(alphabet, max_weight, terms)
+    return Series(Alphabet(letters), max_weight, terms)

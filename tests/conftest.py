@@ -7,10 +7,11 @@ import pytest
 
 from ncds.braid import CocycleElement, cocycle_mul
 from ncds.harness import random_lie_series
-from ncds.lie import lie_bracket, primitivity_defect, solve_space
+from ncds.lie import (SolutionSpace, TangentialDerivation, lie_bracket,
+                      primitivity_defect, solve_space)
 from ncds.series import (AT_MINUS_SUM_X1, CyclicSeries, LinearMorphism, Series,
-                         abelianize, cyclic_project, fox_derivative, substitute,
-                         two_letter_alphabet, _iadd)
+                         abelianize, cyclic_project, fox_derivative, series_from_json,
+                         substitute, two_letter_alphabet, _iadd)
 
 X = two_letter_alphabet()
 # psi -> psi(-x0-x1, x0), written out; ncds itself reaches this series as
@@ -218,6 +219,28 @@ def words_space(weight, constraints, space="words"):
     the weight, sharing no Lyndon coordinates with the route under test."""
     return solve_space(weight, [primitivity_defect] + constraints, space=space,
                        chart="words")
+
+
+# -- reference parser of a space document ---------------------------------------
+#
+# A disk-cache hit serves the stored document after `jsonformat.check_space`
+# alone; tests cross-check that check against this parser, which builds the
+# space.
+
+def _space_entry_from_json(data):
+    if "a1" in data:
+        return TangentialDerivation.of(series_from_json(data["a1"]),
+                                       series_from_json(data["a2"]),
+                                       normalize=False)
+    return series_from_json(data)
+
+
+def space_from_json(data):
+    """Inverse of SolutionSpace.to_json; ValueError, KeyError or TypeError
+    on a malformed document."""
+    basis = [_space_entry_from_json(b) for b in data["basis"]]
+    offset = _space_entry_from_json(data["offset"]) if "offset" in data else None
+    return SolutionSpace(data["space"], data["weight"], basis, offset=offset)
 
 
 # -- reference elimination -------------------------------------------------------

@@ -1,4 +1,4 @@
-import importlib.util
+import copy
 import itertools
 import json
 import pathlib
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ncds import braid, harness
+from ncds import InputError, braid, harness
 from ncds.cli import main as cli_main, space
 from ncds.harness import (alpha_pair_functionals, conj2_space, conjecture_scan,
                           coface_pullback, index_pairs, leg_target,
@@ -28,10 +28,11 @@ from ncds.kv import _krv1_linear, krv1skew_space
 from ncds.lie import (lyndon_basis, series_span_contains, skew_constraint,
                       solve_space)
 from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
-                         InputError, Series, fox_derivative, letter_swap,
+                         Series, fox_derivative, letter_swap,
                          series_to_json, substitute, two_letter_alphabet, _iadd)
 
-from conftest import random_lie, ref_krv1, src_env, words_space, x_series
+from conftest import (random_lie, ref_krv1, space_from_json, src_env, words_space,
+                      x_series)
 
 
 RESIDUAL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "residual_payloads.json"
@@ -670,6 +671,28 @@ class TestSpacesRegistry:
             space("nope", 3)
 
 
+# edits of a stored series document against the format rules: each is
+# rejected by the reference parser, so a cache hit must reject it too
+MALFORMED_SERIES = {
+    "letter_outside_alphabet": lambda s: s["terms"][0].update(
+        word="2" + s["terms"][0]["word"][1:]),
+    "word_too_heavy": lambda s: s["terms"][0].update(word="0" * (s["maxWeight"] + 1)),
+    "duplicate_word": lambda s: s["terms"].append(dict(s["terms"][0])),
+    "zero_den": lambda s: s["terms"][0].update(den="0"),
+    "num_not_integer": lambda s: s["terms"][0].update(num="1/2"),
+    "bool_max_weight": lambda s: s.update(maxWeight=True),
+}
+
+
+def first_series(doc):
+    """A space document's first basis entry, or the slot of that pair which
+    has terms."""
+    entry = doc["basis"][0]
+    if "a1" not in entry:
+        return entry
+    return entry["a1"] if entry["a1"]["terms"] else entry["a2"]
+
+
 class TestCli:
     def run(self, *argv):
         return cli_main(list(argv))
@@ -708,15 +731,12 @@ class TestCli:
         assert "Traceback" in capsys.readouterr().err
 
     def test_import_loads_no_computing_module(self):
-        # a warm `ncds spaces` request only needs the cache and the JSON code
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import ncds.cli, sys; print(' '.join(sorted(sys.modules)))"],
-            capture_output=True, text=True, check=True, env=src_env())
-        loaded = set(proc.stdout.split())
-        assert "ncds.cli" in loaded
-        for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
-            assert "ncds." + name not in loaded
+        # the commands load what they run; the command line itself needs
+        # only the disk cache
+        loaded = self.loaded_by("import ncds.cli")
+        assert {m for m in loaded if m.split(".")[0] == "ncds"} == {
+            "ncds", "ncds.cli", "ncds.cache"}
+        assert "fractions" not in loaded
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--theorem", "A", "--max-weight", "0"),
@@ -817,10 +837,13 @@ class TestCli:
         {"alphabet": ["x0", "x0"], "maxWeight": 3, "terms": []},
         {"alphabet": ["x0", "x1"], "maxWeight": 1,
          "terms": [{"word": "01", "num": "1", "den": "1"}]},
+        {"alphabet": ["x0", "x1"], "maxWeight": 3,
+         "terms": [{"word": "0\u0661", "num": "1", "den": "1"}]},
     ], ids=["zero_den", "digit_outside_alphabet", "top_level_array",
             "duplicate_word", "term_not_object", "missing_terms",
             "non_unit_weights", "negative_max_weight", "word_not_digits",
-            "num_not_integer", "duplicate_letter", "word_above_max_weight"])
+            "num_not_integer", "duplicate_letter", "word_above_max_weight",
+            "word_non_ascii_digit"])
     def test_malformed_series_is_input_error(self, tmp_path, capsys, data):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(data))
@@ -935,7 +958,7 @@ class TestCli:
         assert first == second
 
     def test_cache_key_is_source_hash(self, tmp_path, monkeypatch, capsys):
-        from ncds.lie import source_hash
+        from ncds.cache import source_hash
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
         assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
         assert [p.name for p in tmp_path.iterdir()] == ["dmr0-w3-%s.json" % source_hash()]
@@ -958,6 +981,24 @@ class TestCli:
         stored.pop("crc32")
         assert stored == json.loads(good)
 
+    @pytest.mark.parametrize("edit", [
+        {"dimension": 2}, {"dimension": 0}, {"weight": 4}, {"space": "rc0"},
+        {"basis": {}}], ids=["dim2", "dim0", "weight", "space", "basis_object"])
+    def test_edited_entry_with_its_crc_is_recomputed(self, tmp_path, monkeypatch,
+                                                     capsys, edit):
+        # the hit check reads the space, the weight and the dimension too,
+        # which the space's own parser does not
+        from ncds.cache import _entry_crc
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
+        assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
+        good = capsys.readouterr().out
+        (path,) = tmp_path.iterdir()
+        bad = dict(json.loads(good), **edit)
+        path.write_text(json.dumps(dict(bad, crc32=_entry_crc(bad))))
+        assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 0
+        assert capsys.readouterr().out == good
+        assert json.loads(path.read_text())["crc32"] == _entry_crc(json.loads(good))
+
     def test_cache_round_trip_pair_basis(self, tmp_path, monkeypatch, capsys):
         # krv2 bases serialize as tangential pairs and reload identically
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path / "cache"))
@@ -979,9 +1020,10 @@ class TestCli:
         return set(proc.stdout.split())
 
     def test_warm_krv2_loads_no_computing_module(self, tmp_path, monkeypatch, capsys):
-        # reading a cached krv2 space rebuilds tangential pairs without kv,
-        # the elimination engine or dataclasses (which loads inspect, ast,
-        # dis and tokenize)
+        # a cache hit checks the stored krv2 document (tangential pairs) and
+        # prints it without the series algebra, fractions, the solver or
+        # dataclasses (which loads inspect, ast, dis and tokenize); only a
+        # miss writes, so tempfile stays unloaded too
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path / "cache"))
         assert self.run("spaces", "--set", "krv2", "--weight", "3") == 0
         cold = capsys.readouterr().out
@@ -991,12 +1033,90 @@ class TestCli:
             "assert main(['spaces', '--set', 'krv2', '--weight', '3', '--out', %r]) == 0"
             % str(out))
         assert out.read_text() == cold
-        for name in ("harness", "braid", "barwords", "coaction", "dshuffle", "kv"):
-            assert "ncds." + name not in loaded
         assert {m for m in loaded if m.split(".")[0] == "ncds"} == {
-            "ncds", "ncds.cli", "ncds.lie", "ncds.series"}
-        assert "dataclasses" not in loaded
+            "ncds", "ncds.cli", "ncds.cache", "ncds.jsonformat"}
+        assert not loaded & {"fractions", "tempfile", "dataclasses"}
         assert "dataclasses" not in self.loaded_by("import ncds.harness")
+
+    @pytest.mark.parametrize("check,unloaded", [
+        ("dmr", ("ncds.kv", "ncds.coaction")),
+        ("rc", ("ncds.kv", "ncds.dshuffle"))])
+    def test_residual_loads_only_its_check(self, tmp_path, check, unloaded):
+        psi = tmp_path / "psi.json"
+        b = lyndon_basis(3).series()
+        psi.write_text(json.dumps(series_to_json(b[0] - b[1])))
+        loaded = self.loaded_by(
+            "from ncds.cli import main\n"
+            "assert main(['residual', '--check', %r, '--in', %r, '--out', %r]) == 0"
+            % (check, str(psi), str(tmp_path / "out.json")))
+        assert not loaded & set(unloaded)
+
+    def test_lambda_space_is_never_cached(self, tmp_path, monkeypatch, capsys):
+        # rc at a given lambda is computed on every request: no entry is
+        # written, and the output is the uncached one
+        argv = ("spaces", "--set", "rc", "--weight", "2", "--lambda", "3/2")
+        assert self.run(*argv) == 0
+        uncached = capsys.readouterr().out
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(cache))
+        for _ in range(2):
+            assert self.run(*argv) == 0
+            assert capsys.readouterr().out == uncached
+        assert not cache.exists() or not list(cache.iterdir())
+        assert "offset" in json.loads(uncached)
+
+    @pytest.mark.parametrize("name", ["rc", "rc0", "dmr0", "krv2", "krv1skew", "conj2"])
+    def test_written_entries_pass_the_check(self, tmp_path, monkeypatch, capsys, name):
+        # every entry the cache writes passes the hit check and parses back,
+        # through the reference parser, to the computed space
+        from ncds.cache import _entry_crc
+        from ncds.jsonformat import check_space
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
+        for w in range(2, 8):
+            assert self.run("spaces", "--set", name, "--weight", str(w)) == 0
+            out = capsys.readouterr().out
+            (path,) = tmp_path.glob("%s-w%d-*.json" % (name, w))
+            stored = json.loads(path.read_text())
+            assert stored.pop("crc32") == _entry_crc(stored)
+            check_space(stored)
+            assert space_from_json(stored) == space(name, w)
+            assert json.loads(out) == stored
+
+    @pytest.mark.parametrize("name,weight,mutation", [
+        (name, weight, mutation)
+        for name, weight in (("rc0", 5), ("krv2", 5))
+        for mutation in sorted(MALFORMED_SERIES) + ["entry_not_object", "entry_string_a1"]
+    ] + [("krv2", 5, "pair_alphabets_differ")])
+    def test_malformed_entry_is_recomputed(self, tmp_path, monkeypatch, capsys,
+                                           name, weight, mutation):
+        # an entry edited against the format rules, its CRC recomputed, is
+        # rejected on a hit (recomputed and rewritten) as by the reference
+        # parser
+        from ncds.cache import _entry_crc
+        argv = ("spaces", "--set", name, "--weight", str(weight))
+        monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
+        assert self.run(*argv) == 0
+        good = capsys.readouterr().out
+        (path,) = tmp_path.iterdir()
+        doc = json.loads(path.read_text())
+        doc.pop("crc32")
+        bad = copy.deepcopy(doc)
+        if mutation == "entry_not_object":
+            bad["basis"][0] = []
+        elif mutation == "entry_string_a1":
+            bad["basis"][0] = "a1"
+        elif mutation == "pair_alphabets_differ":
+            bad["basis"][0]["a2"]["alphabet"] = ["y0", "y1"]
+        else:
+            MALFORMED_SERIES[mutation](first_series(bad))
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            space_from_json(bad)
+        path.write_text(json.dumps(dict(bad, crc32=_entry_crc(bad))))
+        assert self.run(*argv) == 0
+        assert capsys.readouterr().out == good
+        stored = json.loads(path.read_text())
+        stored.pop("crc32")
+        assert stored == doc
 
     @pytest.mark.parametrize("name", ["rc0", "dmr0", "krv2", "krv1skew"])
     def test_cold_space_loads_no_bar_module(self, tmp_path, monkeypatch, name):
@@ -1015,12 +1135,12 @@ class TestCli:
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # a disk that fills up during the write is an OSError: exit 2, and
         # the cache directory holds no temporary file afterwards
-        import ncds.lie
+        import ncds.cache
 
         def disk_full(*args, **kwargs):
             raise OSError(28, "No space left on device")
         monkeypatch.setenv("NCDS_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(ncds.lie.json, "dump", disk_full)
+        monkeypatch.setattr(ncds.cache.json, "dump", disk_full)
         assert self.run("spaces", "--set", "dmr0", "--weight", "3") == 2
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -1036,18 +1156,3 @@ class TestCli:
         scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
         assert 'ncds = "ncds.cli:main"' in scripts.splitlines()
 
-
-def test_tracer_names_exist():
-    # perfbench/tracer.py wraps ncds functions by name; a rename must fail here
-    # rather than crash a traced benchmark run
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for span, funcs, _ in tracer.SPANS:
-        module = importlib.import_module("ncds." + span.split(".")[0])
-        for fname in funcs:
-            assert callable(getattr(module, fname, None)), (span, fname)
-    for _, module, fname in tracer.LRU_CACHES:
-        fn = getattr(importlib.import_module("ncds." + module), fname, None)
-        assert hasattr(fn, "cache_info"), (module, fname)

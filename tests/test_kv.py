@@ -10,11 +10,11 @@ from ncds.kv import (TangentialDerivation, divergence, hamiltonian,
                      krv1_residual, krv2_space, nc_krv2_fit, necklace_bracket,
                      necklace_cobracket, potential, same_derivation,
                      tangential_pair_of, tder_apply, tder_bracket)
-from ncds.lie import SolutionSpace, lyndon_basis
+from ncds.lie import lyndon_basis
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
-from conftest import X, assemble_rows, random_lie, x_series
+from conftest import X, assemble_rows, random_lie, space_from_json, x_series
 
 
 def cyc(terms, mw):
@@ -482,7 +482,7 @@ class TestPairAsSparseSeries:
     def test_krv2_space_json_round_trip(self, w):
         space = krv2_space(w)
         data = space.to_json()
-        back = SolutionSpace.from_json(json.loads(json.dumps(data)))
+        back = space_from_json(json.loads(json.dumps(data)))
         assert back == space
         assert all(isinstance(b, TangentialDerivation) for b in back.basis)
         assert back.to_json() == data

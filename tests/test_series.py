@@ -354,6 +354,13 @@ class TestJson:
         assert data["terms"][2] == {"word": "001", "num": "1", "den": "3"}
         assert series_from_json(data) == f
 
+    def test_constant_term_round_trip(self):
+        # the empty word is the constant term
+        f = Series(X, 2, {b"": Fraction(-3, 2), b"\x01\x00": 4})
+        data = series_to_json(f)
+        assert data["terms"][0] == {"word": "", "num": "-3", "den": "2"}
+        assert series_from_json(data) == f
+
     def test_byte_stable(self):
         f = Series(X, 4, {b"\x00\x01": Fraction(5, 2), b"\x01\x00": -1})
         a = json.dumps(series_to_json(f), sort_keys=True)

@@ -74,3 +74,13 @@ def test_worker_ceilings_cover_every_theorem():
     attrs, _calls = _worker_harness_uses()
     assert "DEFAULT_CEILINGS" in {a.attr for a in attrs}
     assert sorted(harness.DEFAULT_CEILINGS) == ["A", "B", "C", "D", "E"]
+
+
+def test_disk_cache_is_one_function():
+    # the tracer wraps lie.cached_space wherever that function is bound, so
+    # the CLI's calls count as disk hits and misses only while every name
+    # holds the same object
+    import ncds.cache
+    import ncds.cli
+    import ncds.lie
+    assert ncds.lie.cached_space is ncds.cache.cached_space is ncds.cli.cached_space
