@@ -25,15 +25,22 @@ from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      one_letter_alphabet, substitute, _iadd)
 
 
+def _contractions(w):
+    """w with one adjacent equal-letter pair contracted to a single letter,
+    once per such pair."""
+    for i in range(len(w) - 1):
+        if w[i] == w[i + 1]:
+            yield w[:i + 1] + w[i + 2:]
+
+
 def reduced_coaction(f):
     """mu: sum over adjacent equal-letter contractions of each word."""
     if len(f.alphabet) != 2:
         raise ValueError("reduced coaction is defined on a two-letter alphabet")
     out = {}
     for w, c in f.terms.items():
-        for i in range(len(w) - 1):
-            if w[i] == w[i + 1]:
-                _iadd(out, w[:i + 1] + w[i + 2:], c)
+        for v in _contractions(w):
+            _iadd(out, v, c)
     return Series(f.alphabet, f.max_weight, out, _clean=False)
 
 

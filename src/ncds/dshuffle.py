@@ -19,18 +19,6 @@ from .lie import is_lie_series, primitivity_defect, solve_space
 from .series import Alphabet, Series, TensorSeries, _iadd
 
 
-def index_weight(a):
-    return sum(a)
-
-
-def index_depth(a):
-    return len(a)
-
-
-def is_admissible(a):
-    return bool(a) and a[-1] > 1
-
-
 @lru_cache(maxsize=None)
 def y_alphabet(max_weight):
     """Letters y1..yW; y_n for n > W is never needed.

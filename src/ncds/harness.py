@@ -159,19 +159,12 @@ def _all_ones(a, b):
     return set(a) <= {1} and set(b) <= {1}
 
 
-class _Family:
-    """A family of (key, F) functionals, the form in which `solve_space`
-    takes them as rows.  Each pass calls make() for a new iterator, which
-    builds the functionals one at a time, so none outlives its row."""
-
-    def __init__(self, make):
-        self._make = make
-
-    def __iter__(self):
-        return self._make()
-
-
-def _shifted_pairs(weight):
+def shifted_pair_functionals(weight):
+    """Functionals psi -> l^{y,x}_{a,b}(phi) - l^{y,x}_{(a,b1),(b2..)}(phi)
+    on phi = psi_451 + psi_123, for dp(b) >= 2 and (a, b) not all ones.
+    They are taken per composition c of the weight, as the differences
+    L_k - L_{k+1} of its neighbouring splits L_k = l_{c[:k], c[k:]}(phi), so
+    each split is built once."""
     yx = ("y", "x")
     for c in _compositions(weight):
         if len(c) < 3 or set(c) == {1}:
@@ -181,15 +174,6 @@ def _shifted_pairs(weight):
             right = pulled_functional(c[:k + 1], c[k + 1:], yx, PHI_LEGS)
             yield (c[:k], c[k:]), left - right
             left = right
-
-
-def shifted_pair_functionals(weight):
-    """Functionals psi -> l^{y,x}_{a,b}(phi) - l^{y,x}_{(a,b1),(b2..)}(phi)
-    on phi = psi_451 + psi_123, for dp(b) >= 2 and (a, b) not all ones.
-    They are taken per composition c of the weight, as the differences
-    L_k - L_{k+1} of its neighbouring splits L_k = l_{c[:k], c[k:]}(phi), so
-    each split is built once."""
-    return _Family(lambda: _shifted_pairs(weight))
 
 
 def conj2_space(weight):
@@ -209,8 +193,8 @@ def _alpha_keys(weight, depth_one=False):
 def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
     """Functionals psi -> l_{a,b}(alpha(psi)) for pairs of the given weight,
     not all ones; depth_one restricts to dp(b) = 1 instead."""
-    return _Family(lambda: (((a, b), pulled_functional(a, b, orders, ALPHA_LEGS))
-                            for a, b in _alpha_keys(weight, depth_one)))
+    return (((a, b), pulled_functional(a, b, orders, ALPHA_LEGS))
+            for a, b in _alpha_keys(weight, depth_one))
 
 
 # -- theorem checks -----------------------------------------------------------

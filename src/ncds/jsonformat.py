@@ -16,11 +16,13 @@ def _field(obj, name):
 
 
 def _integer(value, name):
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
-        try:
+    """A JSON int, or a string of an optional "-" and ASCII digits."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
             return int(value)
-        except ValueError:
-            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise InputError("series JSON field %r must be an integer or an integer "
                      "string, got %r" % (name, value))
 

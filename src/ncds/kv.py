@@ -3,9 +3,8 @@ the krv equations, the potential and its noncommutative krv2 equation, the
 necklace Lie bialgebra on cyclic words, and the krv_2 solution spaces.
 
 ``TangentialDerivation`` lives in ``lie``, whose "pairs" chart solves over
-it, so that reading a cached krv2 space needs no part of this module.  Its
-keys are (slot, word), slot i standing next to the letter x_i, and the maps
-here read them directly.
+it.  Its keys are (slot, word), slot i standing next to the letter x_i, and
+the maps here read them directly.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ import itertools
 from fractions import Fraction
 
 from . import InputError
-from .coaction import change_of_variable, reduced_coaction, solve_in_eta
+from .coaction import (_contractions, change_of_variable, reduced_coaction,
+                       solve_in_eta)
 from .lie import (TangentialDerivation, apply_derivation, is_lie_series,
                   lie_bracket, solve_space)
 from .series import (S_AT_SUM, S_AT_X0, S_AT_X1, CyclicSeries, Series,
@@ -33,7 +33,7 @@ def tder_bracket(u, v):
     slot ), renormalized."""
     c1 = tder_apply(u, v.a1) - tder_apply(v, u.a1) + lie_bracket(u.a1, v.a1)
     c2 = tder_apply(u, v.a2) - tder_apply(v, u.a2) + lie_bracket(u.a2, v.a2)
-    return TangentialDerivation.of(c1, c2)
+    return TangentialDerivation.of(c1, c2).normalized()
 
 
 def _sder_constraint(u):
@@ -75,7 +75,7 @@ def _krv1_linear(psi):
 def _eta_pair(eta):
     """(eta(x1, x0), eta): for eta = psi(-x0-x1, x1) this is the pair
     (psi(-x0-x1, x0), psi(-x0-x1, x1))."""
-    return TangentialDerivation.of(letter_swap(eta), eta, normalize=False)
+    return TangentialDerivation.of(letter_swap(eta), eta)
 
 
 def _krv1_in_eta(eta):
@@ -142,8 +142,7 @@ def hamiltonian(c):
         raise ValueError("hamiltonian needs homogeneous weight >= 2 input")
     n = symmetrize(c)
     return TangentialDerivation.of(fox_derivative(n, "x0", "right"),
-                                   fox_derivative(n, "x1", "right"),
-                                   normalize=False)
+                                   fox_derivative(n, "x1", "right"))
 
 
 def hamiltonian_inverse(u):
@@ -203,10 +202,7 @@ def necklace_cobracket(a):
     out = {}
     for w, c in a.terms.items():
         for a1, a2 in shuffle_splits(w):
-            for i in range(len(a2) - 1):
-                if a2[i] != a2[i + 1]:
-                    continue
-                m_word = a2[:i + 1] + a2[i + 2:]
+            for m_word in _contractions(a2):
                 for m1, m2 in shuffle_splits(m_word):
                     sgn = -c if len(m1) % 2 else c
                     left = _canonical_rotation(a1 + m1[::-1])

@@ -191,14 +191,14 @@ class TangentialDerivation(SparseSeries):
         return len(key[1])
 
     @classmethod
-    def of(cls, a1, a2, normalize=True):
-        """The pair of two Series, at the larger of their max weights."""
+    def of(cls, a1, a2):
+        """The pair of two Series, at the larger of their max weights, with
+        its linear terms kept (`normalized` strips them)."""
         if a1.alphabet != a2.alphabet:
             raise ValueError("alphabet mismatch")
         terms = {(0, w): c for w, c in a1.terms.items()}
         terms.update(((1, w), c) for w, c in a2.terms.items())
-        u = cls(a1.alphabet, max(a1.max_weight, a2.max_weight), terms, _clean=False)
-        return u.normalized() if normalize else u
+        return cls(a1.alphabet, max(a1.max_weight, a2.max_weight), terms, _clean=False)
 
     def normalized(self):
         terms = dict(self.terms)

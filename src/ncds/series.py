@@ -252,7 +252,6 @@ def conc_mul(f, g):
     return Series(f.alphabet, mw, out, _clean=False)
 
 
-@lru_cache(maxsize=200000)
 def _shuffle_words(u, v):
     """dict word -> multiplicity of riffle shuffles of the two words."""
     if not u:
@@ -327,7 +326,7 @@ def fox_derivative(f, letter, side):
     """One-sided letter strip: side "right" takes the part starting with the
     letter and removes it (d^R), side "left" strips a trailing letter (d^L).
     The counit part is discarded."""
-    i = f.alphabet.index(letter) if isinstance(letter, str) else int(letter)
+    i = f.alphabet.index(letter)
     out = {}
     if side == "right":
         for w, c in f.terms.items():

@@ -230,8 +230,7 @@ def words_space(weight, constraints, space="words"):
 def _space_entry_from_json(data):
     if "a1" in data:
         return TangentialDerivation.of(series_from_json(data["a1"]),
-                                       series_from_json(data["a2"]),
-                                       normalize=False)
+                                       series_from_json(data["a2"]))
     return series_from_json(data)
 
 

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.dshuffle import (_dmr_residual_linear, dmr_residual, dmr_space,
-                           index_depth, index_weight, is_admissible, pi_y,
+from ncds.dshuffle import (_dmr_residual_linear, dmr_residual, dmr_space, pi_y,
                            psi_corr, psi_star, sh_le, sigma_compose,
                            stuffle_coproduct, stuffle_product_words,
                            y_alphabet, y_functional, y_word)
@@ -23,16 +22,6 @@ def psi3():
 def y_series(terms, mw):
     ys = y_alphabet(mw)
     return Series(ys, mw, {bytes(n - 1 for n in word): c for word, c in terms.items()})
-
-
-class TestIndex:
-    def test_weight_depth(self):
-        assert index_weight((2, 1, 3)) == 6
-        assert index_depth((2, 1, 3)) == 3
-
-    def test_admissible(self):
-        assert is_admissible((1, 2))
-        assert not is_admissible((2, 1))
 
 
 class TestPiY:

@@ -169,8 +169,6 @@ class TestFunctionalFamilies:
             keys = [key for key, _F in family]
             assert len(keys) == len(set(keys)), (name, w)
             assert sorted(keys) == sorted(_expected_keys(w, shape)), (name, w)
-            # a family can be iterated again, for the solver and a reference
-            assert [key for key, _F in family] == keys, (name, w)
 
     @pytest.mark.parametrize("family, order, legs", [
         (lambda w: alpha_pair_functionals(w), ("y", "x"), ALPHA_LEGS),
@@ -680,6 +678,8 @@ MALFORMED_SERIES = {
     "duplicate_word": lambda s: s["terms"].append(dict(s["terms"][0])),
     "zero_den": lambda s: s["terms"][0].update(den="0"),
     "num_not_integer": lambda s: s["terms"][0].update(num="1/2"),
+    "num_padded": lambda s: s["terms"][0].update(num=" 1"),
+    "num_underscore": lambda s: s["terms"][0].update(num="1_0"),
     "bool_max_weight": lambda s: s.update(maxWeight=True),
 }
 
@@ -850,6 +850,19 @@ class TestCli:
         assert self.run("residual", "--check", "rc", "--in", str(f)) == 2
         err = capsys.readouterr().err
         assert err.startswith("ncds: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("num", ["1_0", " 7 ", "+3", "\u0663"],
+                             ids=["underscore", "padded", "plus", "arabic_indic"])
+    def test_loose_integer_spelling_is_input_error(self, tmp_path, capsys, num):
+        # int() reads each of these, but a payload integer is a JSON int or
+        # an optional "-" followed by ASCII digits
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"alphabet": ["x0", "x1"], "maxWeight": 2, "terms": [
+            {"word": "01", "num": num, "den": "1"},
+            {"word": "10", "num": "-1", "den": "1"}]}))
+        assert self.run("residual", "--check", "rc", "--in", str(f)) == 2
+        err = capsys.readouterr().err
+        assert "'num' must be an integer" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("check", ["rc", "dmr", "krv1", "nckrv2"])
     def test_residual_wrong_alphabet_is_input_error(self, tmp_path, capsys, check):

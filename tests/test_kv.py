@@ -28,8 +28,7 @@ def psi3(mw=3):
 
 
 def pair(t1, t2, mw):
-    return TangentialDerivation.of(x_series(t1, mw), x_series(t2, mw),
-                                   normalize=False)
+    return TangentialDerivation.of(x_series(t1, mw), x_series(t2, mw))
 
 
 def all_cyclic_words(weight):
@@ -379,7 +378,7 @@ def _dense_krv2_dim(w):
             s = Series(X, w, {word: 1})
             zero = Series.zero(X, w)
             u = TangentialDerivation.of(s if comp == 0 else zero,
-                                        s if comp == 1 else zero, normalize=False)
+                                        s if comp == 1 else zero)
             items = [(("p", comp, k), v) for k, v in primitivity_defect(s).items()]
             img0, img1 = u.generator_images()
             items.extend((("s", k), v) for k, v in (img0 + img1).terms.items())
@@ -396,7 +395,7 @@ def _dense_krv2_dim(w):
         a1 = Series(X, w, {word: c for word, c in zip(words, vec[:len(words)]) if c})
         a2 = Series(X, w, {word: c for word, c in zip(words, vec[len(words):2 * len(words)]) if c})
         if not (a1.is_zero and a2.is_zero):
-            pairs.append(TangentialDerivation.of(a1, a2, normalize=False))
+            pairs.append(TangentialDerivation.of(a1, a2))
     from ncds.lie import canonical_series_basis
     return len(canonical_series_basis(pairs))
 
@@ -419,16 +418,13 @@ def _seeded_pairs(n=40):
     rng = random.Random(13)
     for _ in range(n):
         mw = rng.randint(1, 5)
-        u = TangentialDerivation.of(_seeded_series(rng, mw), _seeded_series(rng, mw),
-                                    normalize=False)
+        u = TangentialDerivation.of(_seeded_series(rng, mw), _seeded_series(rng, mw))
         # the second pair at another max weight, or u's slots moved slightly
         if rng.random() < 0.5:
             mv = rng.randint(1, 5)
-            v = TangentialDerivation.of(_seeded_series(rng, mv), _seeded_series(rng, mv),
-                                        normalize=False)
+            v = TangentialDerivation.of(_seeded_series(rng, mv), _seeded_series(rng, mv))
         else:
-            v = TangentialDerivation.of(u.a1, u.a2 + _seeded_series(rng, mw, 1),
-                                        normalize=False)
+            v = TangentialDerivation.of(u.a1, u.a2 + _seeded_series(rng, mw, 1))
         yield u, v
 
 
@@ -445,7 +441,7 @@ class TestPairAsSparseSeries:
                 assert got.max_weight == a1.max_weight == a2.max_weight
                 assert got.is_zero == (a1.is_zero and a2.is_zero)
             assert (u == v) == (u.a1 == v.a1 and u.a2 == v.a2)
-            assert u == TangentialDerivation.of(u.a1, u.a2, normalize=False)
+            assert u == TangentialDerivation.of(u.a1, u.a2)
             assert u != u.a1 and u.a1 != u
 
     def test_keys_are_slot_and_word(self):
@@ -457,19 +453,18 @@ class TestPairAsSparseSeries:
     def test_normalize_removes_exactly_the_two_linear_keys(self):
         linear = x_series({"0": 2, "1": -1}, 4)
         for u, _ in _seeded_pairs():
-            a1, a2 = u.a1 + linear, u.a2 - linear
-            kept = TangentialDerivation.of(a1, a2, normalize=False)
-            assert TangentialDerivation.of(a1, a2).terms == {
+            kept = TangentialDerivation.of(u.a1 + linear, u.a2 - linear)
+            assert kept.normalized().terms == {
                 k: c for k, c in kept.terms.items() if k not in ((0, b"\x00"), (1, b"\x01"))}
-            assert TangentialDerivation.of(a1, a2) == kept.normalized()
-        # a1's x1 term and a2's x0 term do move the derivation: kept
+        # of keeps every linear term; a1's x1 term and a2's x0 term do move
+        # the derivation, so normalized keeps them
         u = TangentialDerivation.of(x_series({"0": 1, "1": 2}, 1),
                                     x_series({"0": 3, "1": 4}, 1))
-        assert u.terms == {(0, b"\x01"): 2, (1, b"\x00"): 3}
+        assert u.terms == {(0, b"\x00"): 1, (0, b"\x01"): 2, (1, b"\x00"): 3, (1, b"\x01"): 4}
+        assert u.normalized().terms == {(0, b"\x01"): 2, (1, b"\x00"): 3}
 
     def test_one_max_weight_for_both_slots(self):
-        u = TangentialDerivation.of(x_series({"01": 1}, 5), x_series({"1": 1}, 3),
-                                    normalize=False)
+        u = TangentialDerivation.of(x_series({"01": 1}, 5), x_series({"1": 1}, 3))
         assert u.max_weight == u.a1.max_weight == u.a2.max_weight == 5
         assert u.a2 == x_series({"1": 1}, 5)
 

@@ -427,8 +427,7 @@ def _seeded_element(rng, kind, n_terms):
     if kind == "series":
         return Series(X, 3, terms)
     other = {w[::-1]: c for w, c in terms.items() if rng.random() < 0.5}
-    return TangentialDerivation.of(Series(X, 3, terms), Series(X, 3, other),
-                                   normalize=False)
+    return TangentialDerivation.of(Series(X, 3, terms), Series(X, 3, other))
 
 
 def _seeded_span_case(rng, kind):

@@ -37,8 +37,7 @@ def _same(got, want, what):
 
 
 def _pair(rng, w):
-    return TangentialDerivation.of(random_series(rng, w), random_series(rng, rng.randint(1, w)),
-                                   normalize=False)
+    return TangentialDerivation.of(random_series(rng, w), random_series(rng, rng.randint(1, w)))
 
 
 def _psi(rng, w):
