@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import InputError, __version__
+from . import InputError, __version__, integer
 from .cache import cached_space
 
 
@@ -32,8 +32,8 @@ def _parse_rational(text):
     from fractions import Fraction
     num, slash, den = text.partition("/")
     try:
-        num, den = int(num), (int(den) if slash else 1)
-    except ValueError:
+        num, den = integer(num), (integer(den) if slash else 1)
+    except InputError:
         raise InputError("--lambda %s is not a rational p/q" % text) from None
     if not den:
         raise InputError("--lambda %s has a zero denominator" % text)
@@ -156,7 +156,7 @@ def build_parser():
     sp = sub.add_parser("spaces", help="compute a named solution space")
     sp.add_argument("--set", required=True,
                     choices=("rc", "rc0", "dmr0", "krv2", "krv1skew", "conj2"))
-    sp.add_argument("--weight", type=int, required=True)
+    sp.add_argument("--weight", type=integer, required=True)
     sp.add_argument("--lambda", dest="lam", default=None,
                     help="rational p/q pinning the [x0,x1] coefficient (rc only)")
     sp.add_argument("--out", default=None)
@@ -164,7 +164,7 @@ def build_parser():
 
     vp = sub.add_parser("verify", help="machine-check one of the theorems")
     vp.add_argument("--theorem", required=True, choices=tuple("ABCDE"))
-    vp.add_argument("--max-weight", type=int, default=None)
+    vp.add_argument("--max-weight", type=integer, default=None)
     vp.add_argument("--out", default=None)
     vp.set_defaults(fn=cmd_verify)
 
@@ -176,7 +176,7 @@ def build_parser():
     rp.set_defaults(fn=cmd_residual)
 
     cp = sub.add_parser("conjecture", help="report-only dimension scan")
-    cp.add_argument("--max-weight", type=int, default=7)
+    cp.add_argument("--max-weight", type=integer, default=7)
     cp.add_argument("--out", default=None)
     cp.set_defaults(fn=cmd_conjecture)
     return p

@@ -18,8 +18,9 @@ from fractions import Fraction
 from math import comb
 
 from . import InputError
-from .lie import (apply_derivation, is_lie_series, letter_bracket,
-                  lie_bracket, skew_constraint, solve_space, SolutionSpace)
+from .lie import (apply_derivation, integer_multiples, is_lie_series,
+                  letter_bracket, lie_bracket, skew_constraint, solve_space,
+                  SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
                      one_letter_alphabet, substitute, _iadd)
@@ -192,11 +193,7 @@ def solve_in_eta(weight, constraints, space):
     Each solution is scaled to integer coefficients before it is mapped
     back, as the solved-space chart scales its columns; the canonical basis
     rescales, so the space is unchanged."""
-    from .linalg import _integer_rows
     etas = solve_space(weight, constraints, space=space).basis
-    ints = _integer_rows([list(e.terms.values()) for e in etas])
-    psis = SolutionSpace(space, weight, [
-        change_of_variable(Series(e.alphabet, e.max_weight, dict(zip(e.terms, row)),
-                                  _clean=False))
-        for e, row in zip(etas, ints)])
+    psis = SolutionSpace(space, weight, [change_of_variable(e)
+                                         for e in integer_multiples(etas)])
     return solve_space(weight, [skew_constraint], space=space, chart=psis)

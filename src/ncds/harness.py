@@ -32,8 +32,8 @@ from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
                        y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
-from .lie import (lyndon_basis, series_span_contains, series_spans_equal,
-                  skew_constraint, solve_space)
+from .lie import (integer_multiples, lyndon_basis, series_span_contains,
+                  series_spans_equal, skew_constraint, solve_space)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
@@ -326,8 +326,8 @@ def verify_theorem_E(max_weight, weights=None):
         dims = {"dmr0_skew_krv1": s1.dimension, "rc0_krv1": s2.dimension,
                 "krv2": krv2.dimension}
         cyc_ok = True
-        for psi in s2.basis:
-            u = tangential_pair_of(psi)
+        for psi, n in zip(s2.basis, integer_multiples(s2.basis)):
+            u = tangential_pair_of(n)
             cyc_ok = cyc_ok and is_cyclic_invariant(potential(u))
             if not nc_krv2_fit(u)[0].is_zero:
                 failures.append(psi)

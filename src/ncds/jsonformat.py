@@ -4,7 +4,7 @@ the parts `series_parts` returns, and a disk-cache hit (`ncds.cache`) checks
 a stored space with `check_space` and serves the document as it is.  This
 module loads neither `fractions` nor the algebra."""
 
-from . import InputError
+from . import InputError, integer
 
 _DIGIT_INDEX = bytes.maketrans(b"0123456789", bytes(range(10)))  # "01" -> b"\0\1"
 
@@ -16,11 +16,12 @@ def _field(obj, name):
 
 
 def _integer(value, name):
-    """A JSON int, or a string of an optional "-" and ASCII digits."""
+    """A JSON int, or a string that `ncds.integer` reads."""
     if isinstance(value, str):
-        digits = value[1:] if value[:1] == "-" else value
-        if digits.isascii() and digits.isdigit():
-            return int(value)
+        try:
+            return integer(value)
+        except InputError:
+            pass
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError("series JSON field %r must be an integer or an integer "

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from . import InputError
 # perfbench/tracer.py wraps the disk cache as `lie.cached_space`, found here
@@ -304,8 +305,7 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
         if not chart.basis:
             return SolutionSpace(space, weight, [])
         kind = type(chart.basis[0])
-        columns = [dict(zip(b.terms, ints)) for b, ints in zip(
-            chart.basis, _integer_rows([list(b.terms.values()) for b in chart.basis]))]
+        columns = [b.terms for b in integer_multiples(chart.basis)]
     elif chart == "lyndon":
         kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
     elif chart == "words":
@@ -385,20 +385,38 @@ def canonical_series_basis(sols):
             for row in ech]
 
 
+def integer_multiples(elems):
+    """Each element's coprime integer multiple, of the element's own kind:
+    its coefficients times the lcm of their denominators, divided by their
+    gcd.  A linear check holds on an element iff it holds on this multiple,
+    and integer arithmetic costs a fraction of Fraction arithmetic."""
+    from .linalg import _integer_rows
+    rows = _integer_rows([list(e.terms.values()) for e in elems])
+    return [type(e).from_terms(e.alphabet, e.max_weight, dict(zip(e.terms, row)))
+            for e, row in zip(elems, rows)]
+
+
 def _outside_span(basis, objs):
-    """The first of objs outside the span of basis, or None.  Each is reduced
-    sparsely against the canonical basis: subtracting c e for the
-    coefficient c of e's pivot clears that pivot and touches no other.  A
-    basis that is canonical already (every SolutionSpace basis: each least
-    key has coefficient 1 and is in no other element) is used as given."""
-    reducers = [(min(e.terms), e.terms) for e in basis if e.terms]
-    if not all(terms[pivot] == 1 and sum(pivot in t for _p, t in reducers) == 1
-               for pivot, terms in reducers):
-        reducers = [(min(e.terms), e.terms) for e in canonical_series_basis(basis)]
-    for obj in objs:
-        rest = dict(obj.terms)
-        for pivot, terms in reducers:
-            c = rest.get(pivot)
+    """The first of objs outside the span of basis, or None.  A basis that is
+    canonical already (every SolutionSpace basis: each least key has
+    coefficient 1 and is in no other element) is used as given, any other is
+    made canonical first.  The test runs in integers: each element e is held
+    as its integer multiple N_e with s_e = N_e[p_e] at its pivot p_e, each
+    candidate as its integer multiple o, and with L = lcm(s_e), o lies in the
+    span iff L o - sum_e o[p_e] (L / s_e) N_e = 0 (no other element has the
+    key p_e, so o[p_e] is the coefficient of e)."""
+    basis = [e for e in basis if e.terms]
+    pivots = [min(e.terms) for e in basis]
+    if not all(e.terms[p] == 1 and sum(p in f.terms for f in basis) == 1
+               for p, e in zip(pivots, basis)):
+        basis = canonical_series_basis(basis)
+    reducers = [(min(n.terms), n.terms) for n in integer_multiples(basis)]
+    scale = lcm(*(terms[pivot] for pivot, terms in reducers))
+    reducers = [(pivot, scale // terms[pivot], terms) for pivot, terms in reducers]
+    for obj, o in zip(objs, integer_multiples(objs)):
+        rest = {k: scale * v for k, v in o.terms.items()}
+        for pivot, m, terms in reducers:
+            c = o.terms.get(pivot, 0) * m
             if c:
                 for k, v in terms.items():
                     _iadd(rest, k, -c * v)

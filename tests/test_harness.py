@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from ncds.harness import (alpha_pair_functionals, conj2_space, conjecture_scan,
 from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from ncds.braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, leg_insertion
 from ncds.coaction import rc_space
-from ncds.kv import _krv1_linear, krv1skew_space
+from ncds.kv import _krv1_linear, krv1skew_space, tangential_pair_of
 from ncds.lie import (lyndon_basis, series_span_contains, skew_constraint,
                       solve_space)
 from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
@@ -328,6 +329,27 @@ class TestFailingChecks:
         assert entry.status == "fail"
         rc0_krv1 = solve_space(3, [_krv1_linear], space="rc0krv1", chart=rc_space(3))
         assert entry.witness == rc0_krv1.basis[0].to_json()
+
+    def test_theorem_E_witness_is_the_canonical_element(self, monkeypatch):
+        # at w=5 the rc_0 ∩ krv1 element has a coefficient 11/2: the checks
+        # run on its integer multiple, but the witness is the element itself
+        residual = Series.letter(two_letter_alphabet(), "x0", 5)
+        monkeypatch.setattr(harness, "nc_krv2_fit", lambda u: (residual, None))
+        entry, = verify_theorem_E(5, weights=[5]).weights
+        assert entry.status == "fail"
+        psi, = solve_space(5, [_krv1_linear], space="rc0krv1", chart=rc_space(5)).basis
+        assert any(isinstance(c, Fraction) for c in psi.terms.values())
+        assert entry.witness == psi.to_json()
+
+    def test_theorem_E_checks_integer_multiples(self, monkeypatch):
+        seen = []
+
+        def recording(psi):
+            seen.extend(psi.terms.values())
+            return tangential_pair_of(psi)
+        monkeypatch.setattr(harness, "tangential_pair_of", recording)
+        assert verify_theorem_E(7, weights=[7]).ok
+        assert seen and all(type(c) is int for c in seen)
 
     def test_theorem_E_fail_on_nonadmissible_sum(self, monkeypatch):
         value = harness.nonadmissible_sum_value
@@ -712,6 +734,31 @@ class TestCli:
     def test_spaces_lambda_inconsistent(self, capsys):
         assert self.run("spaces", "--set", "rc", "--weight", "3",
                         "--lambda", "1") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("spaces", "--set", "rc", "--weight", "2", "--lambda", "1_0/3"),
+        ("spaces", "--set", "rc", "--weight", "2", "--lambda", "1/+3"),
+        ("spaces", "--set", "rc", "--weight", "2", "--lambda", " 1/3"),
+        ("spaces", "--set", "rc", "--weight", "2", "--lambda", "\u0661/3"),
+        ("spaces", "--set", "rc0", "--weight", "\u0665"),
+        ("spaces", "--set", "rc0", "--weight", "1_0"),
+        ("spaces", "--set", "rc0", "--weight", " 5"),
+        ("spaces", "--set", "rc0", "--weight", "+5"),
+        ("verify", "--theorem", "A", "--max-weight", "\u0665"),
+        ("conjecture", "--max-weight", "+5"),
+    ], ids=["lambda_underscore", "lambda_plus", "lambda_padded", "lambda_arabic_indic",
+            "weight_arabic_indic", "weight_underscore", "weight_padded", "weight_plus",
+            "verify_arabic_indic", "conjecture_plus"])
+    def test_loose_cli_integer_exits_2(self, capsys, argv):
+        # int() reads each of these; a command-line integer follows the
+        # document rule, an optional "-" followed by ASCII digits
+        try:
+            code = self.run(*argv)
+        except SystemExit as exc:  # argparse rejects a bad --weight itself
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_spaces_lambda_zero_denominator(self, capsys):
         assert self.run("spaces", "--set", "rc", "--weight", "3",

@@ -9,7 +9,7 @@ from ncds.lie import (TangentialDerivation, canonical_series_basis, is_lie_serie
                       is_skew, lie_bracket, lyndon_basis,
                       lyndon_words, primitivity_defect, series_span_contains,
                       series_spans_equal, solve_space)
-from ncds import linalg
+from ncds import lie, linalg
 from ncds.linalg import kernel_basis, rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
@@ -508,6 +508,56 @@ class TestSparseSpanReduction:
                 assert len(rrefs) == (1 if canon else 0)
                 shortcuts += bool(canon)
         assert shortcuts
+
+    @staticmethod
+    def rational_case(kind):
+        """A canonical basis whose elements have denominators 2, 3 and 6, a
+        member m = e1/2 - e2/3 + e3 of its span, and m off by 1/6 at one
+        key.  The integer multiples of e1, e2, e3 have pivot entries 2, 3
+        and 6, so each is scaled by its own factor of their lcm."""
+        def element(terms):
+            series = x_series(terms, 3)
+            if kind == "series":
+                return series
+            return TangentialDerivation.of(series, x_series(
+                {w[::-1]: c for w, c in terms.items() if w != "001"}, 3))
+        half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+        basis = [element({"001": 1, "101": half, "111": -half}),
+                 element({"010": 1, "110": third, "111": 2 * third}),
+                 element({"011": 1, "101": sixth, "110": -5 * sixth})]
+        member = basis[0].scale(half) - basis[1].scale(third) + basis[2]
+        off = member + type(member).from_terms(X, 3, {min(member.terms): sixth})
+        return basis, member, off
+
+    @pytest.mark.parametrize("kind", ["series", "pairs"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "fallback"])
+    def test_rational_basis(self, kind, canonical, monkeypatch):
+        # a member needs rational coefficients and the candidate is off the
+        # span by 1/6 in one coordinate: the integer reduction scales both
+        # sides and must neither lose nor invent that sixth
+        basis, member, off = self.rational_case(kind)
+        assert canonical_series_basis(basis) == basis
+        if not canonical:  # mixed and rescaled, so made canonical first
+            basis = [basis[0] + basis[1], basis[1].scale(Fraction(-3, 2)),
+                     basis[2] - basis[0]]
+        calls = []
+
+        def counting(sols):
+            calls.append(sols)
+            return canonical_series_basis(sols)
+        monkeypatch.setattr(lie, "canonical_series_basis", counting)
+        assert reference_contains(basis, member)
+        assert not reference_contains(basis, off)
+        assert series_span_contains(basis, member)
+        assert not series_span_contains(basis, off)
+        assert len(calls) == (0 if canonical else 2)
+        assert series_spans_equal(basis, [member] + basis[:2]) == (True, None)
+        for a, b in ((basis, [member, off]), ([member, off], basis),
+                     ([member], basis), (basis, [off])):
+            got = series_spans_equal(a, b)
+            want = reference_spans_equal(a, b)
+            assert got[0] == want[0] is False
+            assert got[1] is want[1]
 
     def test_empty_basis(self):
         zero = Series.zero(X, 3)
