@@ -182,9 +182,24 @@ def build_parser():
     return p
 
 
+def _glue_negative_values(argv):
+    """argv with "--name -1/3" written as "--name=-1/3": argparse reads a
+    token that starts with "-" and is not a plain negative number as an
+    option, so a negative fraction would never reach --lambda."""
+    out = []
+    for arg in argv:
+        if (arg[:1] == "-" and arg[1:2].isdigit() and out
+                and out[-1][:2] == "--" and "=" not in out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (InputError, OSError) as exc:

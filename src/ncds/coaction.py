@@ -15,6 +15,7 @@ the part starting in x1 (right Fox derivative).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import InputError
@@ -77,6 +78,7 @@ def rc_residual(eta):
     return _rc_residual_linear(eta)
 
 
+@lru_cache(maxsize=None)
 def rc_space(weight, lam=None):
     """Skew-symmetric solutions of the reduced coaction equation at a weight.
 
@@ -85,12 +87,16 @@ def rc_space(weight, lam=None):
     free (the space rc), lam=0 gives rc_0, the space rc cut by that
     coefficient, and a nonzero lam produces an affine set returned as
     offset + rc_0 basis.
+
+    Memoized for the life of the process, and every lam cuts the one
+    memoized rc of its weight, so rc is solved once per weight; the
+    returned space is shared and must not be mutated.
     """
     if weight < 2:
         raise InputError("rc space starts at weight 2")
-    space = solve_space(weight, [skew_constraint, _rc_residual_linear], space="rc")
     if lam is None:
-        return space
+        return solve_space(weight, [skew_constraint, _rc_residual_linear], space="rc")
+    space = rc_space(weight)
     rc0 = solve_space(weight, [lambda s: {"lam": s.coeff(b"\x00\x01")}],
                       space="rc0", chart=space)
     if lam == 0:

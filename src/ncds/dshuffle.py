@@ -113,9 +113,12 @@ def _dmr_residual_linear(psi):
                         primitivity_defect(star, stuffle_coproduct), _clean=False)
 
 
+@lru_cache(maxsize=None)
 def dmr_space(weight):
     """Lie series with vanishing linear terms whose corrected image is
-    primitive for the stuffle coproduct."""
+    primitive for the stuffle coproduct.  Memoized for the life of the
+    process, so dmr_0 is solved once per weight; the returned space is
+    shared and must not be mutated."""
     if weight < 2:
         raise InputError("dmr space starts at weight 2")
     return solve_space(weight, [_dmr_residual_linear], space="dmr0")

@@ -274,26 +274,26 @@ def verify_theorem_D(max_weight, weights=None):
     meta-abelian quotients come from a gamma cocycle, and the Ihara brackets
     of basis elements stay in rc_0.  For a homogeneous psi of weight w the
     only even depth-one coefficient that can be nonzero is that of
-    x0^(w-1) x1, for w even.  Each rc_0 basis is solved once per report."""
-    basis = lru_cache(maxsize=None)(lambda w: rc_space(w, 0).basis)
-
+    x0^(w-1) x1, for w even.  Each rc_0 basis is solved once per process
+    (rc_space is memoized)."""
     def entry(w):
+        rc0 = rc_space(w, 0).basis
         failures = []
-        for psi in basis(w):
+        for psi in rc0:
             if w % 2 == 0 and psi.coeff(b"\x00" * (w - 1) + b"\x01"):
                 failures.append(psi)
             if not frak_b_check(meta_abelian(psi))[0]:
                 failures.append(psi)
         brackets = 0
         for w1 in range(2, w // 2 + 1):
-            for p1 in basis(w1):
-                for p2 in basis(w - w1):
+            for p1 in rc_space(w1, 0).basis:
+                for p2 in rc_space(w - w1, 0).basis:
                     br = ihara_bracket(Series(p1.alphabet, w, p1.terms, _clean=False),
                                        Series(p2.alphabet, w, p2.terms, _clean=False))
                     brackets += 1
-                    if not series_span_contains(basis(w), br):
+                    if not series_span_contains(rc0, br):
                         failures.append(br)
-        return {"rc0": len(basis(w)), "brackets": brackets}, failures
+        return {"rc0": len(rc0), "brackets": brackets}, failures
     return _check("theorem_D", 3, max_weight, weights, entry)
 
 

@@ -1,11 +1,14 @@
 import os
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ncds.braid import CocycleElement, cocycle_mul
+from ncds.coaction import rc_space
+from ncds.dshuffle import dmr_space
 from ncds.harness import random_lie_series
 from ncds.lie import (SolutionSpace, TangentialDerivation, lie_bracket,
                       primitivity_defect, solve_space)
@@ -201,6 +204,34 @@ def random_lie(weight, rng, skew=False, max_weight=None):
     series; max_weight (at least the weight) only deepens its truncation."""
     psi = random_lie_series(weight, rng, skew)
     return psi if max_weight is None else Series(X, max_weight, psi.terms)
+
+
+def clear_space_memos():
+    """Empty the process-wide rc and dmr_0 memos."""
+    rc_space.cache_clear()
+    dmr_space.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_space_memos():
+    # a space solved while a test injected a fault (or counted solves) must
+    # not reach a later test through the memos
+    clear_space_memos()
+    yield
+    clear_space_memos()
+
+
+def count_solves(monkeypatch, *modules):
+    """A Counter of (space, weight) -> solve_space calls made through the
+    given modules' solve_space from now on."""
+    counts = Counter()
+
+    def counted(weight, constraints, space="anon", chart="lyndon"):
+        counts[space, weight] += 1
+        return solve_space(weight, constraints, space, chart)
+    for module in modules:
+        monkeypatch.setattr(module, "solve_space", counted)
+    return counts
 
 
 @pytest.fixture

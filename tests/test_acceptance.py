@@ -30,8 +30,8 @@ from ncds.lie import (SolutionSpace, lyndon_basis, series_spans_equal,
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
-from conftest import (X, assemble_rows, commutator, reference_kernel,
-                      words_space, x_series)
+from conftest import (X, assemble_rows, clear_space_memos, commutator,
+                      reference_kernel, words_space, x_series)
 
 G = chord_alphabet()
 
@@ -346,8 +346,9 @@ def test_solver_rows_match_per_element_reference(monkeypatch):
     # golden spaces (rc0 is rc cut by one more constraint: 6 more solves, on
     # the rc basis as chart; krv1skew is a Lyndon solve on eta cut by skew
     # symmetry: 6 more solves, on the mapped-back eta basis as chart) and
-    # theorem B to weight 7 (a bar-functional family per weight) equals, up
-    # to zero rows and repeats, the per-element rows; a cut of an empty space
+    # theorem B to weight 7 (dmr_0 and a bar-functional family per weight;
+    # the memos are emptied first, so dmr_0 is solved again) equals, up to
+    # zero rows and repeats, the per-element rows; a cut of an empty space
     # builds no matrix
     import ncds.coaction, ncds.dshuffle, ncds.harness, ncds.kv, ncds.lie, ncds.linalg
     from ncds.linalg import _distinct_rows, kernel_basis
@@ -369,6 +370,7 @@ def test_solver_rows_match_per_element_reference(monkeypatch):
     for key in json.loads(SPACES_GOLDEN.read_text()):
         name, weight = key.rsplit("-", 1)
         space(name, int(weight))
+    clear_space_memos()
     verify_theorem_B(7)
     assert len(calls) == 30 + 6 + 6 + 2 * 6
     for weight, constraints, chart, rows in calls:

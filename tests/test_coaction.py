@@ -10,7 +10,8 @@ from ncds.lie import (is_lie_series, is_skew, lyndon_basis, series_spans_equal,
                       skew_constraint)
 from ncds.series import Series, letter_swap, one_letter_alphabet
 
-from conftest import X, commutator, random_lie, words_space, x_series
+from conftest import (X, commutator, count_solves, random_lie, words_space,
+                      x_series)
 
 
 def psi3():
@@ -106,6 +107,16 @@ class TestRcSpace:
         assert space.dimension == 0
         with pytest.raises(ValueError):
             rc_space(3, 1)
+
+    def test_rc_is_solved_once_per_weight(self, monkeypatch):
+        # every lam cuts the one memoized rc of its weight, and a repeated
+        # call returns the very same space
+        import ncds.coaction
+        counts = count_solves(monkeypatch, ncds.coaction)
+        calls = [(5,), (5, 0), (2, Fraction(3, 2)), (2,)]
+        first = [rc_space(*args) for args in calls]
+        assert all(rc_space(*args) is space for args, space in zip(calls, first))
+        assert counts == {("rc", 5): 1, ("rc0", 5): 1, ("rc", 2): 1, ("rc0", 2): 1}
 
     def test_equation_variant_same_space(self):
         # replacing r(-x0) by r(x0) leaves rc0 unchanged (even-coefficient

@@ -11,7 +11,7 @@ from ncds.harness import _compositions as compositions
 from ncds.lie import lyndon_basis, series_spans_equal
 from ncds.series import Series
 
-from conftest import X, words_space, x_series
+from conftest import X, count_solves, words_space, x_series
 
 
 def psi3():
@@ -161,6 +161,12 @@ class TestDmrSpace:
 
     def test_weight4(self):
         assert dmr_space(4).dimension == 0
+
+    def test_solved_once_per_weight(self, monkeypatch):
+        import ncds.dshuffle
+        counts = count_solves(monkeypatch, ncds.dshuffle)
+        assert dmr_space(5) is dmr_space(5)
+        assert counts == {("dmr0", 5): 1}
 
     def test_words_chart_agrees(self):
         for w in range(3, 9):

@@ -32,8 +32,8 @@ from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                          Series, fox_derivative, letter_swap,
                          series_to_json, substitute, two_letter_alphabet, _iadd)
 
-from conftest import (random_lie, ref_krv1, space_from_json, src_env, words_space,
-                      x_series)
+from conftest import (count_solves, random_lie, ref_krv1, space_from_json, src_env,
+                      words_space, x_series)
 
 
 RESIDUAL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "residual_payloads.json"
@@ -243,6 +243,18 @@ class TestVerifiers:
         rep = verify_theorem_E(4)
         assert rep.ok
         assert rep.weights[0].dims["h_cyclic_invariant"] is True
+
+    def test_theorems_solve_rc_and_dmr0_once_per_weight(self, monkeypatch):
+        # A-E at the default ceilings in one process cut the same memoized
+        # rc and dmr_0 spaces
+        import ncds.coaction, ncds.dshuffle
+        counts = count_solves(monkeypatch, ncds.coaction, ncds.dshuffle)
+        for name in "ABCDE":
+            assert harness.VERIFIERS[name](harness.DEFAULT_CEILINGS[name]).ok
+        for name in ("rc", "dmr0"):
+            solved = {w: n for (s, w), n in counts.items() if s == name}
+            assert sorted(solved) == list(range(2, 9)), name
+            assert set(solved.values()) == {1}, name
 
     def test_conjecture_report_only(self):
         rep = conjecture_scan(4)
@@ -731,6 +743,15 @@ class TestCli:
         assert data["offset"]["terms"][0]["num"] == "3"
         assert data["offset"]["terms"][0]["den"] == "2"
 
+    def test_spaces_negative_lambda_either_spelling(self, capsys):
+        # argparse reads "-1/3" as an option unless main glues it to --lambda
+        outs = []
+        for argv in (("--lambda", "-1/3"), ("--lambda=-1/3",)):
+            assert self.run("spaces", "--set", "rc", "--weight", "2", *argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["offset"]["terms"][0]["num"] == "-1"
+
     def test_spaces_lambda_inconsistent(self, capsys):
         assert self.run("spaces", "--set", "rc", "--weight", "3",
                         "--lambda", "1") == 2
@@ -740,6 +761,8 @@ class TestCli:
         ("spaces", "--set", "rc", "--weight", "2", "--lambda", "1/+3"),
         ("spaces", "--set", "rc", "--weight", "2", "--lambda", " 1/3"),
         ("spaces", "--set", "rc", "--weight", "2", "--lambda", "\u0661/3"),
+        ("spaces", "--set", "rc", "--weight", "2", "--lambda", "-1_0/3"),
+        ("spaces", "--set", "rc", "--weight", "2", "--lambda=-1_0/3"),
         ("spaces", "--set", "rc0", "--weight", "\u0665"),
         ("spaces", "--set", "rc0", "--weight", "1_0"),
         ("spaces", "--set", "rc0", "--weight", " 5"),
@@ -747,6 +770,7 @@ class TestCli:
         ("verify", "--theorem", "A", "--max-weight", "\u0665"),
         ("conjecture", "--max-weight", "+5"),
     ], ids=["lambda_underscore", "lambda_plus", "lambda_padded", "lambda_arabic_indic",
+            "lambda_negative_spaced", "lambda_negative_glued",
             "weight_arabic_indic", "weight_underscore", "weight_padded", "weight_plus",
             "verify_arabic_indic", "conjecture_plus"])
     def test_loose_cli_integer_exits_2(self, capsys, argv):
