@@ -20,7 +20,7 @@ from math import comb
 
 from . import InputError
 from .lie import (apply_derivation, integer_multiples, is_lie_series,
-                  letter_bracket, lie_bracket, skew_constraint, solve_space,
+                  letter_bracket, lie_bracket, skew_functionals, solve_space,
                   SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
@@ -78,7 +78,6 @@ def rc_residual(eta):
     return _rc_residual_linear(eta)
 
 
-@lru_cache(maxsize=None)
 def rc_space(weight, lam=None):
     """Skew-symmetric solutions of the reduced coaction equation at a weight.
 
@@ -88,15 +87,22 @@ def rc_space(weight, lam=None):
     coefficient, and a nonzero lam produces an affine set returned as
     offset + rc_0 basis.
 
-    Memoized for the life of the process, and every lam cuts the one
-    memoized rc of its weight, so rc is solved once per weight; the
-    returned space is shared and must not be mutated.
+    Memoized for the life of the process under one key per (weight, lam),
+    however lam is passed, and every lam cuts the one memoized rc of its
+    weight, so rc is solved once per weight; the returned space is shared
+    and must not be mutated.
     """
+    return _rc_space(weight, lam)
+
+
+@lru_cache(maxsize=None)
+def _rc_space(weight, lam):
     if weight < 2:
         raise InputError("rc space starts at weight 2")
     if lam is None:
-        return solve_space(weight, [skew_constraint, _rc_residual_linear], space="rc")
-    space = rc_space(weight)
+        return solve_space(weight, [skew_functionals(weight), _rc_residual_linear],
+                           space="rc")
+    space = _rc_space(weight, None)
     rc0 = solve_space(weight, [lambda s: {"lam": s.coeff(b"\x00\x01")}],
                       space="rc0", chart=space)
     if lam == 0:
@@ -195,11 +201,11 @@ def solve_in_eta(weight, constraints, space):
     word is never expanded through the change of variable; only the few
     solutions are mapped back to psi, and skew symmetry (which the change of
     variable does not preserve) cuts that space.  This is the space the
-    joint solve of skew_constraint and the psi-form constraints returns.
+    joint solve of skew symmetry and the psi-form constraints returns.
     Each solution is scaled to integer coefficients before it is mapped
     back, as the solved-space chart scales its columns; the canonical basis
     rescales, so the space is unchanged."""
     etas = solve_space(weight, constraints, space=space).basis
     psis = SolutionSpace(space, weight, [change_of_variable(e)
                                          for e in integer_multiples(etas)])
-    return solve_space(weight, [skew_constraint], space=space, chart=psis)
+    return solve_space(weight, [skew_functionals(weight)], space=space, chart=psis)

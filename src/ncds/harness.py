@@ -33,7 +33,7 @@ from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
 from .lie import (integer_multiples, lyndon_basis, series_span_contains,
-                  series_spans_equal, skew_constraint, solve_space)
+                  series_spans_equal, skew_functionals, solve_space)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
@@ -181,8 +181,8 @@ def conj2_space(weight):
     functionals, the other side of the conjecture scan."""
     if weight < 2:
         raise InputError("conj2 space starts at weight 2")
-    return solve_space(weight, [skew_constraint, shifted_pair_functionals(weight)],
-                       space="conj2")
+    return solve_space(weight, [skew_functionals(weight),
+                                shifted_pair_functionals(weight)], space="conj2")
 
 
 def _alpha_keys(weight, depth_one=False):
@@ -231,7 +231,7 @@ def verify_theorem_A(max_weight, weights=None):
     added condition."""
     def entry(w):
         dims, failures = _spans_entry(w, {
-            "dmr0_skew": solve_space(w, [skew_constraint], space="dmr0skew",
+            "dmr0_skew": solve_space(w, [skew_functionals(w)], space="dmr0skew",
                                      chart=dmr_space(w)),
             "rc0_shifted": solve_space(w, [shifted_pair_functionals(w)],
                                        space="rc0shifted", chart=rc_space(w))})
@@ -261,9 +261,9 @@ def verify_theorem_C(max_weight, weights=None):
     x,y depth-one bar kernels, and the change-of-variable equation."""
     return _check("theorem_C", 2, max_weight, weights, lambda w: _spans_entry(w, {
         "i_rc0": rc_space(w),
-        "ii_yx": solve_space(w, [skew_constraint, alpha_pair_functionals(
+        "ii_yx": solve_space(w, [skew_functionals(w), alpha_pair_functionals(
             w, ("y", "x"), depth_one=True)], space="c2"),
-        "iii_xy": solve_space(w, [skew_constraint, alpha_pair_functionals(
+        "iii_xy": solve_space(w, [skew_functionals(w), alpha_pair_functionals(
             w, ("x", "y"), depth_one=True)], space="c3"),
         "iv_mu": solve_in_eta(w, [_c4_in_eta], "c4"),
     }))
@@ -318,7 +318,7 @@ def verify_theorem_E(max_weight, weights=None):
     cuts are taken on the solved dmr_0 and rc spaces."""
     def entry(w):
         dmr0 = dmr_space(w)
-        s1 = solve_space(w, [skew_constraint, _krv1_linear], space="dmr0skewkrv1",
+        s1 = solve_space(w, [skew_functionals(w), _krv1_linear], space="dmr0skewkrv1",
                          chart=dmr0)
         s2 = solve_space(w, [_krv1_linear], space="rc0krv1", chart=rc_space(w))
         failures = [psi for psi in s1.basis if not series_span_contains(s2.basis, psi)]

@@ -16,7 +16,7 @@ from . import InputError
 from .coaction import (_contractions, change_of_variable, reduced_coaction,
                        solve_in_eta)
 from .lie import (TangentialDerivation, apply_derivation, is_lie_series,
-                  lie_bracket, solve_space)
+                  lie_bracket, lyndon_words, solve_space, swap_word)
 from .series import (S_AT_SUM, S_AT_X0, S_AT_X1, CyclicSeries, Series,
                      TensorSeries, fox_derivative, letter_swap,
                      one_letter_alphabet, shuffle_splits, substitute, symmetrize,
@@ -214,21 +214,45 @@ def necklace_cobracket(a):
 
 # -- krv2 solution space ------------------------------------------------------
 
+def sder_functionals(weight):
+    """The special-derivation condition u(x0+x1) = 0 as a family of
+    functionals for `solve_space` on the pairs chart of the weight: the row
+    at each Lyndon word l of weight + 1 is a1[l[1:]] - a2[l[:-1]], the
+    coefficient of l in _sder_constraint(u).  A Lyndon word of length >= 2
+    starts with x0 and ends with x1, so [x0, a1] gives it only through x0 a1
+    and [x1, a2] only through -a2 x1.
+
+    Lie charts only (the pairs chart, or a solved space of pairs of Lie
+    series): there u(x0+x1) is a Lie series, which is zero iff its
+    coefficients at the Lyndon words are (see lie.skew_functionals)."""
+    alphabet = two_letter_alphabet()
+    for l in lyndon_words(weight + 1):
+        yield l, TangentialDerivation(alphabet, weight, {(0, l[1:]): 1, (1, l[:-1]): -1},
+                                      _clean=False)
+
+
+def krv1_eta_functionals(weight):
+    """The krv1 equation on eta = psi(-x0-x1, x1) (_krv1_in_eta) as a family
+    of functionals on a Lie chart of eta at the weight: sder_functionals read
+    on the pair (eta(x1, x0), eta), whose a1[v] is eta[swap v], so the row
+    at l is eta[swap l[1:]] - eta[l[:-1]]."""
+    alphabet = two_letter_alphabet()
+    for l, F in sder_functionals(weight):
+        terms = {}
+        for (slot, w), c in F.terms.items():
+            _iadd(terms, swap_word(w) if slot == 0 else w, c)
+        yield l, Series(alphabet, weight, terms, _clean=False)
+
+
 def _pair_linear_constraint(u):
     """The canonical pair has no x0 in a1 and no x1 in a2."""
     return {"a1": u.terms.get((0, b"\x00"), 0), "a2": u.terms.get((1, b"\x01"), 0)}
 
 
-def krv2_space(weight):
-    """Basis of tangential derivations (a1, a2) of the given weight with
-    u(x0+x1) = 0 and div(u) in k |(x0+x1)^w - x0^w - x1^w|.
-
-    The one-dimensional allowance is a linear constraint on u: with T the
-    target, k0 a fixed key of T and t0 = T[k0], div(u) lies in k T iff
-    t0 div(u) - div(u)[k0] T = 0.
-    """
-    if weight < 1:
-        raise InputError("krv2 space starts at weight 1")
+def _div_in_target_line(weight):
+    """The constraint div(u) in k |(x0+x1)^w - x0^w - x1^w| on pairs u of
+    the weight.  With T the target, k0 a fixed key of T and t0 = T[k0],
+    div(u) lies in k T iff t0 div(u) - div(u)[k0] T = 0."""
     target = CyclicSeries(two_letter_alphabet(), weight,
                           {bytes(w): 1 for w in itertools.product((0, 1), repeat=weight)
                            if 0 < sum(w) < weight})
@@ -238,8 +262,15 @@ def krv2_space(weight):
     def div_in_target_line(u):
         div = divergence(u)
         return div.scale(t0) - target.scale(div.coeff(k0))
+    return div_in_target_line
 
-    return solve_space(weight, [_sder_constraint, div_in_target_line,
+
+def krv2_space(weight):
+    """Basis of tangential derivations (a1, a2) of the given weight with
+    u(x0+x1) = 0 and div(u) in k |(x0+x1)^w - x0^w - x1^w|."""
+    if weight < 1:
+        raise InputError("krv2 space starts at weight 1")
+    return solve_space(weight, [sder_functionals(weight), _div_in_target_line(weight),
                                 _pair_linear_constraint],
                        space="krv2", chart="pairs")
 
@@ -250,4 +281,4 @@ def krv1skew_space(weight):
     psi(-x0-x1, x1), then cut by skew symmetry."""
     if weight < 2:
         raise InputError("krv1skew space starts at weight 2")
-    return solve_in_eta(weight, [_krv1_in_eta], "krv1skew")
+    return solve_in_eta(weight, [krv1_eta_functionals(weight)], "krv1skew")

@@ -176,6 +176,30 @@ def is_skew(f):
     return skew_constraint(f).is_zero
 
 
+_SWAP_LETTERS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def swap_word(w):
+    """The word w with x0 and x1 exchanged."""
+    return w.translate(_SWAP_LETTERS)
+
+
+def skew_functionals(weight):
+    """Skew symmetry as a family of functionals for `solve_space`: the row
+    at each Lyndon word l of the weight is s[l] + s[swap l], the coefficient
+    of l in skew_constraint(s).
+
+    Lie charts only (the Lyndon chart and solved spaces of Lie series): there
+    s + s(x1, x0) is a Lie series, and a Lie series is zero iff its
+    coefficients at the Lyndon words are, since those coefficients of the
+    Lyndon basis form a unitriangular matrix (Reutenauer, Free Lie Algebras,
+    Thm 5.1).  On the words chart a column is not Lie, and these rows cut
+    too little; skew_constraint is the route there."""
+    alphabet = two_letter_alphabet()
+    for l in lyndon_words(weight):
+        yield l, Series(alphabet, weight, {l: 1, swap_word(l): 1}, _clean=False)
+
+
 # -- tangential derivations, the element type of the "pairs" chart -----------
 
 class TangentialDerivation(SparseSeries):
@@ -295,7 +319,11 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
     iterable of (key, F) with F a series over the chart's coordinates, whose
     row (index, key) is sum_k F[k] * column_j[k], read through the chart
     index.  A family is iterated once, so each F can be dropped as soon as
-    its row is built.
+    its row is built.  A family that takes a Lie-valued condition at the
+    Lyndon words only (`skew_functionals`, and `kv.sder_functionals` and
+    `kv.krv1_eta_functionals`) needs a chart whose columns are Lie series:
+    the Lyndon chart, the pairs chart or a solved space of Lie elements,
+    never the words chart, where it cuts too little.
 
     Rows are keyed (constraint index, output key) and sorted by key.
     """

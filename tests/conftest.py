@@ -1,13 +1,15 @@
+import json
 import os
 import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ncds.braid import CocycleElement, cocycle_mul
-from ncds.coaction import rc_space
+from ncds.coaction import _rc_space
 from ncds.dshuffle import dmr_space
 from ncds.harness import random_lie_series
 from ncds.lie import (SolutionSpace, TangentialDerivation, lie_bracket,
@@ -208,7 +210,7 @@ def random_lie(weight, rng, skew=False, max_weight=None):
 
 def clear_space_memos():
     """Empty the process-wide rc and dmr_0 memos."""
-    rc_space.cache_clear()
+    _rc_space.cache_clear()
     dmr_space.cache_clear()
 
 
@@ -250,6 +252,33 @@ def words_space(weight, constraints, space="words"):
     the weight, sharing no Lyndon coordinates with the route under test."""
     return solve_space(weight, [primitivity_defect] + constraints, space=space,
                        chart="words")
+
+
+def all_words(weight):
+    """Every word of the weight, as bytes."""
+    return [bytes(b) for b in product((0, 1), repeat=weight)]
+
+
+def space_bytes(space):
+    """A space's JSON document as text, for byte-for-byte comparison."""
+    return json.dumps(space.to_json(), sort_keys=True)
+
+
+def callable_rows(con, kind, weight, coords, keys):
+    """The rows of a callable constraint at the given output keys, each as
+    {coordinate: value}, read off its values on the unit elements of kind
+    (Series or TangentialDerivation) at the given coordinates."""
+    rows = {key: {} for key in keys}
+    for coord in coords:
+        for key, v in con(kind.from_terms(X, weight, {coord: 1})).terms.items():
+            if key in rows:
+                rows[key][coord] = v
+    return rows
+
+
+def family_rows(family):
+    """A family's rows, each as {coordinate: value}."""
+    return {key: dict(F.terms) for key, F in family}
 
 
 # -- reference parser of a space document ---------------------------------------

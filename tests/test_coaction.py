@@ -118,6 +118,16 @@ class TestRcSpace:
         assert all(rc_space(*args) is space for args, space in zip(calls, first))
         assert counts == {("rc", 5): 1, ("rc0", 5): 1, ("rc", 2): 1, ("rc0", 2): 1}
 
+    def test_cli_rc_shares_the_memo(self, monkeypatch):
+        # the named-space registry passes lam=None explicitly; that is the
+        # memo entry of rc_space(5), not a second solve
+        import ncds.coaction
+        from ncds.cli import space
+        counts = count_solves(monkeypatch, ncds.coaction)
+        assert space("rc", 5) is rc_space(5) is rc_space(5, lam=None)
+        assert space("rc0", 5) is rc_space(5, 0) is rc_space(5, lam=0)
+        assert counts == {("rc", 5): 1, ("rc0", 5): 1}
+
     def test_equation_variant_same_space(self):
         # replacing r(-x0) by r(x0) leaves rc0 unchanged (even-coefficient
         # vanishing makes both equations agree on the solution space)

@@ -5,16 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.kv import (TangentialDerivation, divergence, hamiltonian,
-                     hamiltonian_inverse, is_cyclic_invariant, is_sder,
-                     krv1_residual, krv2_space, nc_krv2_fit, necklace_bracket,
-                     necklace_cobracket, potential, same_derivation,
-                     tangential_pair_of, tder_apply, tder_bracket)
-from ncds.lie import lyndon_basis
+from ncds.coaction import change_of_variable
+from ncds.kv import (TangentialDerivation, _div_in_target_line, _krv1_in_eta,
+                     _pair_linear_constraint, _sder_constraint, divergence,
+                     hamiltonian, hamiltonian_inverse, is_cyclic_invariant, is_sder,
+                     krv1_eta_functionals, krv1_residual, krv1skew_space, krv2_space,
+                     nc_krv2_fit, necklace_bracket, necklace_cobracket, potential,
+                     same_derivation, sder_functionals, tangential_pair_of,
+                     tder_apply, tder_bracket)
+from ncds.lie import (SolutionSpace, integer_multiples, lyndon_basis, lyndon_words,
+                      skew_constraint, solve_space)
 from ncds.series import (CyclicSeries, Series, cyclic_project,
                          one_letter_alphabet, symmetrize)
 
-from conftest import X, assemble_rows, random_lie, space_from_json, x_series
+from conftest import (X, all_words, assemble_rows, callable_rows, family_rows,
+                      random_lie, space_bytes, space_from_json, x_series)
 
 
 def cyc(terms, mw):
@@ -41,6 +46,40 @@ def all_cyclic_words(weight):
             found.add(canon)
             seen.append(canon)
     return seen
+
+
+class TestLyndonWordRows:
+    """The special-derivation condition and krv1 on eta are Lie-valued, so
+    on a Lie chart they need one row per Lyndon word of weight + 1."""
+
+    @pytest.mark.parametrize("w", range(1, 10))
+    def test_sder_rows_are_the_callable_rows_at_lyndon_words(self, w):
+        coords = [(slot, word) for slot in (0, 1) for word in all_words(w)]
+        assert family_rows(sder_functionals(w)) == callable_rows(
+            _sder_constraint, TangentialDerivation, w, coords, lyndon_words(w + 1))
+
+    @pytest.mark.parametrize("w", range(1, 10))
+    def test_krv1_eta_rows_are_the_callable_rows_at_lyndon_words(self, w):
+        assert family_rows(krv1_eta_functionals(w)) == callable_rows(
+            _krv1_in_eta, Series, w, all_words(w), lyndon_words(w + 1))
+
+    @pytest.mark.parametrize("w", range(1, 8))
+    def test_krv2_matches_the_callable_pairs_solve(self, w):
+        # krv2 has no words-chart route: the reference is the pairs chart
+        # with the callable special-derivation condition
+        want = solve_space(w, [_sder_constraint, _div_in_target_line(w),
+                               _pair_linear_constraint], space="krv2", chart="pairs")
+        assert space_bytes(krv2_space(w)) == space_bytes(want)
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_krv1skew_matches_the_callable_eta_solve(self, w):
+        # krv1 on eta over the Lyndon chart, then skew symmetry over the
+        # solved chart of the psis, both as callables
+        etas = solve_space(w, [_krv1_in_eta], space="krv1skew").basis
+        psis = SolutionSpace("krv1skew", w, [change_of_variable(e)
+                                             for e in integer_multiples(etas)])
+        want = solve_space(w, [skew_constraint], space="krv1skew", chart=psis)
+        assert space_bytes(krv1skew_space(w)) == space_bytes(want)
 
 
 class TestTderApply:

@@ -5,15 +5,17 @@ from math import isqrt
 
 import pytest
 
-from ncds.lie import (TangentialDerivation, canonical_series_basis, is_lie_series,
-                      is_skew, lie_bracket, lyndon_basis,
+from ncds.lie import (SolutionSpace, TangentialDerivation, canonical_series_basis,
+                      is_lie_series, is_skew, lie_bracket, lyndon_basis,
                       lyndon_words, primitivity_defect, series_span_contains,
-                      series_spans_equal, solve_space)
+                      series_spans_equal, skew_constraint, skew_functionals,
+                      solve_space)
 from ncds import lie, linalg
 from ncds.linalg import kernel_basis, rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
-from conftest import X, random_lie, reference_kernel, reference_rref, x_series
+from conftest import (X, all_words, callable_rows, family_rows, random_lie,
+                      reference_kernel, reference_rref, space_bytes, x_series)
 
 WITT_2_LETTERS = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
 
@@ -381,6 +383,49 @@ class TestSolveSpace:
         b = solve_space(3, [primitivity, skew], chart="words")
         eq, _ = series_spans_equal(a.basis, b.basis)
         assert eq
+
+
+class TestLyndonWordRows:
+    """A Lie series is zero iff its coefficients at the Lyndon words are, so
+    a Lie-valued condition on a Lie chart needs one row per Lyndon word."""
+
+    @pytest.mark.parametrize("w", range(1, 12))
+    def test_lyndon_coefficients_are_unitriangular(self, w):
+        # the basis element of the Lyndon word l has coefficient 1 at l and
+        # 0 at every smaller Lyndon word
+        words = lyndon_words(w)
+        for j, (word, _tree, elt) in enumerate(lyndon_basis(w).elements):
+            assert word == words[j]
+            assert elt.coeff(word) == 1
+            assert not any(elt.coeff(l) for l in words[:j])
+
+    @pytest.mark.parametrize("w", range(1, 10))
+    def test_skew_rows_are_the_callable_rows_at_lyndon_words(self, w):
+        assert family_rows(skew_functionals(w)) == callable_rows(
+            skew_constraint, Series, w, all_words(w), lyndon_words(w))
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_rc_matches_the_callable_skew_solve(self, w):
+        from ncds.coaction import _rc_residual_linear, rc_space
+        want = solve_space(w, [skew_constraint, _rc_residual_linear], space="rc")
+        assert space_bytes(rc_space(w)) == space_bytes(want)
+
+    @pytest.mark.parametrize("w", range(2, 9))
+    def test_conj2_matches_the_callable_skew_solve(self, w):
+        from ncds.harness import conj2_space, shifted_pair_functionals
+        want = solve_space(w, [skew_constraint, shifted_pair_functionals(w)],
+                           space="conj2")
+        assert space_bytes(conj2_space(w)) == space_bytes(want)
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_solved_chart_cut_matches_the_callable_skew_cut(self, w):
+        # the whole Lie algebra of the weight, as a solved space, cut by
+        # skew symmetry
+        lie_space = SolutionSpace("lie", w, canonical_series_basis(
+            lyndon_basis(w).series()))
+        got = solve_space(w, [skew_functionals(w)], space="skew", chart=lie_space)
+        want = solve_space(w, [skew_constraint], space="skew", chart=lie_space)
+        assert space_bytes(got) == space_bytes(want)
 
 
 class TestSpanHelpers:
