@@ -32,8 +32,9 @@ from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
                        y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
-from .lie import (integer_multiples, lyndon_basis, series_span_contains,
-                  series_spans_equal, skew_functionals, solve_space)
+from .lie import (certify_space, integer_multiples, lyndon_basis,
+                  series_span_contains, series_spans_equal, skew_functionals,
+                  solve_space)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
@@ -258,15 +259,24 @@ def verify_theorem_B(max_weight, weights=None):
 
 def verify_theorem_C(max_weight, weights=None):
     """Four descriptions of rc_0 coincide: the residual equation, the y,x and
-    x,y depth-one bar kernels, and the change-of-variable equation."""
-    return _check("theorem_C", 2, max_weight, weights, lambda w: _spans_entry(w, {
-        "i_rc0": rc_space(w),
-        "ii_yx": solve_space(w, [skew_functionals(w), alpha_pair_functionals(
-            w, ("y", "x"), depth_one=True)], space="c2"),
-        "iii_xy": solve_space(w, [skew_functionals(w), alpha_pair_functionals(
-            w, ("x", "y"), depth_one=True)], space="c3"),
-        "iv_mu": solve_in_eta(w, [_c4_in_eta], "c4"),
-    }))
+    x,y depth-one bar kernels, and the change-of-variable equation.
+
+    The two bar kernels, skew Lie series cut by the depth-one functionals,
+    are certified against the solved rc (`lie.certify_space`: every
+    functional pairs to 0 with rc, and a one-prime rank bound), and solved
+    in full only if that misses, so each dim and witness is a full solve's.
+    The change-of-variable side is solved in eta."""
+    def entry(w):
+        rc = rc_space(w)
+        return _spans_entry(w, {
+            "i_rc0": rc,
+            "ii_yx": certify_space(w, [skew_functionals(w), alpha_pair_functionals(
+                w, ("y", "x"), depth_one=True)], rc, space="c2"),
+            "iii_xy": certify_space(w, [skew_functionals(w), alpha_pair_functionals(
+                w, ("x", "y"), depth_one=True)], rc, space="c3"),
+            "iv_mu": solve_in_eta(w, [_c4_in_eta], "c4"),
+        })
+    return _check("theorem_C", 2, max_weight, weights, entry)
 
 
 def verify_theorem_D(max_weight, weights=None):

@@ -389,6 +389,57 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
     return SolutionSpace(space, weight, canonical_series_basis(sols))
 
 
+def certify_space(weight, families, base, space="anon"):
+    """The Lyndon-chart kernel of functional families, proved equal to the
+    span of a solved space's basis without being solved, or else solved.
+
+    Let A be the families' rows on the Lyndon chart (cols columns, one row
+    per (family index, key), as `solve_space` forms them) and d the base's
+    dimension; the base elements must be Lie series of the weight.
+    - Inclusion.  Every functional pairs to 0, exactly, with the integer
+      multiple of every base element, so ker_Q(A) contains the base's span.
+    - Bound.  The rows at a stride selection of about 2 (cols + 8) of the
+      sorted row keys, then the other rows, are formed lazily and
+      eliminated mod one prime until the rank reaches cols - d
+      (`linalg.rank_mod_p`); then nullity_Q(A) <= nullity_p(A_S) <= d.
+    Together they prove ker_Q(A) is the base's span, and the base's basis is
+    returned under the name space: it is canonical, so it is the basis the
+    full solve gives.  If either step misses, `solve_space` solves the same
+    families, so every dim and witness is the one a full solve gives.
+    """
+    from .linalg import rank_mod_p  # `ncds residual` never loads it
+    families = [list(family) for family in families]
+    functionals = {(ci, key): F.terms
+                   for ci, family in enumerate(families) for key, F in family}
+    multiples = [b.terms for b in integer_multiples(base.basis)]
+    # a key that repeats in a family is one row of solve_space, the sum of
+    # its functionals: that matrix is not this one, so it is solved
+    if len(functionals) < sum(map(len, families)) or any(
+            sum(v * b.get(k, 0) for k, v in terms.items())
+            for terms in functionals.values() for b in multiples):
+        return solve_space(weight, families, space)
+    lyndon = lyndon_basis(weight).series()
+    cols = len(lyndon)
+    chart_index = {}  # word -> [(column, coefficient)]
+    for j, s in enumerate(lyndon):
+        for k, c in s.terms.items():
+            chart_index.setdefault(k, []).append((j, c))
+
+    def row(terms):
+        out = [0] * cols
+        for k, v in terms.items():
+            for j, c in chart_index.get(k, ()):
+                out[j] += c * v
+        return out
+    keys = sorted(functionals)
+    step = max(1, len(keys) // (2 * (cols + 8)))
+    order = keys[::step] + [k for i, k in enumerate(keys) if i % step]
+    target = cols - len(multiples)
+    if rank_mod_p((row(functionals[k]) for k in order), cols, target) < target:
+        return solve_space(weight, families, space)
+    return SolutionSpace(space, weight, list(base.basis))
+
+
 # -- canonical bases and span comparisons over coordinates ------------------
 #
 # Every kind here (Series, tangential pairs) is a SparseSeries: one stored

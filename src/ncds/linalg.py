@@ -1,11 +1,13 @@
-"""Exact rational linear algebra: one certified elimination, read two ways.
+"""Exact rational linear algebra: one certified elimination, read two ways,
+and a one-prime rank bound.
 
 ``_reduced_form`` finds the reduced row echelon form R of a matrix: its
 pivots, its free columns, and each reduced row's free-column entries over
 one common denominator.  ``rref`` reads R as rows (for canonical bases, the
 span tests and ``braid.express_chord``); ``kernel_basis`` reads it as the
 reduced free-column kernel basis, 1 at free column fc and -R[c][fc] at each
-pivot c (for the solver).
+pivot c (for the solver).  ``rank_mod_p`` bounds a kernel's dimension from
+above without solving it (the rank bound below).
 
 The elimination works modulo primes, those below 2^61 taken downward from
 the Mersenne prime 2^61 - 1 (``_primes``, a fixed sequence).  It drops zero
@@ -73,13 +75,23 @@ Every CRT round but at most log2(H)/60 keeps one more lucky prime, so M
 passes 2H^2 after finitely many; each repair round adds rows not selected
 before; so the rounds end, at worst with every row selected.
 The selection and the primes are deterministic: no random numbers, no seed.
+
+Rank bound.  ``rank_mod_p`` reduces integer rows into one mod-p echelon
+(p = 2^61 - 1) through the same packed pass, 16 rows at a time, with no
+back pass, no lift and no check, and stops once the rank reaches a target.
+It proves an upper bound and nothing else.  A rank mod p is at most the rank
+over Q, and a row subset S of A has at most the rank of A, so for whatever
+rows it read nullity_Q(A) <= nullity_Q(A_S) <= nullity_p(A_S) = cols minus
+its result.  ``lie.certify_space`` pairs the bound with an exact inclusion:
+d independent vectors that A annihilates, and a result of cols - d, prove
+that they span ker_Q(A).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -364,6 +376,23 @@ def _reduced_form(rows):
         budget *= 2
         passes = [_reduce(p, echelon, added, cols, nb)
                   for p, echelon, _, _ in passes]
+
+
+def rank_mod_p(rows, cols, target):
+    """The rank mod p = 2^61 - 1 of integer rows over cols columns, read and
+    reduced 16 at a time into one echelon, or the rank of the rows read so
+    far once it reaches target (the rank bound of the module docstring).
+    rows may be lazy: rows after the stop are never formed."""
+    p = next(_primes())
+    nb = _slot_bytes(cols)
+    echelon = {}
+    rows = iter(rows)
+    while len(echelon) < target:
+        chunk = list(islice(rows, 16))
+        if not chunk:
+            break
+        _eliminate_mod_p(echelon, _integer_rows(chunk), cols, nb, p)
+    return len(echelon)
 
 
 def rref(rows):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncds import InputError, braid, harness
+from ncds import InputError, braid, harness, linalg
 from ncds.cli import main as cli_main, space
 from ncds.harness import (alpha_pair_functionals, conj2_space, conjecture_scan,
                           coface_pullback, index_pairs, leg_target,
@@ -26,8 +26,8 @@ from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from ncds.braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, leg_insertion
 from ncds.coaction import rc_space
 from ncds.kv import _krv1_linear, krv1skew_space, tangential_pair_of
-from ncds.lie import (lyndon_basis, series_span_contains, skew_constraint,
-                      solve_space)
+from ncds.lie import (certify_space, lyndon_basis, series_span_contains,
+                      skew_constraint, skew_functionals, solve_space)
 from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                          Series, fox_derivative, letter_swap,
                          series_to_json, substitute, two_letter_alphabet, _iadd)
@@ -386,6 +386,153 @@ class TestFailingChecks:
         with pytest.raises(SystemExit) as exc:  # the seed option is gone
             cli_main(["verify", "--theorem", "A", "--seed", "1"])
         assert exc.value.code == 2
+
+
+def _c_families(w, order):
+    return [skew_functionals(w), alpha_pair_functionals(w, order, depth_one=True)]
+
+
+def _full_solve(w, families, base, space):
+    # the route forced to fall back: theorem C's sides solved in full
+    return solve_space(w, families, space)
+
+
+class TestCertifiedBarKernels:
+    # theorem C's bar-kernel sides are certified against the solved rc
+    # (lie.certify_space: exact inclusion, then a one-prime rank bound) and
+    # solved in full only on a miss, so each dim and witness is a full solve's
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The full solves certify_space falls back to, and per rank bound
+        the rows it read."""
+        import ncds.lie, ncds.linalg
+        solve, rank = ncds.lie.solve_space, ncds.linalg.rank_mod_p
+        fallbacks, drawn = [], []
+
+        def counted_solve(weight, constraints, space="anon", chart="lyndon"):
+            fallbacks.append((weight, space))
+            return solve(weight, constraints, space, chart)
+
+        def counted_rank(rows, cols, target):
+            log = []
+            drawn.append(log)
+
+            def read():
+                for row in rows:
+                    log.append(row)
+                    yield row
+            return rank(read(), cols, target)
+        monkeypatch.setattr(ncds.lie, "solve_space", counted_solve)
+        monkeypatch.setattr(ncds.linalg, "rank_mod_p", counted_rank)
+        return fallbacks, drawn
+
+    @pytest.mark.parametrize("order", ORDERS, ids=["xy", "yx"])
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_route_certifies_the_full_solve(self, monkeypatch, w, order):
+        want = json.dumps(solve_space(w, _c_families(w, order), space="c").to_json())
+        fallbacks, drawn = self.spy(monkeypatch)
+        got = certify_space(w, _c_families(w, order), rc_space(w), space="c")
+        assert fallbacks == [] and len(drawn) == 1
+        assert json.dumps(got.to_json()) == want
+        if w == 9:
+            # the stride selection (every 2nd of the 311 sorted row keys:
+            # 156 rows over 56 columns) reaches rank 54 of cols - d = 55;
+            # the rows after it reach 55
+            rows = drawn[0]
+            assert len(rows) > 156
+            assert linalg.rank_mod_p(rows[:156], 56, 56) == 54
+            assert linalg.rank_mod_p(rows, 56, 56) == 55
+
+    def test_theorem_C_matches_the_forced_fallback(self, monkeypatch):
+        got = json.dumps(verify_theorem_C(9).to_json())
+        monkeypatch.setattr(harness, "certify_space", _full_solve)
+        assert json.dumps(verify_theorem_C(9).to_json()) == got
+
+    def test_larger_side_misses_the_bound(self, monkeypatch):
+        # skew Lie series alone: inclusion holds, the bound misses, and the
+        # full solve gives the larger space
+        fallbacks, drawn = self.spy(monkeypatch)
+        for w in (5, 6, 7):
+            got = certify_space(w, [skew_functionals(w)], rc_space(w), space="c2")
+            assert fallbacks[-1] == (w, "c2") and len(drawn) == w - 4
+            want = solve_space(w, [skew_functionals(w)], space="c2")
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            assert got.dimension > rc_space(w).dimension
+
+    def test_repeated_key_is_solved(self, monkeypatch):
+        # solve_space sums a repeated key's functionals into one row, so the
+        # route takes no bound on the unsummed rows
+        fallbacks, drawn = self.spy(monkeypatch)
+        skew, alpha = (list(f) for f in _c_families(7, ("y", "x")))
+        got = certify_space(7, [skew, alpha + alpha[:1]], rc_space(7), space="c2")
+        assert fallbacks == [(7, "c2")] and drawn == []
+        want = solve_space(7, [skew, alpha], space="c2")
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    @staticmethod
+    def planted_fail(monkeypatch):
+        """C's report at w <= 7, with a planted fault, through the route and
+        through the forced fallback."""
+        got = verify_theorem_C(7).to_json()
+        monkeypatch.setattr(harness, "certify_space", _full_solve)
+        return got, verify_theorem_C(7).to_json()
+
+    def test_planted_larger_side_gives_the_full_solve_report(self, monkeypatch):
+        monkeypatch.setattr(harness, "alpha_pair_functionals",
+                            lambda w, orders, depth_one: iter(()))
+        fallbacks, drawn = self.spy(monkeypatch)
+        got, want = self.planted_fail(monkeypatch)
+        assert json.dumps(got) == json.dumps(want)
+        # at w <= 3 the skew Lie series are rc, and the route certifies them
+        assert [e["status"] for e in got["weights"]] == ["report-only", "pass"] + ["fail"] * 4
+        assert fallbacks == [(w, s) for w in range(4, 8) for s in ("c2", "c3")]
+        assert len(drawn) == 2 * 6
+
+    def test_planted_functional_fails_inclusion(self, monkeypatch):
+        # one functional nonzero on rc, at the least word of its first
+        # element: the side loses that element, and no rank bound runs
+        family = harness.alpha_pair_functionals
+
+        def planted(w, orders, depth_one):
+            yield from family(w, orders, depth_one=depth_one)
+            word = min(rc_space(w).basis[0].terms) if rc_space(w).basis else b"\0" * w
+            yield ((0,), ()), Series(two_letter_alphabet(), w, {word: 1})
+        monkeypatch.setattr(harness, "alpha_pair_functionals", planted)
+        fallbacks, drawn = self.spy(monkeypatch)
+        got, want = self.planted_fail(monkeypatch)
+        assert json.dumps(got) == json.dumps(want)
+        dims = {e["w"]: e["dims"] for e in got["weights"]}
+        assert [dims[w]["ii_yx"] for w in range(2, 8)] == [0] * 6
+        assert [dims[w]["i_rc0"] for w in range(2, 8)] == [1, 1, 0, 1, 0, 1]
+        assert got["weights"][1]["witness"] == rc_space(3).basis[0].to_json()
+        # the bound runs only where rc is empty and inclusion holds at once
+        assert len(drawn) == 2 * 2
+        assert sorted(w for w, _ in fallbacks) == [2, 2, 3, 3, 5, 5, 7, 7]
+
+    def test_theorem_B_and_C_iv_still_solve_in_full(self, monkeypatch):
+        # B's bar side keeps its full solve, though the same route would
+        # certify it against dmr0: bar_frontier times one B9 pass, and a
+        # pass that ends before hostref.PERIOD takes no host-speed sample,
+        # so its worker exits with "no host-speed reference samples";
+        # changes that made B9 faster failed that way, and stay out until
+        # ROADMAP item 1 re-points the workload.  C iv is cut in eta after
+        # its solve, so it is no single matrix on one chart.
+        calls = []
+        solve, certify, in_eta = (harness.solve_space, harness.certify_space,
+                                  harness.solve_in_eta)
+        monkeypatch.setattr(harness, "solve_space", lambda w, c, space="anon", chart="lyndon":
+                            calls.append(("solve", w, space)) or solve(w, c, space, chart))
+        monkeypatch.setattr(harness, "certify_space", lambda w, f, base, space:
+                            calls.append(("certify", w, space)) or certify(w, f, base, space))
+        monkeypatch.setattr(harness, "solve_in_eta", lambda w, c, space:
+                            calls.append(("eta", w, space)) or in_eta(w, c, space))
+        verify_theorem_B(4)
+        assert calls == [("solve", w, "barkernel") for w in (2, 3, 4)]
+        del calls[:]
+        verify_theorem_C(4)
+        assert calls == [(kind, w, space) for w in (2, 3, 4) for kind, space in
+                         (("certify", "c2"), ("certify", "c3"), ("eta", "c4"))]
 
 
 class TestHarnessInvariants:

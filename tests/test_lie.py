@@ -350,6 +350,62 @@ class TestEliminationAgainstReference:
                                                          range(2, isqrt(n) + 1)))
 
 
+def _drawn(rows, log):
+    """rows as a lazy iterable that appends each row to log as it is read."""
+    for row in rows:
+        log.append(row)
+        yield row
+
+
+class TestRankModP:
+    # the one-prime rank bound against the Gauss-Jordan rank, on seeded
+    # integer matrices; a rank mod p never exceeds the rank over Q
+
+    @pytest.mark.parametrize("entries", ["int", "fraction"])
+    @pytest.mark.parametrize("shape", [(9, 4), (2, 7), (40, 12), (80, 8)],
+                             ids=["tall", "wide", "tall40x12", "tall80x8"])
+    def test_rank_matches_gauss_jordan(self, rng, shape, entries):
+        n_rows, cols = shape
+        for rank in range(min(n_rows, cols) + 1):
+            rows = random_matrix(rng, n_rows, cols, rank, entries)
+            assert linalg.rank_mod_p(rows, cols, cols) == rank
+            # an unreachable target reads every row and gives the rank
+            log = []
+            assert linalg.rank_mod_p(_drawn(rows, log), cols, cols + 1) == rank
+            assert len(log) == len(rows)
+
+    def test_early_stop(self, rng):
+        # the rank reaches the target in the first chunk of 16 rows: it is
+        # the rank of that chunk, and no later row is formed
+        rows = random_matrix(rng, 64, 12, 10, "int")
+        for target in (1, 3, len(reference_rref(rows[:16])[1])):
+            log = []
+            got = linalg.rank_mod_p(_drawn(rows, log), 12, target)
+            assert log == rows[:16]
+            assert got == len(reference_rref(rows[:16])[1]) >= target
+
+    def test_first_chunk_misses_rank(self, rng):
+        # 16 multiples of one row, then the rows of a rank-6 matrix: the
+        # first chunk gives rank 1, and the rank reaches 6 in the chunks after
+        first = [rng.randint(-4, 4) for _ in range(9)]
+        rows = [[c * v for v in first] for c in range(1, 17)]
+        rows += random_matrix(rng, 40, 9, 6, "int")
+        assert len(reference_rref(rows[:16])[1]) == 1
+        want = len(reference_rref(rows)[1])
+        log = []
+        assert linalg.rank_mod_p(_drawn(rows, log), 9, want) == want
+        assert 16 < len(log) < len(rows)
+        assert len(reference_rref(log)[1]) == want
+
+    def test_all_zero_matrix(self):
+        assert linalg.rank_mod_p([[0] * 5] * 40, 5, 5) == 0
+        assert linalg.rank_mod_p([], 5, 5) == 0
+        # a target of 0 is met before any row is read
+        log = []
+        assert linalg.rank_mod_p(_drawn([[1] * 5], log), 5, 0) == 0
+        assert log == []
+
+
 class TestSolveSpace:
     def test_weight2_point_constraint(self):
         con = lambda s: {"c01": s.coeff(b"\x00\x01")}
