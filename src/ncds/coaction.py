@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from . import InputError
@@ -24,7 +25,8 @@ from .lie import (apply_derivation, integer_multiples, is_lie_series,
                   SolutionSpace)
 from .series import (AT_MINUS_SUM_X1, AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0,
                      S_AT_X1, Series, abelianize, fox_derivative,
-                     one_letter_alphabet, substitute, _iadd)
+                     one_letter_alphabet, substitute, two_letter_alphabet,
+                     _iadd)
 
 
 def _contractions(w):
@@ -185,6 +187,32 @@ def _c4_in_eta(eta):
     g = fox_derivative(eta, "x1", "right")
     return (reduced_coaction(eta) - substitute(g, AT_SUM_ZERO) + g
             + substitute(g, AT_X1_ZERO))
+
+
+def c4_functionals(weight):
+    """`_c4_in_eta` on eta of a weight as a family of functionals for
+    `solve_space`, keyed by output word v of length w - 1: the transpose of
+    its three parts.  The row at v is
+
+        sum_u r u  +  x1 v  -  x1 x0^(w-1)  (the last term not at v = x1^(w-1)),
+
+    u running over the words that are v with one letter of a run of length r
+    doubled (mu contracts each of the r adjacent pairs of u's longer run to
+    v), x1 v from g = d^R_1(eta), and x1 x0^(w-1) from -g(x0+x1, 0), which
+    reads g[x0^(w-1)] at every v, and g(x1, 0), which gives it back at
+    x1^(w-1)."""
+    alphabet = two_letter_alphabet()
+    corner = b"\x01" + bytes(weight - 1)
+    for v in map(bytes, product((0, 1), repeat=weight - 1)):
+        row, start = {}, 0
+        for end in range(1, weight):
+            if end == weight - 1 or v[end] != v[start]:
+                _iadd(row, v[:end] + v[end - 1:], end - start)
+                start = end
+        _iadd(row, b"\x01" + v, 1)
+        if any(b != 1 for b in v):
+            _iadd(row, corner, -1)
+        yield v, Series(alphabet, weight, row, _clean=False)
 
 
 def c4_residual(psi):

@@ -26,15 +26,16 @@ from functools import lru_cache
 from . import InputError, __version__ as KERNEL_VERSION
 from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from .braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, chord_alphabet, leg_insertion
-from .coaction import (_c4_in_eta, frak_b_check, ihara_bracket,
-                       meta_abelian, rc_space, solve_in_eta)
+from .coaction import (_c4_in_eta, c4_functionals, change_of_variable,
+                       frak_b_check, ihara_bracket, meta_abelian, rc_space,
+                       solve_in_eta)
 from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
                        y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
                  nc_krv2_fit, potential, tangential_pair_of)
-from .lie import (certify_space, integer_multiples, lyndon_basis,
-                  series_span_contains, series_spans_equal, skew_functionals,
-                  solve_space)
+from .lie import (SolutionSpace, certify_space, integer_multiples,
+                  lyndon_basis, series_span_contains, series_spans_equal,
+                  skew_functionals, solve_space, spans_kernel, swap_word)
 from .series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                      LinearMorphism, Series, letter_swap, substitute,
                      two_letter_alphabet, _iadd)
@@ -198,6 +199,43 @@ def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
             for a, b in _alpha_keys(weight, depth_one))
 
 
+def _reversed_legs():
+    """Per (sign, leg) of ALPHA_LEGS, (sign, source, swapped): the y,x
+    order's letter target of leg is the x,y target of the leg source, with
+    x0 and x1 exchanged if swapped.  Strand reversal tau maps the y,x
+    targets onto the x,y ones of the tau-images of the legs, which are legs
+    again except 234, the image of 432, and 234's target is 432's swapped."""
+    sources = {leg_target(leg): leg for _sign, leg in ALPHA_LEGS}
+    out = []
+    for sign, leg in ALPHA_LEGS:
+        target = order_target(("y", "x"), leg_target(leg))
+        if target in sources:
+            out.append((sign, sources[target], False))
+        else:
+            swapped = tuple(t if t is None else 1 - t for t in target)
+            out.append((sign, sources[swapped], True))
+    return tuple(out)
+
+
+def depth_one_families(weight):
+    """The y,x and x,y families of alpha_pair_functionals(weight, order,
+    depth_one=True), as two lists, built from one set of pentagon-leg words
+    per key: the five x,y leg words, read again through _reversed_legs for
+    the y,x order, so each key costs 5 uncached bar-word recursions, not
+    10."""
+    reversed_legs = _reversed_legs()
+    yx, xy = [], []
+    for a, b in _alpha_keys(weight, depth_one=True):
+        words = {leg: _bar_xy.__wrapped__(a, b, leg_target(leg))
+                 for _sign, leg in ALPHA_LEGS}
+        xy.append(((a, b), _signed_sum(((sign, words[leg]) for sign, leg in ALPHA_LEGS),
+                                       weight)))
+        yx.append(((a, b), _signed_sum(
+            ((sign, {swap_word(u): c for u, c in words[leg].items()} if swapped
+              else words[leg]) for sign, leg, swapped in reversed_legs), weight)))
+    return yx, xy
+
+
 # -- theorem checks -----------------------------------------------------------
 
 def _check(check, first_weight, max_weight, weights, entry):
@@ -257,25 +295,47 @@ def verify_theorem_B(max_weight, weights=None):
     return _check("theorem_B", 2, max_weight, weights, entry)
 
 
+def change_of_variable_side(weight, rc):
+    """Theorem C's side iv, the skew psi whose eta = psi(-x0-x1, x1) solves
+    the change-of-variable equation, given rc of the weight.  If the kernel
+    E of `c4_functionals` on the eta Lyndon chart is certified to be
+    span change_of_variable(rc) (`lie.spans_kernel`, on the integer
+    multiples of rc, so the change of variable runs in integers), the side is
+    skew ∩ change_of_variable(E) = skew ∩ span rc = span rc, since the
+    change of variable is an involutive automorphism of the free Lie algebra
+    and rc is skew, and rc's basis is returned under the name c4; on a miss
+    the side is solved in eta (`solve_in_eta`)."""
+    if spans_kernel(weight, [list(c4_functionals(weight))],
+                    [change_of_variable(n) for n in integer_multiples(rc.basis)]):
+        return SolutionSpace("c4", weight, list(rc.basis))
+    return solve_in_eta(weight, [_c4_in_eta], "c4")
+
+
 def verify_theorem_C(max_weight, weights=None):
     """Four descriptions of rc_0 coincide: the residual equation, the y,x and
     x,y depth-one bar kernels, and the change-of-variable equation.
 
-    The two bar kernels, skew Lie series cut by the depth-one functionals,
-    are certified against the solved rc (`lie.certify_space`: every
-    functional pairs to 0 with rc, and a one-prime rank bound), and solved
-    in full only if that misses, so each dim and witness is a full solve's.
-    The change-of-variable side is solved in eta."""
+    rc is solved once, and each other side is certified against it
+    (`lie.spans_kernel`: every functional pairs to 0 with the side's
+    expected basis, and a one-prime rank bound over rows read in a seeded
+    order), and falls back to its full solve only on a miss, so each dim
+    and witness is a full solve's.
+    - The two bar kernels, skew Lie series cut by the depth-one functionals
+      (`depth_one_families`, which share their leg words), are certified
+      against rc by `certify_space`, which solves them on a miss.
+    - The change-of-variable side is certified on the eta chart against
+      change_of_variable(rc) (`change_of_variable_side`), and solved in eta
+      on a miss.
+    Each family is dropped once its side is decided."""
     def entry(w):
         rc = rc_space(w)
-        return _spans_entry(w, {
-            "i_rc0": rc,
-            "ii_yx": certify_space(w, [skew_functionals(w), alpha_pair_functionals(
-                w, ("y", "x"), depth_one=True)], rc, space="c2"),
-            "iii_xy": certify_space(w, [skew_functionals(w), alpha_pair_functionals(
-                w, ("x", "y"), depth_one=True)], rc, space="c3"),
-            "iv_mu": solve_in_eta(w, [_c4_in_eta], "c4"),
-        })
+        spaces = {"i_rc0": rc}
+        yx, xy = depth_one_families(w)
+        spaces["ii_yx"] = certify_space(w, [skew_functionals(w), yx], rc, space="c2")
+        spaces["iii_xy"] = certify_space(w, [skew_functionals(w), xy], rc, space="c3")
+        del yx, xy
+        spaces["iv_mu"] = change_of_variable_side(w, rc)
+        return _spans_entry(w, spaces)
     return _check("theorem_C", 2, max_weight, weights, entry)
 
 

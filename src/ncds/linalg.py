@@ -82,7 +82,7 @@ back pass, no lift and no check, and stops once the rank reaches a target.
 It proves an upper bound and nothing else.  A rank mod p is at most the rank
 over Q, and a row subset S of A has at most the rank of A, so for whatever
 rows it read nullity_Q(A) <= nullity_Q(A_S) <= nullity_p(A_S) = cols minus
-its result.  ``lie.certify_space`` pairs the bound with an exact inclusion:
+its result.  ``lie.spans_kernel`` pairs the bound with an exact inclusion:
 d independent vectors that A annihilates, and a result of cols - d, prove
 that they span ker_Q(A).
 """

@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from ncds.coaction import (_rc_residual_linear, c4_residual,
-                           change_of_variable, frak_b_check, ihara_bracket,
+from ncds.coaction import (_c4_in_eta, _rc_residual_linear, c4_functionals,
+                           c4_residual, change_of_variable, frak_b_check, ihara_bracket,
                            meta_abelian, r_series, rc_residual, rc_space,
                            reduced_coaction)
 from ncds.lie import (is_lie_series, is_skew, lyndon_basis, series_spans_equal,
                       skew_constraint)
 from ncds.series import Series, letter_swap, one_letter_alphabet
 
-from conftest import (X, commutator, count_solves, random_lie, words_space,
-                      x_series)
+from conftest import (X, all_words, callable_rows, commutator, count_solves,
+                      family_rows, random_lie, words_space, x_series)
 
 
 def psi3():
@@ -257,3 +257,11 @@ class TestChangeOfVariableForm:
     def test_non_member_fails_c4(self):
         half = lyndon_basis(3).series()[0]
         assert not c4_residual(half).is_zero
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_c4_rows_are_the_callable_rows(self, w):
+        # the transpose of _c4_in_eta: one row per word of length w - 1,
+        # each equal to the callable's row read off the unit words
+        rows = family_rows(c4_functionals(w))
+        assert sorted(rows) == all_words(w - 1)
+        assert rows == callable_rows(_c4_in_eta, Series, w, all_words(w), rows)

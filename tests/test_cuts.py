@@ -143,12 +143,16 @@ def test_eta_route_equals_joint_solve(name, w):
 
 
 def test_theorem_C_solves_iv_in_eta(monkeypatch):
+    # iv is certified on the eta chart, and solved in eta where that misses
     calls = []
 
     def record(weight, constraints, space):
         calls.append((weight, constraints, space))
         return solve_in_eta(weight, constraints, space)
     monkeypatch.setattr(harness, "solve_in_eta", record)
+    harness.verify_theorem_C(4)
+    assert calls == []
+    monkeypatch.setattr(harness, "spans_kernel", lambda w, families, elements: False)
     harness.verify_theorem_C(4)
     assert calls == [(w, [_c4_in_eta], "c4") for w in (2, 3, 4)]
 

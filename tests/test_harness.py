@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from ncds.harness import (alpha_pair_functionals, conj2_space, conjecture_scan,
                           verify_theorem_D, verify_theorem_E)
 from ncds.barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from ncds.braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, leg_insertion
-from ncds.coaction import rc_space
+from ncds.coaction import _c4_in_eta, change_of_variable, rc_space, solve_in_eta
 from ncds.kv import _krv1_linear, krv1skew_space, tangential_pair_of
 from ncds.lie import (certify_space, lyndon_basis, series_span_contains,
                       skew_constraint, skew_functionals, solve_space)
@@ -311,8 +312,12 @@ class TestFailingChecks:
     # path of the check loop is driven end to end
 
     def test_theorem_C_fail(self, monkeypatch):
-        # a change-of-variable equation, written on eta, that kills rc_0
+        # a change-of-variable equation, written on eta, that kills rc_0, as
+        # the callable solve_in_eta solves and as the family iv certifies
         monkeypatch.setattr(harness, "_c4_in_eta", lambda s: s)
+        monkeypatch.setattr(harness, "c4_functionals", lambda w: (
+            (u, Series(two_letter_alphabet(), w, {u: 1}))
+            for u in map(bytes, itertools.product((0, 1), repeat=w))))
         rep = verify_theorem_C(3)
         assert [e.status for e in rep.weights] == ["report-only", "fail"]
         entry = rep.weights[1]
@@ -397,22 +402,34 @@ def _full_solve(w, families, base, space):
     return solve_space(w, families, space)
 
 
+def _force_fallback(monkeypatch):
+    """Every certificate of theorem C forced to miss: ii and iii are solved
+    in full, and iv in eta."""
+    monkeypatch.setattr(harness, "certify_space", _full_solve)
+    monkeypatch.setattr(harness, "spans_kernel", lambda w, families, elements: False)
+
+
 class TestCertifiedBarKernels:
-    # theorem C's bar-kernel sides are certified against the solved rc
-    # (lie.certify_space: exact inclusion, then a one-prime rank bound) and
+    # theorem C's sides other than rc are certified against the solved rc
+    # (lie.spans_kernel: exact inclusion, then a one-prime rank bound) and
     # solved in full only on a miss, so each dim and witness is a full solve's
 
     @staticmethod
     def spy(monkeypatch):
-        """The full solves certify_space falls back to, and per rank bound
-        the rows it read."""
+        """The full solves the certificates fall back to, as (weight, space),
+        and per rank bound the rows it read."""
         import ncds.lie, ncds.linalg
         solve, rank = ncds.lie.solve_space, ncds.linalg.rank_mod_p
+        in_eta = harness.solve_in_eta
         fallbacks, drawn = [], []
 
         def counted_solve(weight, constraints, space="anon", chart="lyndon"):
             fallbacks.append((weight, space))
             return solve(weight, constraints, space, chart)
+
+        def counted_in_eta(weight, constraints, space):
+            fallbacks.append((weight, space))
+            return in_eta(weight, constraints, space)
 
         def counted_rank(rows, cols, target):
             log = []
@@ -424,6 +441,7 @@ class TestCertifiedBarKernels:
                     yield row
             return rank(read(), cols, target)
         monkeypatch.setattr(ncds.lie, "solve_space", counted_solve)
+        monkeypatch.setattr(harness, "solve_in_eta", counted_in_eta)
         monkeypatch.setattr(ncds.linalg, "rank_mod_p", counted_rank)
         return fallbacks, drawn
 
@@ -436,18 +454,54 @@ class TestCertifiedBarKernels:
         assert fallbacks == [] and len(drawn) == 1
         assert json.dumps(got.to_json()) == want
         if w == 9:
-            # the stride selection (every 2nd of the 311 sorted row keys:
-            # 156 rows over 56 columns) reaches rank 54 of cols - d = 55;
-            # the rows after it reach 55
+            # the seeded order reads 64 of the 311 rows over 56 columns, in
+            # four chunks of 16: the first three stay below cols - d = 55,
+            # all four reach it, and so do all 311 rows
             rows = drawn[0]
-            assert len(rows) > 156
-            assert linalg.rank_mod_p(rows[:156], 56, 56) == 54
+            assert len(rows) == 64
+            assert linalg.rank_mod_p(rows[:48], 56, 56) < 55
             assert linalg.rank_mod_p(rows, 56, 56) == 55
+            columns = [b.terms for b in lyndon_basis(w).series()]
+            full = [[sum(v * col.get(k, 0) for k, v in F.terms.items()) for col in columns]
+                    for family in _c_families(w, order) for _key, F in family]
+            assert len(full) == 311
+            assert linalg.rank_mod_p(full, 56, 56) == 55
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_change_of_variable_side_is_the_eta_solve(self, monkeypatch, w):
+        # iv certified on the eta chart against change_of_variable(rc) is
+        # the side solve_in_eta gives, byte for byte, with one rank bound
+        want = json.dumps(solve_in_eta(w, [_c4_in_eta], "c4").to_json())
+        fallbacks, drawn = self.spy(monkeypatch)
+        got = harness.change_of_variable_side(w, rc_space(w))
+        assert fallbacks == [] and len(drawn) == 1
+        assert json.dumps(got.to_json()) == want
+
+    def test_depth_one_families_share_their_leg_words(self, monkeypatch):
+        # both families as alpha_pair_functionals builds them, from 5 leg
+        # recursions per key instead of 10
+        for w in (3, 6, 9):
+            want = [list(alpha_pair_functionals(w, order, depth_one=True))
+                    for order in (("y", "x"), ("x", "y"))]
+            calls = []
+            body = _bar_xy.__wrapped__
+            monkeypatch.setattr(harness, "_bar_xy", types.SimpleNamespace(
+                __wrapped__=lambda *args: calls.append(args) or body(*args)))
+            got = harness.depth_one_families(w)
+            monkeypatch.undo()
+            for g, f in zip(got, want):
+                assert [(k, list(F.terms.items())) for k, F in g] == \
+                    [(k, list(F.terms.items())) for k, F in f]
+            assert len(calls) == 5 * len(want[0])
 
     def test_theorem_C_matches_the_forced_fallback(self, monkeypatch):
         got = json.dumps(verify_theorem_C(9).to_json())
-        monkeypatch.setattr(harness, "certify_space", _full_solve)
+        in_eta, solved = harness.solve_in_eta, []
+        monkeypatch.setattr(harness, "solve_in_eta", lambda w, c, space:
+                            solved.append(w) or in_eta(w, c, space))
+        _force_fallback(monkeypatch)
         assert json.dumps(verify_theorem_C(9).to_json()) == got
+        assert solved == list(range(2, 10))
 
     def test_larger_side_misses_the_bound(self, monkeypatch):
         # skew Lie series alone: inclusion holds, the bound misses, and the
@@ -470,61 +524,136 @@ class TestCertifiedBarKernels:
         want = solve_space(7, [skew, alpha], space="c2")
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
-    @staticmethod
-    def planted_fail(monkeypatch):
-        """C's report at w <= 7, with a planted fault, through the route and
+    @classmethod
+    def planted_fail(cls, monkeypatch):
+        """C's report at w <= 7, with a planted fault, through the route,
+        then the fallbacks and rank bounds the route ran, and the report
         through the forced fallback."""
+        fallbacks, drawn = cls.spy(monkeypatch)
         got = verify_theorem_C(7).to_json()
-        monkeypatch.setattr(harness, "certify_space", _full_solve)
-        return got, verify_theorem_C(7).to_json()
+        ran = list(fallbacks), len(drawn)
+        _force_fallback(monkeypatch)
+        return got, ran, verify_theorem_C(7).to_json()
 
     def test_planted_larger_side_gives_the_full_solve_report(self, monkeypatch):
-        monkeypatch.setattr(harness, "alpha_pair_functionals",
-                            lambda w, orders, depth_one: iter(()))
-        fallbacks, drawn = self.spy(monkeypatch)
-        got, want = self.planted_fail(monkeypatch)
+        monkeypatch.setattr(harness, "depth_one_families", lambda w: ([], []))
+        got, (fallbacks, bounds), want = self.planted_fail(monkeypatch)
         assert json.dumps(got) == json.dumps(want)
         # at w <= 3 the skew Lie series are rc, and the route certifies them
         assert [e["status"] for e in got["weights"]] == ["report-only", "pass"] + ["fail"] * 4
         assert fallbacks == [(w, s) for w in range(4, 8) for s in ("c2", "c3")]
-        assert len(drawn) == 2 * 6
+        # ii and iii take a bound at every weight, and so does iv
+        assert bounds == 3 * 6
 
     def test_planted_functional_fails_inclusion(self, monkeypatch):
         # one functional nonzero on rc, at the least word of its first
         # element: the side loses that element, and no rank bound runs
-        family = harness.alpha_pair_functionals
+        families = harness.depth_one_families
 
-        def planted(w, orders, depth_one):
-            yield from family(w, orders, depth_one=depth_one)
+        def planted(w):
             word = min(rc_space(w).basis[0].terms) if rc_space(w).basis else b"\0" * w
-            yield ((0,), ()), Series(two_letter_alphabet(), w, {word: 1})
-        monkeypatch.setattr(harness, "alpha_pair_functionals", planted)
-        fallbacks, drawn = self.spy(monkeypatch)
-        got, want = self.planted_fail(monkeypatch)
+            F = ((0,), ()), Series(two_letter_alphabet(), w, {word: 1})
+            return tuple(family + [F] for family in families(w))
+        monkeypatch.setattr(harness, "depth_one_families", planted)
+        got, (fallbacks, bounds), want = self.planted_fail(monkeypatch)
         assert json.dumps(got) == json.dumps(want)
         dims = {e["w"]: e["dims"] for e in got["weights"]}
         assert [dims[w]["ii_yx"] for w in range(2, 8)] == [0] * 6
         assert [dims[w]["i_rc0"] for w in range(2, 8)] == [1, 1, 0, 1, 0, 1]
         assert got["weights"][1]["witness"] == rc_space(3).basis[0].to_json()
-        # the bound runs only where rc is empty and inclusion holds at once
-        assert len(drawn) == 2 * 2
+        # ii and iii take a bound only where rc is empty and inclusion holds
+        # at once; iv, unplanted, takes one at every weight
+        assert bounds == 2 * 2 + 6
         assert sorted(w for w, _ in fallbacks) == [2, 2, 3, 3, 5, 5, 7, 7]
 
-    def test_theorem_B_and_C_iv_still_solve_in_full(self, monkeypatch):
+    @staticmethod
+    def plant_c4(monkeypatch, keep=lambda v: True, extra=None):
+        """The change-of-variable condition with the same fault in its family
+        and in the callable solve_in_eta falls back to: only the rows at
+        words v with keep(v), and a row at the word extra(w), if given, that
+        reads eta's coefficient there."""
+        family, residual = harness.c4_functionals, harness._c4_in_eta
+
+        def planted_family(w):
+            yield from ((v, F) for v, F in family(w) if keep(v))
+            if extra:
+                yield extra(w), Series(two_letter_alphabet(), w, {extra(w): 1})
+
+        def planted_residual(eta):
+            out = {v: c for v, c in residual(eta).terms.items() if keep(v)}
+            if extra:
+                out[extra(eta.max_weight)] = eta.coeff(extra(eta.max_weight))
+            return out
+        monkeypatch.setattr(harness, "c4_functionals", planted_family)
+        monkeypatch.setattr(harness, "_c4_in_eta", planted_residual)
+
+    def test_planted_c4_functional_fails_inclusion(self, monkeypatch):
+        # a row nonzero on change_of_variable(rc), at the least word of its
+        # first element: iv loses that element, and its bound runs only
+        # where rc is empty
+        def word(w):
+            basis = rc_space(w).basis
+            return min(change_of_variable(basis[0]).terms) if basis else b"\0" * w
+        self.plant_c4(monkeypatch, extra=word)
+        got, (fallbacks, bounds), want = self.planted_fail(monkeypatch)
+        assert json.dumps(got) == json.dumps(want)
+        dims = {e["w"]: e["dims"] for e in got["weights"]}
+        assert [dims[w]["iv_mu"] for w in range(2, 8)] == [0] * 6
+        assert [dims[w]["ii_yx"] for w in range(2, 8)] == [1, 1, 0, 1, 0, 1]
+        assert [e["status"] for e in got["weights"]] == [
+            "report-only", "fail", "pass", "fail", "pass", "fail"]
+        assert got["weights"][1]["witness"] == rc_space(3).basis[0].to_json()
+        assert fallbacks == [(w, "c4") for w in (2, 3, 5, 7)]
+        assert bounds == 2 * 6 + 2
+
+    def test_dropped_c4_rows_miss_the_bound(self, monkeypatch):
+        # only the rows at words ending in x0: at w=4 the eta kernel grows,
+        # the bound misses there alone, and the eta solve finds iv larger
+        # than rc
+        self.plant_c4(monkeypatch, keep=lambda v: v[-1] == 0)
+        got, (fallbacks, bounds), want = self.planted_fail(monkeypatch)
+        assert json.dumps(got) == json.dumps(want)
+        dims = {e["w"]: e["dims"] for e in got["weights"]}
+        assert [dims[w]["iv_mu"] for w in range(2, 8)] == [1, 1, 1, 1, 0, 1]
+        assert [e["status"] for e in got["weights"]] == [
+            "report-only", "pass", "fail", "pass", "pass", "pass"]
+        assert got["weights"][2]["witness"] == solve_in_eta(
+            4, [lambda eta: {v: c for v, c in _c4_in_eta(eta).terms.items()
+                             if v[-1] == 0}], "c4").basis[0].to_json()
+        assert fallbacks == [(4, "c4")] and bounds == 3 * 6
+
+    def test_theorem_B_builds_the_same_bar_words(self, monkeypatch):
+        # bar_frontier times one B9 pass, and a pass that ends before
+        # hostref.PERIOD takes no host-speed sample, so its worker exits with
+        # "no host-speed reference samples"; a B9 pass must run the same
+        # work until ROADMAP item 1 re-points the workload.  From an empty
+        # memo, B7 runs the uncached bar-word recursion 1,500 times for its
+        # functionals and misses the memo 630 times inside them.
+        calls = []
+        body = _bar_xy.__wrapped__
+        monkeypatch.setattr(harness, "_bar_xy", types.SimpleNamespace(
+            __wrapped__=lambda *args: calls.append(args) or body(*args)))
+        _bar_xy.cache_clear()
+        verify_theorem_B(7)
+        assert len(calls) == 1500 and _bar_xy.cache_info().misses == 630
+
+    def test_theorem_B_solves_in_full_and_C_certifies_every_side(self, monkeypatch):
         # B's bar side keeps its full solve, though the same route would
         # certify it against dmr0: bar_frontier times one B9 pass, and a
         # pass that ends before hostref.PERIOD takes no host-speed sample,
         # so its worker exits with "no host-speed reference samples";
         # changes that made B9 faster failed that way, and stay out until
-        # ROADMAP item 1 re-points the workload.  C iv is cut in eta after
-        # its solve, so it is no single matrix on one chart.
+        # ROADMAP item 1 re-points the workload.  C certifies ii and iii
+        # against rc, and iv on the eta chart, and solves nothing in eta.
         calls = []
-        solve, certify, in_eta = (harness.solve_space, harness.certify_space,
-                                  harness.solve_in_eta)
+        solve, certify, spans, in_eta = (harness.solve_space, harness.certify_space,
+                                         harness.spans_kernel, harness.solve_in_eta)
         monkeypatch.setattr(harness, "solve_space", lambda w, c, space="anon", chart="lyndon":
                             calls.append(("solve", w, space)) or solve(w, c, space, chart))
         monkeypatch.setattr(harness, "certify_space", lambda w, f, base, space:
                             calls.append(("certify", w, space)) or certify(w, f, base, space))
+        monkeypatch.setattr(harness, "spans_kernel", lambda w, f, elements:
+                            calls.append(("spans", w, "c4")) or spans(w, f, elements))
         monkeypatch.setattr(harness, "solve_in_eta", lambda w, c, space:
                             calls.append(("eta", w, space)) or in_eta(w, c, space))
         verify_theorem_B(4)
@@ -532,7 +661,7 @@ class TestCertifiedBarKernels:
         del calls[:]
         verify_theorem_C(4)
         assert calls == [(kind, w, space) for w in (2, 3, 4) for kind, space in
-                         (("certify", "c2"), ("certify", "c3"), ("eta", "c4"))]
+                         (("certify", "c2"), ("certify", "c3"), ("spans", "c4"))]
 
 
 class TestHarnessInvariants:
