@@ -26,9 +26,8 @@ from functools import lru_cache
 from . import InputError, __version__ as KERNEL_VERSION
 from .barwords import _bar_xy, bar_double, bar_single, order_target, pair
 from .braid import ALPHA_LEGS, CHORD_NAMES, PHI_LEGS, chord_alphabet, leg_insertion
-from .coaction import (_c4_in_eta, c4_functionals, change_of_variable,
-                       frak_b_check, ihara_bracket, meta_abelian, rc_space,
-                       solve_in_eta)
+from .coaction import (c4_functionals, change_of_variable, frak_b_check,
+                       ihara_bracket, meta_abelian, rc_space, solve_in_eta)
 from .dshuffle import (dmr_space, psi_star, sh_le, sigma_compose, y_functional,
                        y_word)
 from .kv import (_krv1_linear, is_cyclic_invariant, krv1skew_space, krv2_space,
@@ -187,16 +186,15 @@ def conj2_space(weight):
                                 shifted_pair_functionals(weight)], space="conj2")
 
 
-def _alpha_keys(weight, depth_one=False):
-    return [(a, b) for a, b in index_pairs(weight)
-            if (len(b) == 1 if depth_one else not _all_ones(a, b))]
+def _alpha_keys(weight):
+    return [(a, b) for a, b in index_pairs(weight) if not _all_ones(a, b)]
 
 
-def alpha_pair_functionals(weight, orders=("y", "x"), depth_one=False):
-    """Functionals psi -> l_{a,b}(alpha(psi)) for pairs of the given weight,
-    not all ones; depth_one restricts to dp(b) = 1 instead."""
-    return (((a, b), pulled_functional(a, b, orders, ALPHA_LEGS))
-            for a, b in _alpha_keys(weight, depth_one))
+def alpha_pair_functionals(weight):
+    """Theorem B's functionals psi -> l^{y,x}_{a,b}(alpha(psi)), for the
+    index pairs of the weight that are not all ones."""
+    return (((a, b), pulled_functional(a, b, ("y", "x"), ALPHA_LEGS))
+            for a, b in _alpha_keys(weight))
 
 
 def _reversed_legs():
@@ -218,14 +216,16 @@ def _reversed_legs():
 
 
 def depth_one_families(weight):
-    """The y,x and x,y families of alpha_pair_functionals(weight, order,
-    depth_one=True), as two lists, built from one set of pentagon-leg words
-    per key: the five x,y leg words, read again through _reversed_legs for
-    the y,x order, so each key costs 5 uncached bar-word recursions, not
-    10."""
+    """The functionals psi -> l_{a,b}(alpha(psi)) for the index pairs of the
+    weight with dp(b) = 1, in the y,x and in the x,y order, as two lists.
+    They are built from one set of pentagon-leg words per key: the five x,y
+    leg words, read again through _reversed_legs for the y,x order, so each
+    key costs 5 uncached bar-word recursions, not 10."""
     reversed_legs = _reversed_legs()
     yx, xy = [], []
-    for a, b in _alpha_keys(weight, depth_one=True):
+    for a, b in index_pairs(weight):
+        if len(b) != 1:
+            continue
         words = {leg: _bar_xy.__wrapped__(a, b, leg_target(leg))
                  for _sign, leg in ALPHA_LEGS}
         xy.append(((a, b), _signed_sum(((sign, words[leg]) for sign, leg in ALPHA_LEGS),
@@ -255,7 +255,7 @@ def _check(check, first_weight, max_weight, weights, entry):
     return CheckReport(check, entries, elapsed=time.perf_counter() - t0)
 
 
-def _spans_entry(w, spaces):
+def _spans_entry(spaces):
     """Dims of named spaces that must all equal the first, and a witness for
     each that does not."""
     (_, base), *rest = spaces.items()
@@ -269,7 +269,7 @@ def verify_theorem_A(max_weight, weights=None):
     functionals, weight by weight: each side is its base space cut by the
     added condition."""
     def entry(w):
-        dims, failures = _spans_entry(w, {
+        dims, failures = _spans_entry({
             "dmr0_skew": solve_space(w, [skew_functionals(w)], space="dmr0skew",
                                      chart=dmr_space(w)),
             "rc0_shifted": solve_space(w, [shifted_pair_functionals(w)],
@@ -284,7 +284,7 @@ def verify_theorem_B(max_weight, weights=None):
     """dmr_0 equals the kernel of the bar pairings against the pentagon
     defect over non-all-ones index pairs."""
     def entry(w):
-        dims, failures = _spans_entry(w, {
+        dims, failures = _spans_entry({
             "dmr0": dmr_space(w),
             "bar_kernel": solve_space(w, [alpha_pair_functionals(w)],
                                       space="barkernel")})
@@ -304,11 +304,12 @@ def change_of_variable_side(weight, rc):
     skew ∩ change_of_variable(E) = skew ∩ span rc = span rc, since the
     change of variable is an involutive automorphism of the free Lie algebra
     and rc is skew, and rc's basis is returned under the name c4; on a miss
-    the side is solved in eta (`solve_in_eta`)."""
-    if spans_kernel(weight, [list(c4_functionals(weight))],
+    the same listed family is solved in eta (`solve_in_eta`)."""
+    family = list(c4_functionals(weight))
+    if spans_kernel(weight, [family],
                     [change_of_variable(n) for n in integer_multiples(rc.basis)]):
         return SolutionSpace("c4", weight, list(rc.basis))
-    return solve_in_eta(weight, [_c4_in_eta], "c4")
+    return solve_in_eta(weight, [family], "c4")
 
 
 def verify_theorem_C(max_weight, weights=None):
@@ -335,7 +336,7 @@ def verify_theorem_C(max_weight, weights=None):
         spaces["iii_xy"] = certify_space(w, [skew_functionals(w), xy], rc, space="c3")
         del yx, xy
         spaces["iv_mu"] = change_of_variable_side(w, rc)
-        return _spans_entry(w, spaces)
+        return _spans_entry(spaces)
     return _check("theorem_C", 2, max_weight, weights, entry)
 
 
@@ -385,7 +386,9 @@ def verify_theorem_E(max_weight, weights=None):
     """Pipeline: dmr_0 + skew + krv1 sits inside rc_0 + krv1, and the
     tangential pair of every member lands in krv_2; plus the all-ones
     quasi-shuffle coefficient formula on dmr_0 bases for k+l <= 6.  Both
-    cuts are taken on the solved dmr_0 and rc spaces."""
+    cuts are taken on the solved dmr_0 and rc spaces.  The per-element checks
+    are linear, so they run on integer multiples, and a pair of weight w >= 2
+    has no linear terms to strip."""
     def entry(w):
         dmr0 = dmr_space(w)
         s1 = solve_space(w, [skew_functionals(w), _krv1_linear], space="dmr0skewkrv1",
@@ -401,7 +404,6 @@ def verify_theorem_E(max_weight, weights=None):
             cyc_ok = cyc_ok and is_cyclic_invariant(potential(u))
             if not nc_krv2_fit(u)[0].is_zero:
                 failures.append(psi)
-            u = u.normalized()
             if not u.is_zero and not series_span_contains(krv2.basis, u):
                 failures.append(psi)
         dims["h_cyclic_invariant"] = cyc_ok
@@ -647,8 +649,7 @@ def one_loop_equivalence(max_weight=7):
     y-words of the composed indices over Sh^{<=}, paired with psi_*."""
     out = []
     for w in range(2, max_weight + 1):
-        s1 = solve_space(w, [alpha_pair_functionals(w, ("y", "x"), depth_one=True)],
-                         space="oneloop1")
+        s1 = solve_space(w, [depth_one_families(w)[0]], space="oneloop1")
 
         def stuffle_sum(a, b):
             terms = {}

@@ -244,11 +244,6 @@ def krv1_eta_functionals(weight):
         yield l, Series(alphabet, weight, terms, _clean=False)
 
 
-def _pair_linear_constraint(u):
-    """The canonical pair has no x0 in a1 and no x1 in a2."""
-    return {"a1": u.terms.get((0, b"\x00"), 0), "a2": u.terms.get((1, b"\x01"), 0)}
-
-
 def _div_in_target_line(weight):
     """The constraint div(u) in k |(x0+x1)^w - x0^w - x1^w| on pairs u of
     the weight.  With T the target, k0 a fixed key of T and t0 = T[k0],
@@ -267,11 +262,15 @@ def _div_in_target_line(weight):
 
 def krv2_space(weight):
     """Basis of tangential derivations (a1, a2) of the given weight with
-    u(x0+x1) = 0 and div(u) in k |(x0+x1)^w - x0^w - x1^w|."""
+    u(x0+x1) = 0 and div(u) in k |(x0+x1)^w - x0^w - x1^w|.
+
+    The pairs are normalized, no x0 in a1 and no x1 in a2, with no row of
+    their own: at w >= 2 the chart's columns are Lyndon elements of weight
+    w, which have no one-letter word, and at w = 1 the target is 0, so the
+    divergence rows at x0 and x1 are a1[x0] and a2[x1] themselves."""
     if weight < 1:
         raise InputError("krv2 space starts at weight 1")
-    return solve_space(weight, [sder_functionals(weight), _div_in_target_line(weight),
-                                _pair_linear_constraint],
+    return solve_space(weight, [sder_functionals(weight), _div_in_target_line(weight)],
                        space="krv2", chart="pairs")
 
 

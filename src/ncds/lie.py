@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
 from math import lcm
 
 from . import InputError
@@ -194,8 +193,8 @@ def skew_functionals(weight):
     s + s(x1, x0) is a Lie series, and a Lie series is zero iff its
     coefficients at the Lyndon words are, since those coefficients of the
     Lyndon basis form a unitriangular matrix (Reutenauer, Free Lie Algebras,
-    Thm 5.1).  On the words chart a column is not Lie, and these rows cut
-    too little; skew_constraint is the route there."""
+    Thm 5.1).  On a chart of unit words a column is not Lie, and these rows
+    cut too little; skew_constraint is the route there."""
     alphabet = two_letter_alphabet()
     for l in lyndon_words(weight):
         yield l, Series(alphabet, weight, {l: 1, swap_word(l): 1}, _clean=False)
@@ -296,25 +295,26 @@ def _constraint_items(value):
 def solve_space(weight, constraints, space="anon", chart="lyndon"):
     """Joint kernel of linear constraints on homogeneous weight-w elements.
 
-    chart "lyndon" solves over the free Lie algebra in Lyndon coordinates;
-    chart "words" solves over raw word coefficients (used as the independent
-    brute-force route, with primitivity supplied as an explicit constraint);
-    chart "pairs" solves over tangential derivations (a1, a2), the Lyndon
-    basis placed in a1 and then in a2.  A chart is only a change of basis:
-    column j is an ambient element given by its coordinates (a word, or
-    (slot, word) for pairs).  Each constraint maps an ambient element to a
-    Series/TensorSeries/CyclicSeries/dict whose entries must all vanish.
+    A chart is one of two names or a solved space.  Chart "lyndon" solves
+    over the free Lie algebra in Lyndon coordinates, chart "pairs" over
+    tangential derivations (a1, a2), the Lyndon basis placed in a1 and then
+    in a2: column j is an ambient element given by its coordinates (a word,
+    or (slot, word) for pairs).  Each constraint maps an ambient element to
+    a Series/TensorSeries/CyclicSeries/dict whose entries must all vanish.
 
-    On these coordinate charts, constraints are evaluated once per
-    coordinate, on that coordinate's unit element, and the value is carried
-    to every column through the chart.  So every constraint must be linear
-    on the whole ambient algebra and must check no precondition: a unit word
-    is not a Lie series.
+    On a named chart, constraints are evaluated once per coordinate, on that
+    coordinate's unit element, and the value is carried to every column
+    through the chart.  So every constraint must be linear on the whole
+    ambient algebra and must check no precondition: a unit word is not a
+    Lie series.
 
     A solved space is a chart too: its basis elements, scaled to integer
     coefficients, are the columns, and each constraint is evaluated once per
     element, which feeds only its own column.  The result is the space cut
-    by the constraints; an empty basis gives an empty space.
+    by the constraints; an empty basis gives an empty space.  The tests'
+    brute-force route solves over raw word coefficients this way: its chart
+    is the space of every unit word of the weight, with primitivity as an
+    explicit constraint.
 
     A constraint that is not callable is a family of functionals: an
     iterable of (key, F) with F a series over the chart's coordinates, whose
@@ -324,7 +324,7 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
     Lyndon words only (`skew_functionals`, and `kv.sder_functionals` and
     `kv.krv1_eta_functionals`) needs a chart whose columns are Lie series:
     the Lyndon chart, the pairs chart or a solved space of Lie elements,
-    never the words chart, where it cuts too little.
+    never a chart of unit words, where it cuts too little.
 
     Rows are keyed (constraint index, output key) and sorted by key.
     """
@@ -337,8 +337,6 @@ def solve_space(weight, constraints, space="anon", chart="lyndon"):
         columns = [b.terms for b in integer_multiples(chart.basis)]
     elif chart == "lyndon":
         kind, columns = Series, [s.terms for s in lyndon_basis(weight).series()]
-    elif chart == "words":
-        kind, columns = Series, [{bytes(w): 1} for w in product((0, 1), repeat=weight)]
     elif chart == "pairs":
         lyndon = lyndon_basis(weight).series()
         kind = TangentialDerivation

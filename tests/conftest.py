@@ -8,10 +8,10 @@ from itertools import product
 
 import pytest
 
-from ncds.braid import CocycleElement, cocycle_mul
+from ncds.braid import ALPHA_LEGS, CocycleElement, cocycle_mul
 from ncds.coaction import _rc_space
 from ncds.dshuffle import dmr_space
-from ncds.harness import random_lie_series
+from ncds.harness import index_pairs, pulled_functional, random_lie_series
 from ncds.lie import (SolutionSpace, TangentialDerivation, lie_bracket,
                       primitivity_defect, solve_space)
 from ncds.series import (AT_MINUS_SUM_X1, CyclicSeries, LinearMorphism, Series,
@@ -246,12 +246,29 @@ def commutator(s):
     return {"lam": s.coeff(b"\x00\x01")}
 
 
+def unit_words(weight):
+    """The chart of raw word coefficients: every word of the weight as a
+    unit Series, in lexicographic order."""
+    return SolutionSpace("words", weight, [Series(X, weight, {w: 1})
+                                           for w in all_words(weight)])
+
+
 def words_space(weight, constraints, space="words"):
     """The brute-force route to a space of Lie series: the constraints with
     primitivity (the shuffle-coproduct Lie test) solved over every word of
     the weight, sharing no Lyndon coordinates with the route under test."""
     return solve_space(weight, [primitivity_defect] + constraints, space=space,
-                       chart="words")
+                       chart=unit_words(weight))
+
+
+def alpha_functionals(weight, order, depth_one):
+    """Reference family psi -> l_{a,b}(alpha(psi)) over the index pairs of
+    the weight, in the given order: the pairs with dp(b) = 1 if depth_one,
+    else those not all ones.  Built one pulled functional per key, sharing
+    no leg words between orders."""
+    for a, b in index_pairs(weight):
+        if (len(b) == 1) if depth_one else (set(a + b) != {1}):
+            yield (a, b), pulled_functional(a, b, order, ALPHA_LEGS)
 
 
 def all_words(weight):

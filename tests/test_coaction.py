@@ -11,7 +11,7 @@ from ncds.lie import (is_lie_series, is_skew, lyndon_basis, series_spans_equal,
 from ncds.series import Series, letter_swap, one_letter_alphabet
 
 from conftest import (X, all_words, callable_rows, commutator, count_solves,
-                      family_rows, random_lie, words_space, x_series)
+                      family_rows, random_lie, space_bytes, words_space, x_series)
 
 
 def psi3():
@@ -100,6 +100,14 @@ class TestRcSpace:
             assert eq, w
             dims.append(brute.dimension)
         assert dims == [1, 0, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize("w", range(2, 8))
+    def test_unit_word_chart_is_the_lyndon_route(self, w):
+        # the brute-force route solves on the chart of unit words, with
+        # primitivity as a constraint: on rc it gives the Lyndon solve, byte
+        # for byte
+        brute = words_space(w, [skew_constraint, _rc_residual_linear], space="rc")
+        assert space_bytes(brute) == space_bytes(rc_space(w))
 
     def test_lambda_affine(self):
         space = rc_space(2, Fraction(5, 2))

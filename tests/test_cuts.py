@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 import ncds.harness as harness
-from ncds.coaction import (_c4_in_eta, _rc_residual_linear, c4_residual,
-                           change_of_variable, rc_space, solve_in_eta)
+from ncds.coaction import (_c4_in_eta, _rc_residual_linear, c4_functionals,
+                           c4_residual, change_of_variable, rc_space, solve_in_eta)
 from ncds.dshuffle import _dmr_residual_linear
 from ncds.kv import _krv1_linear, krv1skew_space
 from ncds.lie import SolutionSpace, lyndon_basis, skew_constraint, solve_space
@@ -143,7 +143,8 @@ def test_eta_route_equals_joint_solve(name, w):
 
 
 def test_theorem_C_solves_iv_in_eta(monkeypatch):
-    # iv is certified on the eta chart, and solved in eta where that misses
+    # iv is certified on the eta chart, and where that misses, the family it
+    # listed is solved in eta
     calls = []
 
     def record(weight, constraints, space):
@@ -154,7 +155,7 @@ def test_theorem_C_solves_iv_in_eta(monkeypatch):
     assert calls == []
     monkeypatch.setattr(harness, "spans_kernel", lambda w, families, elements: False)
     harness.verify_theorem_C(4)
-    assert calls == [(w, [_c4_in_eta], "c4") for w in (2, 3, 4)]
+    assert calls == [(w, [list(c4_functionals(w))], "c4") for w in (2, 3, 4)]
 
 
 def _fraction_series(rng, max_weight, n_terms):

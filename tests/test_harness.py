@@ -33,8 +33,8 @@ from ncds.series import (AT_SUM_ZERO, AT_X1_ZERO, S_AT_MINUS_X0, S_AT_X1,
                          Series, fox_derivative, letter_swap,
                          series_to_json, substitute, two_letter_alphabet, _iadd)
 
-from conftest import (count_solves, random_lie, ref_krv1, space_from_json, src_env,
-                      words_space, x_series)
+from conftest import (alpha_functionals, count_solves, random_lie, ref_krv1,
+                      space_from_json, src_env, words_space, x_series)
 
 
 RESIDUAL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "residual_payloads.json"
@@ -69,7 +69,7 @@ class TestPullback:
                                    psi) == want
             for order, depth_one in ((("y", "x"), False), (("y", "x"), True),
                                      (("x", "y"), True)):
-                for (a, b), F in alpha_pair_functionals(w, order, depth_one):
+                for (a, b), F in alpha_functionals(w, order, depth_one):
                     assert pair(F, psi) == direct(a, b, order, ALPHA_LEGS), (a, b)
             yx = ("y", "x")
             for (a, b), F in shifted_pair_functionals(w):
@@ -160,10 +160,11 @@ class TestFunctionalFamilies:
 
     @pytest.mark.parametrize("w", range(2, 10))
     def test_each_family_yields_every_key_once(self, w):
+        yx, xy = harness.depth_one_families(w)
         families = {
             "alpha": alpha_pair_functionals(w),
-            "yx": alpha_pair_functionals(w, ("y", "x"), depth_one=True),
-            "xy": alpha_pair_functionals(w, ("x", "y"), depth_one=True),
+            "yx": yx,
+            "xy": xy,
             "shifted": shifted_pair_functionals(w),
         }
         for name, family in families.items():
@@ -174,8 +175,7 @@ class TestFunctionalFamilies:
 
     @pytest.mark.parametrize("family, order, legs", [
         (lambda w: alpha_pair_functionals(w), ("y", "x"), ALPHA_LEGS),
-        (lambda w: alpha_pair_functionals(w, ("x", "y"), depth_one=True),
-         ("x", "y"), ALPHA_LEGS),
+        (lambda w: harness.depth_one_families(w)[1], ("x", "y"), ALPHA_LEGS),
         (lambda w: shifted_pair_functionals(w), ("y", "x"), PHI_LEGS),
     ])
     def test_family_words_stay_out_of_the_memo(self, family, order, legs):
@@ -268,7 +268,7 @@ class TestVerifiers:
         basis = lyndon_basis(3).series()
         s1 = SolutionSpace("a", 3, [basis[0]])
         s2 = SolutionSpace("b", 3, [basis[1]])
-        rep = _check("x", 3, 3, None, lambda w: _spans_entry(w, {"a": s1, "b": s2}))
+        rep = _check("x", 3, 3, None, lambda w: _spans_entry({"a": s1, "b": s2}))
         entry, = rep.weights
         assert entry.status == "fail" and entry.dims == {"a": 1, "b": 1}
         assert entry.witness is not None
@@ -312,9 +312,8 @@ class TestFailingChecks:
     # path of the check loop is driven end to end
 
     def test_theorem_C_fail(self, monkeypatch):
-        # a change-of-variable equation, written on eta, that kills rc_0, as
-        # the callable solve_in_eta solves and as the family iv certifies
-        monkeypatch.setattr(harness, "_c4_in_eta", lambda s: s)
+        # a change-of-variable equation, written on eta, that kills rc_0: the
+        # family iv certifies with and solves in eta on the miss
         monkeypatch.setattr(harness, "c4_functionals", lambda w: (
             (u, Series(two_letter_alphabet(), w, {u: 1}))
             for u in map(bytes, itertools.product((0, 1), repeat=w))))
@@ -368,6 +367,19 @@ class TestFailingChecks:
         assert verify_theorem_E(7, weights=[7]).ok
         assert seen and all(type(c) is int for c in seen)
 
+    def test_theorem_E_compares_normalized_pairs(self, monkeypatch):
+        # E compares each tangential pair with krv2 as it is: a pair of
+        # weight w >= 2 has no linear term to strip
+        pairs = []
+
+        def recording(psi):
+            pairs.append(tangential_pair_of(psi))
+            return pairs[-1]
+        monkeypatch.setattr(harness, "tangential_pair_of", recording)
+        assert verify_theorem_E(9, weights=range(2, 10)).ok
+        assert {len(next(iter(u.terms))[1]) for u in pairs} == {3, 5, 7, 8, 9}
+        assert all(u.normalized() == u for u in pairs)
+
     def test_theorem_E_fail_on_nonadmissible_sum(self, monkeypatch):
         value = harness.nonadmissible_sum_value
         monkeypatch.setattr(harness, "nonadmissible_sum_value",
@@ -394,7 +406,7 @@ class TestFailingChecks:
 
 
 def _c_families(w, order):
-    return [skew_functionals(w), alpha_pair_functionals(w, order, depth_one=True)]
+    return [skew_functionals(w), alpha_functionals(w, order, True)]
 
 
 def _full_solve(w, families, base, space):
@@ -477,11 +489,26 @@ class TestCertifiedBarKernels:
         assert fallbacks == [] and len(drawn) == 1
         assert json.dumps(got.to_json()) == want
 
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_forced_miss_of_iv_solves_the_listed_family(self, monkeypatch, w):
+        # on a miss iv solves in eta the very list the certificate read, and
+        # that solve is the callable's, byte for byte
+        want = json.dumps(solve_in_eta(w, [_c4_in_eta], "c4").to_json())
+        in_eta, solved = harness.solve_in_eta, []
+        monkeypatch.setattr(harness, "spans_kernel", lambda w, families, elements:
+                            solved.append(families) or False)
+        monkeypatch.setattr(harness, "solve_in_eta", lambda w, c, space:
+                            solved.append(c) or in_eta(w, c, space))
+        got = harness.change_of_variable_side(w, rc_space(w))
+        assert json.dumps(got.to_json()) == want
+        (listed,), (solved_with,) = solved
+        assert solved_with is listed and listed == list(harness.c4_functionals(w))
+
     def test_depth_one_families_share_their_leg_words(self, monkeypatch):
-        # both families as alpha_pair_functionals builds them, from 5 leg
-        # recursions per key instead of 10
+        # both families as the reference builds them, one pulled functional
+        # per key and order, from 5 leg recursions per key instead of 10
         for w in (3, 6, 9):
-            want = [list(alpha_pair_functionals(w, order, depth_one=True))
+            want = [list(alpha_functionals(w, order, True))
                     for order in (("y", "x"), ("x", "y"))]
             calls = []
             body = _bar_xy.__wrapped__
@@ -568,24 +595,17 @@ class TestCertifiedBarKernels:
 
     @staticmethod
     def plant_c4(monkeypatch, keep=lambda v: True, extra=None):
-        """The change-of-variable condition with the same fault in its family
-        and in the callable solve_in_eta falls back to: only the rows at
-        words v with keep(v), and a row at the word extra(w), if given, that
-        reads eta's coefficient there."""
-        family, residual = harness.c4_functionals, harness._c4_in_eta
+        """The change-of-variable family with a fault, which iv certifies
+        with and solves in eta on a miss: only the rows at words v with
+        keep(v), and a row at the word extra(w), if given, that reads eta's
+        coefficient there."""
+        family = harness.c4_functionals
 
         def planted_family(w):
             yield from ((v, F) for v, F in family(w) if keep(v))
             if extra:
                 yield extra(w), Series(two_letter_alphabet(), w, {extra(w): 1})
-
-        def planted_residual(eta):
-            out = {v: c for v, c in residual(eta).terms.items() if keep(v)}
-            if extra:
-                out[extra(eta.max_weight)] = eta.coeff(extra(eta.max_weight))
-            return out
         monkeypatch.setattr(harness, "c4_functionals", planted_family)
-        monkeypatch.setattr(harness, "_c4_in_eta", planted_residual)
 
     def test_planted_c4_functional_fails_inclusion(self, monkeypatch):
         # a row nonzero on change_of_variable(rc), at the least word of its
@@ -636,6 +656,14 @@ class TestCertifiedBarKernels:
         _bar_xy.cache_clear()
         verify_theorem_B(7)
         assert len(calls) == 1500 and _bar_xy.cache_info().misses == 630
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_theorem_B_family_is_the_reference_family(self, w):
+        # B's family, keys, order and terms, is the y,x family over the pairs
+        # not all ones that the reference builds one key at a time
+        got = [(k, list(F.terms.items())) for k, F in alpha_pair_functionals(w)]
+        assert got == [(k, list(F.terms.items()))
+                       for k, F in alpha_functionals(w, ("y", "x"), False)]
 
     def test_theorem_B_solves_in_full_and_C_certifies_every_side(self, monkeypatch):
         # B's bar side keeps its full solve, though the same route would

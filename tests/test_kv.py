@@ -7,7 +7,7 @@ import pytest
 
 from ncds.coaction import change_of_variable
 from ncds.kv import (TangentialDerivation, _div_in_target_line, _krv1_in_eta,
-                     _pair_linear_constraint, _sder_constraint, divergence,
+                     _sder_constraint, divergence,
                      hamiltonian, hamiltonian_inverse, is_cyclic_invariant, is_sder,
                      krv1_eta_functionals, krv1_residual, krv1skew_space, krv2_space,
                      nc_krv2_fit, necklace_bracket, necklace_cobracket, potential,
@@ -48,6 +48,11 @@ def all_cyclic_words(weight):
     return seen
 
 
+def _linear_terms(u):
+    """The canonical pair's normalization as rows: no x0 in a1, no x1 in a2."""
+    return {"a1": u.terms.get((0, b"\x00"), 0), "a2": u.terms.get((1, b"\x01"), 0)}
+
+
 class TestLyndonWordRows:
     """The special-derivation condition and krv1 on eta are Lie-valued, so
     on a Lie chart they need one row per Lyndon word of weight + 1."""
@@ -66,10 +71,23 @@ class TestLyndonWordRows:
     @pytest.mark.parametrize("w", range(1, 8))
     def test_krv2_matches_the_callable_pairs_solve(self, w):
         # krv2 has no words-chart route: the reference is the pairs chart
-        # with the callable special-derivation condition
-        want = solve_space(w, [_sder_constraint, _div_in_target_line(w),
-                               _pair_linear_constraint], space="krv2", chart="pairs")
+        # with the callable special-derivation condition and the linear-term
+        # rows
+        want = solve_space(w, [_sder_constraint, _div_in_target_line(w), _linear_terms],
+                           space="krv2", chart="pairs")
         assert space_bytes(krv2_space(w)) == space_bytes(want)
+
+    @pytest.mark.parametrize("w", range(1, 10))
+    def test_krv2_needs_no_linear_term_rows(self, w):
+        # the normalization "no x0 in a1, no x1 in a2" as rows of its own
+        # changes nothing: at w >= 2 both rows are zero on the chart, and at
+        # w = 1 the divergence rows at x0 and x1 are the same two rows
+        want = solve_space(w, [sder_functionals(w), _div_in_target_line(w), _linear_terms],
+                           space="krv2", chart="pairs")
+        assert space_bytes(krv2_space(w)) == space_bytes(want)
+        columns = [TangentialDerivation(X, w, {(slot, k): c for k, c in s.terms.items()})
+                   for slot in (0, 1) for s in lyndon_basis(w).series()]
+        assert any(any(_linear_terms(u).values()) for u in columns) == (w == 1)
 
     @pytest.mark.parametrize("w", range(2, 10))
     def test_krv1skew_matches_the_callable_eta_solve(self, w):

@@ -15,7 +15,8 @@ from ncds.linalg import kernel_basis, rref
 from ncds.series import Series, letter_swap, shuffle_coproduct
 
 from conftest import (X, all_words, callable_rows, family_rows, random_lie,
-                      reference_kernel, reference_rref, space_bytes, x_series)
+                      reference_kernel, reference_rref, space_bytes, unit_words,
+                      x_series)
 
 WITT_2_LETTERS = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
 
@@ -436,7 +437,7 @@ class TestSolveSpace:
 
         skew = lambda s: letter_swap(s) + s
         a = solve_space(3, [skew])
-        b = solve_space(3, [primitivity, skew], chart="words")
+        b = solve_space(3, [primitivity, skew], chart=unit_words(3))
         eq, _ = series_spans_equal(a.basis, b.basis)
         assert eq
 
